@@ -12,6 +12,7 @@ pin exactly which wording produced its classification.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from collections.abc import Callable, Mapping
@@ -108,17 +109,24 @@ class BackendConfig:
             raise ConfigError("max_diff_bytes must be positive")
 
 
+# The packaged prompts cannot change while the process runs, so each is
+# read once: every read builds fresh ``pathlib`` paths, and pathlib interns
+# each component, spending slots of CPython's interned-string table.
+@functools.cache
+def _read_template(name: str) -> bytes:
+    return resources.files("perfmine").joinpath("prompts", name).read_bytes()
+
+
 def _load_template(name: str) -> str:
-    return resources.files("perfmine").joinpath("prompts", name).read_text(encoding="utf-8")
+    return _read_template(name).decode("utf-8")
 
 
 def prompt_fingerprints() -> dict[str, str]:
     """sha256 of each packaged prompt template, for embedding in manifests."""
-    out = {}
-    for phase, name in (("phase1", "phase1.txt"), ("phase2", "phase2.txt")):
-        data = resources.files("perfmine").joinpath("prompts", name).read_bytes()
-        out[phase] = hashlib.sha256(data).hexdigest()
-    return out
+    return {
+        phase: hashlib.sha256(_read_template(name)).hexdigest()
+        for phase, name in (("phase1", "phase1.txt"), ("phase2", "phase2.txt"))
+    }
 
 
 def parse_vote(text: str) -> VoteValue | None:

@@ -34,7 +34,6 @@ from .errors import (
     AuthError,
     BackendError,
     ConfigError,
-    EvaluationError,
     PerfMineError,
     RateLimitError,
     ReviewError,
@@ -42,7 +41,6 @@ from .errors import (
     SchemaError,
     StoreError,
     TransportError,
-    UnparseableResponseError,
 )
 from .evaluate import VERDICT_BROKEN, VERDICT_FUNCTIONAL_ONLY, VERDICT_IMPROVES, evaluate
 from .harvest import HarvestConfig, run_git
@@ -354,7 +352,7 @@ def cmd_inspect(args) -> int:
     for message in errors:
         print(f"warning: {message}", file=sys.stderr)
     if args.json:
-        print(json.dumps([entry_to_dict(e) for e in entries], indent=2, sort_keys=True))
+        _print_json_array(entry_to_dict(e) for e in entries)
         return EXIT_OK
     if not entries:
         print("no entries")
@@ -364,6 +362,18 @@ def cmd_inspect(args) -> int:
         files = len(e.commit.changes)
         print(f"{e.patch_id}  {e.repo_full_name}  files={files}  {significant}  {e.verified}")
     return EXIT_OK
+
+
+def _print_json_array(items) -> None:
+    """Print what ``json.dumps(list(items), indent=2, sort_keys=True)`` would,
+    one item at a time, so that the whole array never sits in memory."""
+    out = sys.stdout
+    first = True
+    for item in items:
+        body = json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n  ")
+        out.write(("[\n  " if first else ",\n  ") + body)
+        first = False
+    out.write("[]\n" if first else "\n]\n")
 
 
 def cmd_verify(args) -> int:
@@ -397,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     except (RuntimeUnavailableError, TransportError, RateLimitError, BackendError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNAVAILABLE
-    except (PerfMineError, EvaluationError, UnparseableResponseError) as exc:
+    except PerfMineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception:  # pragma: no cover - defensive

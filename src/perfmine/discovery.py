@@ -24,7 +24,15 @@ from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import urlencode
 
-from .errors import AuthError, ConfigError, GitError, RateLimitError, TransportError
+from .errors import (
+    AuthError,
+    ConfigError,
+    ContractViolation,
+    GitError,
+    RateLimitError,
+    RuntimeUnavailableError,
+    TransportError,
+)
 from .harvest import run_git
 
 GITHUB_API_BASE = "https://api.github.com"
@@ -291,9 +299,11 @@ def gate_repository(
     """Populate the CMake and test gates from a checked-out worktree.
 
     ``tester`` configures the project, enumerates its registered tests,
-    and runs them once; any exception it raises is recorded as a failing
+    and runs them once; an exception it raises is recorded as a failing
     head rather than propagated, because a repository that cannot build
-    is simply not a candidate.
+    is simply not a candidate. The exceptions are an unreachable runtime
+    and a broken call contract: they say nothing about the repository,
+    and every later repository would fail the same way.
     """
     worktree = Path(worktree)
     if not worktree.is_dir():
@@ -312,6 +322,8 @@ def gate_repository(
 
     try:
         check = tester(worktree)
+    except (RuntimeUnavailableError, ContractViolation):
+        raise
     except Exception:
         return replace(repo, has_root_cmake=True, has_cmake_tests=False,
                        head_tests_pass=HeadTestsState.FAIL)

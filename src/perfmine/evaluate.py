@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EvaluationError, RuntimeUnavailableError
-from .orchestrator import ORIGINAL_DIR, RunOutcome, run_tests_repeatedly
+from .orchestrator import DEFAULT_RUNS, ORIGINAL_DIR, RunOutcome, run_tests_repeatedly
 from .runtime import ContainerRuntime, WORK_ROOT
 from .stats import StatConfig, TimingSeries, judge
 from .store import (
@@ -150,7 +150,7 @@ def evaluate(
             f"image {entry.image} for {patch_id} is not loadable from this runtime"
         )
     effective_runs = runs if runs is not None else (
-        entry.runs[0].runs_requested if entry.runs else 31
+        entry.runs[0].runs_requested if entry.runs else DEFAULT_RUNS
     )
     digest = candidate_digest(candidate_diff)
     ground_truth_files = tuple(c.path for c in entry.commit.changes)
@@ -221,7 +221,7 @@ def _evaluate_in_session(
             "refusing to score the candidate against a broken baseline"
         )
 
-    timing = _compare(original, candidate, entry.stat_config)
+    timing = compare_timings(original, candidate, entry.stat_config)
     all_pass = candidate.qualified
     verdict = verdict_for(True, True, all_pass, any(t.result.significant for t in timing))
     return EvaluationReport(
@@ -239,19 +239,18 @@ def _evaluate_in_session(
     )
 
 
-def _compare(
-    original: RunOutcome, candidate: RunOutcome, config: StatConfig
+def compare_timings(
+    before: RunOutcome, after: RunOutcome, config: StatConfig
 ) -> tuple[TimingEvidence, ...]:
-    candidate_by_name = {t.name: t for t in candidate.tests}
+    """Judge every test timed in both outcomes, in ``before``'s test order."""
+    after_by_name = {t.name: t for t in after.tests}
     evidence = []
-    for test in original.tests:
-        matching = candidate_by_name.get(test.name)
-        if matching is None or not matching.wall_times_ms or not test.wall_times_ms:
+    for test in before.tests:
+        match = after_by_name.get(test.name)
+        if match is None or not test.wall_times_ms or not match.wall_times_ms:
             continue
         series = TimingSeries(
-            test_name=test.name,
-            pre_ms=test.wall_times_ms,
-            post_ms=matching.wall_times_ms,
+            test_name=test.name, pre_ms=test.wall_times_ms, post_ms=match.wall_times_ms
         )
         evidence.append(TimingEvidence(series=series, result=judge(series, config)))
     return tuple(evidence)

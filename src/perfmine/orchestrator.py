@@ -14,6 +14,7 @@ BuildPlan so the recorded environment applies identically to each.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -177,9 +178,15 @@ def select_base_image(cmake_text: str) -> tuple[str, str]:
 
 
 def load_repair_table() -> list[tuple[str, tuple[str, ...]]]:
+    return list(_packaged_repair_table())
+
+
+@functools.cache
+def _packaged_repair_table() -> tuple[tuple[str, tuple[str, ...]], ...]:
+    # Read once per process, like the prompt templates in classifier.py.
     data = resources.files("perfmine").joinpath("data", "repair_table.json")
     doc = json.loads(data.read_text(encoding="utf-8"))
-    return [(s["pattern"], tuple(s["packages"])) for s in doc["signatures"]]
+    return tuple((s["pattern"], tuple(s["packages"])) for s in doc["signatures"])
 
 
 def prepare_environment(

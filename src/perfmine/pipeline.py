@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -29,6 +30,7 @@ from .errors import (
     RuntimeUnavailableError,
     UnparseableResponseError,
 )
+from .evaluate import compare_timings
 from .harvest import (
     HarvestConfig,
     apply_structural_filter,
@@ -39,6 +41,7 @@ from .harvest import (
 )
 from .orchestrator import (
     BuildPlan,
+    DEFAULT_RUNS,
     ORIGINAL_DIR,
     PATCHED_DIR,
     RunOutcome,
@@ -49,11 +52,11 @@ from .orchestrator import (
     snapshot_image,
 )
 from .runtime import ContainerRuntime
-from .stats import StatConfig, TimingSeries, judge
+# ``judge`` stays importable from this module: minebench/tracing.py looks it up here.
+from .stats import StatConfig, judge  # noqa: F401
 from .store import (
     BenchmarkEntry,
     RunSummary,
-    TimingEvidence,
     make_patch_id,
     write_entry,
 )
@@ -153,7 +156,7 @@ def gate_with_runtime(
 
 @dataclass(frozen=True)
 class MiningLimits:
-    runs: int = 31
+    runs: int = DEFAULT_RUNS
     max_repair_rounds: int = 3
     container_cpus: float | None = None
     container_memory: str | None = None
@@ -268,7 +271,7 @@ def _build_measure_store(
                 return
             outcomes[version] = outcome
 
-        timing = _judge_timings(outcomes["original"], outcomes["patched"], stat_config)
+        timing = compare_timings(outcomes["original"], outcomes["patched"], stat_config)
         if not timing:
             result.skip(commit.sha, "no common tests between versions")
             return
@@ -295,22 +298,6 @@ def _build_measure_store(
         session.close()
 
 
-def _judge_timings(
-    original: RunOutcome, patched: RunOutcome, config: StatConfig
-) -> tuple[TimingEvidence, ...]:
-    patched_by_name = {t.name: t for t in patched.tests}
-    evidence = []
-    for test in original.tests:
-        match = patched_by_name.get(test.name)
-        if match is None or not test.wall_times_ms or not match.wall_times_ms:
-            continue
-        series = TimingSeries(
-            test_name=test.name, pre_ms=test.wall_times_ms, post_ms=match.wall_times_ms
-        )
-        evidence.append(TimingEvidence(series=series, result=judge(series, config)))
-    return tuple(evidence)
-
-
 def _summarize(outcome: RunOutcome) -> RunSummary:
     return RunSummary(
         version=outcome.version,
@@ -322,14 +309,16 @@ def _summarize(outcome: RunOutcome) -> RunSummary:
 
 def _persist_logs(session, out_dir: Path, patch_id: str, build_logs: dict, outcomes: dict):
     """Freeze logs into the container (snapshotted) and mirror them to the host."""
-    host_dir = out_dir / "logs" / patch_id
-    host_dir.mkdir(parents=True, exist_ok=True)
-    for version, text in build_logs.items():
-        session.write_file(f"/work/logs/build-{version}.log", text)
-        (host_dir / f"build-{version}.log").write_text(text, encoding="utf-8")
+    # str paths, as in runtime._HostFsSession: a Path would intern the patch id
+    host_dir = os.path.join(out_dir, "logs", patch_id)
+    os.makedirs(host_dir, exist_ok=True)
     runs_payload = json.dumps(
         {version: outcome.to_dict() for version, outcome in outcomes.items()},
         indent=2, sort_keys=True,
     )
-    session.write_file("/work/logs/runs.json", runs_payload)
-    (host_dir / "runs.json").write_text(runs_payload, encoding="utf-8")
+    files = {f"build-{version}.log": text for version, text in build_logs.items()}
+    files["runs.json"] = runs_payload
+    for name, text in files.items():
+        session.write_file(f"/work/logs/{name}", text)
+        with open(os.path.join(host_dir, name), "w", encoding="utf-8") as handle:
+            handle.write(text)

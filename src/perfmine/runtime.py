@@ -19,15 +19,22 @@ Implementations:
   declarations planted in the source tree (see ``fake-timing`` below),
   so a fixture repository fully scripts its own measurements.
 
+The local and fake runtimes keep each session in a directory of its own
+and delete it when the session closes; snapshots are copies taken
+before that, so images outlive their sessions.
+
 Fake timing declarations are comment lines inside any source file:
 
     // fake-timing: <test_name> base_ms=<float> step_ms=<float> [fail_run=<int>]
 
-Each suite invocation k (0-based, counted per source tree within one
-session) reports wall time ``base_ms + step_ms * k`` for that test, and
-fails it when ``fail_run`` equals the 1-based invocation index. Because
-the declaration travels with the tree, patched checkouts, snapshots, and
-candidate copies all time themselves consistently.
+They are read once, when ``configure_and_build`` builds the tree, as a
+real build fixes its test list; editing a source file afterwards changes
+nothing until the tree is built again. Each suite invocation k (0-based,
+counted per source tree within one session) reports wall time
+``base_ms + step_ms * k`` for that test, and fails it when ``fail_run``
+equals the 1-based invocation index. Because the declaration travels
+with the tree, patched checkouts, snapshots, and candidate copies all
+time themselves consistently.
 """
 
 from __future__ import annotations
@@ -183,7 +190,12 @@ class DockerCliRuntime:
         if memory is not None:
             argv += ["--memory", memory]
         argv += [base_image, "sleep", "infinity"]
-        result = self._run(argv, None, 600.0)
+        try:
+            result = self._run(argv, None, 600.0)
+        except OSError as exc:
+            raise RuntimeUnavailableError(
+                f"could not run {self.docker_bin} to start a container: {exc}"
+            ) from exc
         if result.returncode != 0:
             raise RuntimeUnavailableError(
                 f"could not start container from {base_image} via "
@@ -333,7 +345,7 @@ def _parse_ctest_stdout(stdout: str) -> tuple[TestRun, ...]:
 # Shared host-filesystem session base (local and fake runtimes)
 
 
-def _run_host(argv: Sequence[str], cwd: Path | None = None,
+def _run_host(argv: Sequence[str], cwd: str | Path | None = None,
               input_text: str | None = None) -> RunnerResult:
     proc = subprocess.run(
         list(argv), cwd=cwd, input=input_text, capture_output=True, text=True, errors="replace"
@@ -341,44 +353,56 @@ def _run_host(argv: Sequence[str], cwd: Path | None = None,
     return RunnerResult(proc.returncode, proc.stdout, proc.stderr)
 
 
+def _write_text(path: str, content: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(content)
+
+
 class _HostFsSession:
-    """Session whose /work paths map onto a directory on the host."""
+    """Session whose /work paths map onto a directory on the host.
+
+    Paths below the root are plain ``str``. ``pathlib`` interns every
+    component of every path it builds, and each name that is not already
+    interned (a build directory, an image tag, a log file) spends a slot
+    of CPython's interned-string table; a process that runs many sessions
+    would keep resizing that table.
+    """
 
     def __init__(self, root: Path, session_id: str) -> None:
         self.root = root
         self.session_id = session_id
-        (root / "work" / "logs").mkdir(parents=True, exist_ok=True)
+        os.makedirs(os.path.join(root, "work", "logs"), exist_ok=True)
 
-    def host_path(self, path: str) -> Path:
-        posix = PurePosixPath(path)
-        if not posix.is_absolute():
+    def host_path(self, path: str) -> str:
+        if not path.startswith("/"):
             raise ValueError(f"session paths must be absolute POSIX paths: {path!r}")
-        return self.root.joinpath(*posix.parts[1:])
+        return os.path.join(self.root, path.lstrip("/"))
 
     def clone_at(self, source: str, dest: str, sha: str) -> None:
         dest_host = self.host_path(dest)
-        dest_host.parent.mkdir(parents=True, exist_ok=True)
-        clone = _run_host(["git", "clone", "--quiet", source, str(dest_host)])
+        os.makedirs(os.path.dirname(dest_host), exist_ok=True)
+        clone = _run_host(["git", "clone", "--quiet", source, dest_host])
         if clone.returncode != 0:
             raise GitError(f"clone of {source} failed: {clone.stderr.strip()}")
-        checkout = _run_host(["git", "-C", str(dest_host), "checkout", "--quiet", sha])
+        checkout = _run_host(["git", "-C", dest_host, "checkout", "--quiet", sha])
         if checkout.returncode != 0:
             raise GitError(f"checkout of {sha} failed: {checkout.stderr.strip()}")
-        (dest_host / SHA_MARKER).write_text(sha + "\n", encoding="utf-8")
+        _write_text(os.path.join(dest_host, SHA_MARKER), sha + "\n")
 
     def copy_tree(self, src: str, dest: str) -> None:
         shutil.copytree(self.host_path(src), self.host_path(dest), symlinks=True)
 
     def read_file(self, path: str) -> str:
-        return self.host_path(path).read_text(encoding="utf-8")
+        with open(self.host_path(path), encoding="utf-8") as handle:
+            return handle.read()
 
     def write_file(self, path: str, content: str) -> None:
         host = self.host_path(path)
-        host.parent.mkdir(parents=True, exist_ok=True)
-        host.write_text(content, encoding="utf-8")
+        os.makedirs(os.path.dirname(host), exist_ok=True)
+        _write_text(host, content)
 
     def path_exists(self, path: str) -> bool:
-        return self.host_path(path).exists()
+        return os.path.exists(self.host_path(path))
 
     def apply_patch(self, tree_dir: str, diff_text: str) -> BuildResult:
         tree = self.host_path(tree_dir)
@@ -388,7 +412,7 @@ class _HostFsSession:
         return BuildResult(result.returncode == 0, result.stdout + result.stderr)
 
     def close(self) -> None:
-        pass
+        shutil.rmtree(self.root, ignore_errors=True)
 
 
 class _HostFsRuntimeBase:
@@ -404,33 +428,36 @@ class _HostFsRuntimeBase:
         root.mkdir(parents=True)
         return root
 
-    def _image_dir(self, tag: str) -> Path:
-        return self.state_dir / "images" / _IMAGE_TAG_SAFE.sub("_", tag)
+    def _image_dir(self, tag: str) -> str:
+        return os.path.join(self.state_dir, "images", _IMAGE_TAG_SAFE.sub("_", tag))
 
     def has_image(self, tag: str) -> bool:
-        return (self._image_dir(tag) / "meta.json").is_file()
+        return os.path.isfile(os.path.join(self._image_dir(tag), "meta.json"))
 
     def remove_image(self, tag: str) -> None:
         shutil.rmtree(self._image_dir(tag), ignore_errors=True)
 
     def _store_snapshot(self, session: _HostFsSession, tag: str, meta: dict) -> str:
         image_dir = self._image_dir(tag)
-        if image_dir.exists():
+        if os.path.exists(image_dir):
             shutil.rmtree(image_dir)
-        image_dir.mkdir(parents=True)
-        shutil.copytree(session.root / "work", image_dir / "work", symlinks=True)
-        (image_dir / "meta.json").write_text(
-            json.dumps({"tag": tag, **meta}, indent=2), encoding="utf-8"
+        os.makedirs(image_dir)
+        shutil.copytree(
+            os.path.join(session.root, "work"), os.path.join(image_dir, "work"), symlinks=True
         )
+        meta_text = json.dumps({"tag": tag, **meta}, indent=2)
+        _write_text(os.path.join(image_dir, "meta.json"), meta_text)
         return tag
 
     def _seed_from_image(self, tag: str, root: Path) -> dict:
         image_dir = self._image_dir(tag)
         if not self.has_image(tag):
             raise RuntimeUnavailableError(f"no stored image tagged {tag} under {image_dir}")
-        shutil.rmtree(root / "work", ignore_errors=True)
-        shutil.copytree(image_dir / "work", root / "work", symlinks=True)
-        return json.loads((image_dir / "meta.json").read_text(encoding="utf-8"))
+        work = os.path.join(root, "work")
+        shutil.rmtree(work, ignore_errors=True)
+        shutil.copytree(os.path.join(image_dir, "work"), work, symlinks=True)
+        with open(os.path.join(image_dir, "meta.json"), encoding="utf-8") as handle:
+            return json.load(handle)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +495,9 @@ class LocalProcessRuntime(_HostFsRuntimeBase):
         return self._store_snapshot(session, tag, {"base_image": session.base_image})
 
 
+_JUNIT_NAME = "perfmine-junit.xml"
+
+
 class LocalSession(_HostFsSession):
     def __init__(self, root: Path, session_id: str, base_image: str) -> None:
         super().__init__(root, session_id)
@@ -478,17 +508,17 @@ class LocalSession(_HostFsSession):
     ) -> BuildResult:
         src, build = self.host_path(source_dir), self.host_path(build_dir)
         shutil.rmtree(build, ignore_errors=True)
-        build.mkdir(parents=True)
-        configure = _run_host(["cmake", "-S", str(src), "-B", str(build), *configure_args])
+        os.makedirs(build)
+        configure = _run_host(["cmake", "-S", src, "-B", build, *configure_args])
         if configure.returncode != 0:
             return BuildResult(False, configure.stdout + configure.stderr)
-        compile_step = _run_host(["cmake", "--build", str(build), "--parallel"])
+        compile_step = _run_host(["cmake", "--build", build, "--parallel"])
         log = configure.stdout + configure.stderr + compile_step.stdout + compile_step.stderr
         return BuildResult(compile_step.returncode == 0, log)
 
     def list_tests(self, build_dir: str) -> list[str]:
         result = _run_host(
-            ["ctest", "--test-dir", str(self.host_path(build_dir)), "--show-only=json-v1"]
+            ["ctest", "--test-dir", self.host_path(build_dir), "--show-only=json-v1"]
         )
         if result.returncode != 0:
             return []
@@ -496,14 +526,16 @@ class LocalSession(_HostFsSession):
 
     def run_suite(self, build_dir: str) -> SuiteRun:
         build = self.host_path(build_dir)
-        junit = build / "perfmine-junit.xml"
-        junit.unlink(missing_ok=True)
+        junit = os.path.join(build, _JUNIT_NAME)
+        if os.path.exists(junit):
+            os.remove(junit)
         started = time.monotonic()
-        _run_host(["ctest", "--test-dir", str(build), "--output-junit", junit.name])
+        _run_host(["ctest", "--test-dir", build, "--output-junit", _JUNIT_NAME])
         elapsed_ms = (time.monotonic() - started) * 1000.0
-        if not junit.is_file():
+        if not os.path.isfile(junit):
             return SuiteRun((), elapsed_ms)
-        return SuiteRun(_parse_junit(junit.read_text(encoding="utf-8")), elapsed_ms)
+        with open(junit, encoding="utf-8") as handle:
+            return SuiteRun(_parse_junit(handle.read()), elapsed_ms)
 
     def install_packages(self, packages: Sequence[str]) -> BuildResult:
         return BuildResult(False, "package installation is unsupported on the local runtime")
@@ -536,15 +568,36 @@ class FakeTimingDecl(NamedTuple):
     fail_run: int | None
 
 
-def scan_fake_timings(tree: Path) -> list[FakeTimingDecl]:
-    """Collect fake-timing declarations from a source tree, sorted by path."""
+_SCAN_SKIP = frozenset({".git", "build", "__pycache__"})
+
+
+def scan_fake_timings(tree: str | os.PathLike[str]) -> list[FakeTimingDecl]:
+    """Collect fake-timing declarations from a source tree, sorted by name.
+
+    Files are read in the order of their path parts relative to ``tree``
+    (the order of ``sorted(tree.rglob("*"))``), and the first declaration
+    of a name wins. Directories and files named ``.git``, ``build`` or
+    ``__pycache__`` inside the tree are skipped; the tree's own location
+    does not matter. Paths stay strings, because ``Path`` interns every
+    component of every path it builds.
+    """
+    top = os.fspath(tree)
+    files: list[tuple[tuple[str, ...], str]] = []
+    for dirpath, dirnames, filenames in os.walk(top):
+        dirnames[:] = [d for d in dirnames if d not in _SCAN_SKIP]
+        rel = os.path.relpath(dirpath, top)
+        parts = () if rel == os.curdir else tuple(rel.split(os.sep))
+        files.extend(
+            (parts + (name,), os.path.join(dirpath, name))
+            for name in filenames
+            if name not in _SCAN_SKIP
+        )
+    files.sort()
     decls: dict[str, FakeTimingDecl] = {}
-    skip_dirs = {".git", "build", "__pycache__"}
-    for path in sorted(tree.rglob("*")):
-        if not path.is_file() or any(part in skip_dirs for part in path.parts):
-            continue
+    for _, path in files:
         try:
-            text = path.read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
         except (UnicodeDecodeError, OSError):
             continue
         for match in FAKE_TIMING_RE.finditer(text):
@@ -624,7 +677,8 @@ class FakeSession(_HostFsSession):
         self._runtime = runtime
         self.base_image = base_image
         self.installed_packages: list[str] = []
-        self._source_for_build: dict[str, str] = {}
+        # build dir -> (source dir, declarations read when it was built)
+        self._builds: dict[str, tuple[str, list[FakeTimingDecl]]] = {}
         self._invocations: dict[str, int] = {}
 
     def configure_and_build(
@@ -636,21 +690,18 @@ class FakeSession(_HostFsSession):
         if pending:
             # scripted failures are consumed one per attempt; builds succeed after
             return pending.pop(0)
-        self.host_path(build_dir).mkdir(parents=True, exist_ok=True)
-        self._source_for_build[build_dir] = source_dir
+        os.makedirs(self.host_path(build_dir), exist_ok=True)
+        self._builds[build_dir] = (source_dir, scan_fake_timings(self.host_path(source_dir)))
         return BuildResult(True, f"fake build of {source_dir} ok")
 
     def list_tests(self, build_dir: str) -> list[str]:
-        source_dir = self._source_for_build.get(build_dir)
-        if source_dir is None:
-            return []
-        return [d.name for d in scan_fake_timings(self.host_path(source_dir))]
+        _, decls = self._builds.get(build_dir, ("", []))
+        return [d.name for d in decls]
 
     def run_suite(self, build_dir: str) -> SuiteRun:
-        source_dir = self._source_for_build.get(build_dir)
-        if source_dir is None:
+        if build_dir not in self._builds:
             raise ContractViolation(f"run_suite before configure_and_build for {build_dir}")
-        decls = scan_fake_timings(self.host_path(source_dir))
+        source_dir, decls = self._builds[build_dir]
         k = self._invocations.get(source_dir, 0)
         self._invocations[source_dir] = k + 1
         results = tuple(

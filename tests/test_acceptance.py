@@ -367,7 +367,7 @@ def test_acceptance_10_real_container_runtime(tmp_path):
         prepare_environment,
         select_base_image,
     )
-    from perfmine.pipeline import _judge_timings
+    from perfmine.evaluate import compare_timings
 
     repo_dir = tmp_path / "realrepo"
     slow_sha, fast_sha = _build_real_timing_repo(repo_dir)
@@ -398,7 +398,7 @@ def test_acceptance_10_real_container_runtime(tmp_path):
     finally:
         env.session.close()
     assert original.qualified and patched.qualified
-    [evidence] = _judge_timings(original, patched, StatConfig())
+    [evidence] = compare_timings(original, patched, StatConfig())
     assert evidence.result.relative_improvement == pytest.approx(0.2, abs=0.1)
     assert evidence.result.significant
     _passed(

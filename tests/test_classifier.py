@@ -13,6 +13,7 @@ from perfmine.classifier import (
     TRUNCATION_MARKER,
     Vote,
     VoteValue,
+    build_phase1_prompt,
     classify_commit,
     classify_phase1,
     classify_phase2,
@@ -268,6 +269,18 @@ def test_prompt_fingerprints_stable_and_distinct():
     assert all(len(v) == 64 for v in first.values())
     assert first["phase1"] != first["phase2"]
     assert prompt_fingerprints() == first
+
+
+def test_packaged_prompts_are_read_once(monkeypatch):
+    first = prompt_fingerprints()
+    build_phase1_prompt(make_commit())
+
+    def unreadable(package):
+        raise AssertionError("a packaged prompt was read again")
+
+    monkeypatch.setattr("perfmine.classifier.resources.files", unreadable)
+    assert prompt_fingerprints() == first
+    assert build_phase1_prompt(make_commit())
 
 
 def test_stub_missing_script_is_backend_error():

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import FixtureRepo
 
+from perfmine import cli
 from perfmine.cli import (
     EXIT_AUTH,
     EXIT_BROKEN,
@@ -23,7 +24,8 @@ from perfmine.cli import (
     EXIT_USAGE,
     main,
 )
-from perfmine.store import read_entry
+from perfmine.runtime import FakeRuntime
+from perfmine.store import entry_to_dict, read_entry
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -99,6 +101,38 @@ def test_mined_manifest_passes_strict_load(cli_store):
     assert entry.has_significant_test
     assert entry.image == f"perfmine/{cli_store.patch_id}"
     assert cli_store.patch_file.is_file()
+
+
+def test_mine_into_a_store_below_a_build_directory(fixture_repo, tmp_path):
+    script = tmp_path / "stub.json"
+    script.write_text(json.dumps({fixture_repo.perf_sha: "Yes"}), encoding="utf-8")
+    code, stdout = run_cli(
+        "mine",
+        "--local-repo", str(fixture_repo.path),
+        "--out", str(tmp_path / "build" / "store"),
+        "--fake-runtime",
+        "--stub-backends", str(script),
+    )
+    assert code == EXIT_OK
+    assert "funnel: scanned=5 " in stdout
+    assert f"stored local__fixturerepo__{fixture_repo.perf_sha}" in stdout
+
+
+def test_mine_with_unreachable_runtime_exits_69(fixture_repo, tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        cli, "FakeRuntime", lambda state_dir: FakeRuntime(state_dir, reachable=False)
+    )
+    script = tmp_path / "stub.json"
+    script.write_text(json.dumps({fixture_repo.perf_sha: "Yes"}), encoding="utf-8")
+    code, stdout = run_cli(
+        "mine",
+        "--local-repo", str(fixture_repo.path),
+        "--out", str(tmp_path / "store"),
+        "--fake-runtime",
+        "--stub-backends", str(script),
+    )
+    assert code == EXIT_UNAVAILABLE
+    assert "funnel:" not in stdout
 
 
 def test_mine_without_token_fails_auth_after_config_echo(tmp_path, monkeypatch):
@@ -224,6 +258,21 @@ def test_evaluate_without_image_exits_69(cli_store, tmp_path):
     assert code == EXIT_UNAVAILABLE
 
 
+def test_mine_and_evaluate_leave_no_session_directories(cli_store, tmp_path):
+    sessions = cli_store.out_dir / "fake-runtime" / "sessions"
+    assert list(sessions.iterdir()) == []
+    empty = tmp_path / "empty.patch"
+    empty.write_text("", encoding="utf-8")
+    code, _ = run_cli(
+        "evaluate", "--store", str(cli_store.out_dir),
+        "--patch-id", cli_store.patch_id,
+        "--patch-file", str(empty),
+        "--fake-runtime",
+    )
+    assert code == EXIT_FUNCTIONAL_ONLY
+    assert list(sessions.iterdir()) == []
+
+
 def test_evaluate_missing_patch_file_exits_64(cli_store, tmp_path):
     code, _ = run_cli(
         "evaluate", "--store", str(cli_store.out_dir),
@@ -254,6 +303,14 @@ def test_inspect_json_round_trips(cli_store):
     assert isinstance(payload, list) and len(payload) == 1
     assert payload[0]["patch_id"] == cli_store.patch_id
     assert payload[0]["has_significant_test"] is True
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_inspect_json_streams_the_same_bytes(cli_store, capsys, count):
+    manifest = entry_to_dict(read_entry(cli_store.out_dir, cli_store.patch_id))
+    manifests = [{**manifest, "patch_id": f"{manifest['patch_id']}-{i}"} for i in range(count)]
+    cli._print_json_array(iter(manifests))
+    assert capsys.readouterr().out == json.dumps(manifests, indent=2, sort_keys=True) + "\n"
 
 
 def test_inspect_filters(cli_store):

@@ -17,7 +17,15 @@ from perfmine.discovery import (
     gate_repository,
     search_repositories,
 )
-from perfmine.errors import AuthError, ConfigError, GitError, RateLimitError, TransportError
+from perfmine.errors import (
+    AuthError,
+    ConfigError,
+    ContractViolation,
+    GitError,
+    RateLimitError,
+    RuntimeUnavailableError,
+    TransportError,
+)
 
 
 def repo_item(owner, name, stars, language="C++", fork=False):
@@ -258,6 +266,17 @@ def test_gate_tester_crash_means_fail(tmp_path):
     gated = gate_repository(make_repo(), tmp_path, boom)
     assert gated.head_tests_pass is HeadTestsState.FAIL
     assert not gated.passes_gate
+
+
+@pytest.mark.parametrize("error", [RuntimeUnavailableError, ContractViolation])
+def test_gate_propagates_runtime_and_contract_errors(tmp_path, error):
+    (tmp_path / "CMakeLists.txt").write_text("project(x)\n")
+
+    def unreachable(worktree):
+        raise error("no runtime at unix:///nowhere")
+
+    with pytest.raises(error):
+        gate_repository(make_repo(), tmp_path, unreachable)
 
 
 def test_gate_head_sha_mismatch(tmp_path, fixture_repo):

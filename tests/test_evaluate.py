@@ -117,17 +117,23 @@ def test_candidate_with_failing_test_is_broken(mined_store):
 # measurement discipline
 
 
-def test_original_and_candidate_share_one_session(mined_store):
-    sessions_dir = mined_store.runtime.state_dir / "sessions"
-    before = {p.name for p in sessions_dir.iterdir()}
+def test_original_and_candidate_share_one_session(mined_store, monkeypatch):
+    runtime = mined_store.runtime
+    created = []
+    new_root = runtime._new_session_root
+
+    def recording_new_root():
+        root = new_root()
+        created.append(root)
+        return root
+
+    monkeypatch.setattr(runtime, "_new_session_root", recording_new_root)
     report = evaluate(
-        mined_store.patch_id, "", mined_store.store_dir, mined_store.runtime,
-        write_report=False,
+        mined_store.patch_id, "", mined_store.store_dir, runtime, write_report=False,
     )
-    after = {p.name for p in sessions_dir.iterdir()}
-    created = after - before
-    assert len(created) == 1
-    assert report.session_id.endswith(created.pop())
+    [root] = created
+    assert report.session_id.endswith(root.name)
+    assert not root.exists()  # closed sessions are deleted
 
 
 def test_runs_override_controls_sample_size(mined_store):

@@ -25,7 +25,8 @@ from perfmine.orchestrator import (
     run_tests_repeatedly,
     snapshot_image,
 )
-from perfmine.pipeline import _judge_timings, gate_with_runtime, local_descriptor
+from perfmine.evaluate import compare_timings
+from perfmine.pipeline import gate_with_runtime, local_descriptor
 from perfmine.runtime import LocalProcessRuntime
 from perfmine.stats import StatConfig
 
@@ -115,7 +116,7 @@ def test_real_build_measure_and_snapshot(timing_repo, tmp_path):
         assert original.runs_recorded == RUNS - 1
         assert patched.runs_recorded == RUNS - 1
 
-        [evidence] = _judge_timings(original, patched, StatConfig())
+        [evidence] = compare_timings(original, patched, StatConfig())
         assert evidence.series.test_name == "timed"
         # 60ms -> 30ms sleeps leave generous margin over scheduler jitter
         assert evidence.result.relative_improvement > 0.2

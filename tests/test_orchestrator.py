@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from datetime import datetime, timezone
 
 import pytest
@@ -72,6 +73,16 @@ def test_repair_table_loads():
     table = load_repair_table()
     assert any(p == "zlib.h: No such file" for p, _ in table)
     assert all(packages for _, packages in table)
+
+
+def test_repair_table_is_read_once_and_copied_out(monkeypatch):
+    load_repair_table().clear()
+
+    def unreadable(package):
+        raise AssertionError("the packaged repair table was read again")
+
+    monkeypatch.setattr("perfmine.orchestrator.resources.files", unreadable)
+    assert any(p == "zlib.h: No such file" for p, _ in load_repair_table())
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +412,78 @@ def test_scan_fake_timings_first_declaration_wins(tmp_path):
     assert [d.name for d in decls] == ["alpha", "beta"]
     assert decls[0].base_ms == 10.0
     assert decls[1].fail_run == 3
+
+
+def test_scan_fake_timings_orders_by_path_parts(tmp_path):
+    # a plain string sort would put "a-b/x.cpp" first ("-" sorts before "/")
+    (tmp_path / "a-b").mkdir()
+    (tmp_path / "a-b" / "x.cpp").write_text("// fake-timing: alpha base_ms=20 step_ms=0\n")
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "b.cpp").write_text("// fake-timing: alpha base_ms=10 step_ms=0\n")
+    [decl] = scan_fake_timings(tmp_path)
+    assert decl.base_ms == 10.0
+
+
+def test_scan_fake_timings_skips_only_names_inside_the_tree(tmp_path):
+    tree = tmp_path / "build" / "src"  # an ancestor named build does not matter
+    for skipped in ("build", ".git", "__pycache__", "sub/build"):
+        (tree / skipped).mkdir(parents=True)
+        (tree / skipped / "gen.cpp").write_text("// fake-timing: hidden base_ms=1 step_ms=0\n")
+    (tree / "sub" / "kept.cpp").write_text("// fake-timing: kept base_ms=1 step_ms=0\n")
+    assert [d.name for d in scan_fake_timings(tree)] == ["kept"]
+
+
+def test_fake_suite_runs_what_was_built(fake_runtime, fixture_repo):
+    session = prepared_session(
+        fake_runtime, fixture_repo, fixture_repo.perf_sha, fixture_repo.perf_parent_sha
+    )
+    build_both(session)
+    build_dir = f"{ORIGINAL_DIR}-build"
+    source = session.read_file(f"{ORIGINAL_DIR}/src/compute.cpp")
+    session.write_file(
+        f"{ORIGINAL_DIR}/src/compute.cpp", source.replace("base_ms=150", "base_ms=900")
+    )
+    [before] = session.run_suite(build_dir).results
+    assert before.wall_time_ms == pytest.approx(150.0)
+    assert session.list_tests(build_dir) == ["unit_main"]
+    session.configure_and_build(ORIGINAL_DIR, build_dir, ())
+    [after] = session.run_suite(build_dir).results
+    assert after.wall_time_ms == pytest.approx(900.01)  # second invocation of this tree
+    session.close()
+
+
+def test_closing_a_session_deletes_it_but_not_its_snapshot(fake_runtime, fixture_repo):
+    session = prepared_session(
+        fake_runtime, fixture_repo, fixture_repo.perf_sha, fixture_repo.perf_parent_sha
+    )
+    build_both(session)
+    tag = fake_runtime.snapshot(session, "perfmine/closed")
+    session.close()
+    assert not session.root.exists()
+    assert list((fake_runtime.state_dir / "sessions").iterdir()) == []
+    reopened = fake_runtime.open_image(tag)
+    assert reopened.path_exists(f"{ORIGINAL_DIR}/src/compute.cpp")
+    reopened.close()
+    assert not reopened.root.exists()
+
+
+def test_session_and_image_paths_skip_pathlib_interning(fake_runtime, fixture_repo,
+                                                        monkeypatch):
+    # pathlib interns every component it parses; names made per commit (build
+    # directories, image tags) must bypass it, or a process that mines many
+    # commits keeps resizing CPython's interned-string table
+    interned = []
+    real_intern = sys.intern
+    monkeypatch.setattr(sys, "intern", lambda s: interned.append(s) or real_intern(s))
+    session = prepared_session(
+        fake_runtime, fixture_repo, fixture_repo.perf_sha, fixture_repo.perf_parent_sha
+    )
+    build_both(session)
+    session.run_suite(f"{ORIGINAL_DIR}-build")
+    tag = fake_runtime.snapshot(session, "perfmine/interned")
+    session.close()
+    fake_runtime.open_image(tag).close()
+    assert not {"original-build", "patched-build", "perfmine_interned"} & set(interned)
 
 
 def test_fake_session_apply_patch_conflict(fake_runtime, fixture_repo):

@@ -12,6 +12,7 @@ from conftest import COMPUTE_FAST, build_fixture_repo, commit_all, git
 from perfmine.backends import StubBackend
 from perfmine.classifier import BackendConfig
 from perfmine.discovery import HeadTestsState
+from perfmine.errors import RuntimeUnavailableError
 from perfmine.harvest import HarvestConfig
 from perfmine.pipeline import (
     FunnelCounts,
@@ -20,7 +21,7 @@ from perfmine.pipeline import (
     local_descriptor,
     mine_repository,
 )
-from perfmine.runtime import BuildResult, FakeRuntime
+from perfmine.runtime import BuildResult, DockerCliRuntime, FakeRuntime
 from perfmine.stats import StatConfig
 from perfmine.store import read_entry, read_ground_truth_diff
 
@@ -157,6 +158,23 @@ def test_gate_rejects_repo_without_tests(tmp_path):
     assert not gated.passes_gate
     assert gated.has_root_cmake
     assert not gated.has_cmake_tests
+
+
+def test_gate_with_unreachable_runtime_raises(fixture_repo, tmp_path):
+    runtime = FakeRuntime(state_dir=tmp_path / "state", reachable=False)
+    repo = local_descriptor(fixture_repo.path, "local", "fixturerepo")
+    with pytest.raises(RuntimeUnavailableError):
+        gate_with_runtime(repo, fixture_repo.path, runtime)
+
+
+def test_gate_without_docker_executable_raises(fixture_repo):
+    def runner(argv, input_text=None, timeout=0.0):
+        raise FileNotFoundError(2, "No such file or directory", argv[0])
+
+    runtime = DockerCliRuntime(runner=runner, docker_bin="no-such-docker")
+    repo = local_descriptor(fixture_repo.path, "local", "fixturerepo")
+    with pytest.raises(RuntimeUnavailableError, match="no-such-docker"):
+        gate_with_runtime(repo, fixture_repo.path, runtime)
 
 
 # ---------------------------------------------------------------------------
