@@ -179,7 +179,10 @@ def _make_runtime(args, store_dir: Path):
 
 def _make_backend(args) -> ChatBackend:
     if args.stub_backends:
-        return StubBackend.from_file(args.stub_backends)
+        try:
+            return StubBackend.from_file(args.stub_backends)
+        except (OSError, TypeError, ValueError) as exc:  # TypeError: JSON that is no object
+            raise ConfigError(f"cannot load --stub-backends {args.stub_backends}: {exc}") from exc
     return HttpChatBackend(endpoint=args.llm_endpoint)
 
 

@@ -1,8 +1,10 @@
 """Commit harvesting: walk repository history and apply the structural filter.
 
-A commit survives iff it falls inside the configured time window, touches at
-most max_files files, and every touched file is C++ source that is not a
-test file.
+The walk reads the whole first-parent history from one ``git log`` stream
+and yields every non-merge commit with a non-empty diff, whatever its date.
+The structural filter alone decides: a commit survives iff it falls inside
+the configured time window, touches at most max_files files, and every
+touched file is C++ source that is not a test file.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 import logging
 import re
 import subprocess
-from dataclasses import dataclass, field, replace
+import tempfile
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -194,91 +197,91 @@ def run_git(repo: Path | str, *args: str, check: bool = True) -> str:
     return proc.stdout
 
 
-def _check_window_coverage(repo: Path | str, branch: str, since: datetime) -> None:
-    shallow = run_git(repo, "rev-parse", "--is-shallow-repository").strip()
-    if shallow != "true":
-        return
-    # shallow boundary commits masquerade as roots, so the only reliable
-    # signal is the date of the oldest commit still reachable
-    oldest = run_git(repo, "rev-list", "--first-parent", "--reverse", branch).split()
-    if not oldest:
-        raise GitError(f"no commits on {branch}")
-    ts = int(run_git(repo, "show", "-s", "--format=%at", oldest[0]).strip())
-    if datetime.fromtimestamp(ts, tz=timezone.utc) > since:
-        raise ShallowCloneError(
-            f"shallow clone starts at {oldest[0][:12]}, after the window start; "
-            "re-clone with more depth or --unshallow"
+# Porcelain `git log` reads these from user config where the diff-tree
+# plumbing does not; pinned so paths, order and line counts do not depend
+# on the operator's ~/.gitconfig.
+_LOG_ARGS = (
+    "log", "--first-parent", "--reverse", "-z", RENAME_SIMILARITY, "--raw", "--numstat",
+    "--no-abbrev", "--no-textconv", "--no-ext-diff", "--diff-algorithm=myers",
+    "--no-relative", "-O/dev/null", "--no-color", "--no-show-signature",
+    "--format=%H%x00%P%x00%at%x00%B",
+)
+_RAW_KINDS = {"A": "added", "C": "added", "D": "deleted", "R": "renamed"}  # M, T, ...: modified
+_NUMSTAT = re.compile(r"(\d+|-)\t(\d+|-)\t")
+
+
+def _git_log(repo: Path | str, branch: str) -> Iterator[str]:
+    """Stream the NUL-separated fields of ``git log`` over ``branch`` from one process.
+
+    Fields are split as they arrive, so memory is bounded by one commit,
+    not by the length of the history. Closing the generator early kills
+    and reaps git. stderr goes to a file, so it cannot fill a pipe while
+    stdout is read. A non-zero exit (empty repository, unknown branch)
+    raises GitError.
+    """
+    cmd = ["git", "-C", str(repo), *_LOG_ARGS, branch, "--"]
+    with tempfile.TemporaryFile() as stderr:
+        # leaving the inner block closes stdout and waits for git
+        with subprocess.Popen(
+            cmd, stdout=subprocess.PIPE, stderr=stderr, text=True, errors="replace"
+        ) as proc:
+            try:
+                partial = ""  # git ends every field with NUL, so nothing is left at EOF
+                while chunk := proc.stdout.read(1 << 16):
+                    *fields, partial = (partial + chunk).split("\0")
+                    yield from fields
+            except BaseException:
+                proc.kill()
+                raise
+        if proc.returncode != 0:
+            stderr.seek(0)
+            detail = stderr.read().decode(errors="replace").strip()
+            raise GitError(f"{' '.join(cmd)} failed ({proc.returncode}): {detail}")
+
+
+def _parse_log(fields: Iterator[str]) -> Iterator[tuple[list[str], CommitRecord]]:
+    """Parse ``_git_log`` fields into (parents, record), one commit at a time.
+
+    Each commit is a header of four fields (sha, parents, author time,
+    message), then its raw entries (``:<modes> <shas> <status>``, one
+    path, or old and new path for a rename), then its numstat entries
+    (``<added>\t<deleted>\t<path>``, or an empty path followed by old and
+    new). A diff, when present, starts with a newline. Fields are consumed
+    by position, so nothing in a message or a path can shift the parse.
+    Output that git cut short ends in the GitError ``_git_log`` raises.
+    """
+    field = next(fields, None)
+    while field is not None:
+        sha, parents, ts, message = field, next(fields).split(), int(next(fields)), next(fields)
+        statuses: list[tuple[str, str, Optional[str]]] = []
+        counts: dict[str, tuple[int, int]] = {}
+        field = next(fields, None)
+        if field is not None and field.startswith("\n:"):
+            field = field[1:]
+        while field is not None and field.startswith(":"):
+            code = field.rsplit(" ", 1)[-1][:1]
+            path = old_path = normalize_path(next(fields))
+            if code in ("R", "C"):
+                path = normalize_path(next(fields))
+            kind = _RAW_KINDS.get(code, "modified")
+            statuses.append((kind, path, old_path if kind == "renamed" else None))
+            field = next(fields, None)
+        while field is not None and (numstat := _NUMSTAT.match(field)):
+            path = field[numstat.end():]
+            if not path:
+                next(fields)  # rename: the old path, then the new one
+                path = next(fields)
+            added, deleted = (0 if n == "-" else int(n) for n in numstat.groups())
+            counts[normalize_path(path)] = (added, deleted)
+            field = next(fields, None)
+        yield parents, CommitRecord(
+            sha=sha,
+            parent_sha=parents[0] if parents else "",
+            author_timestamp=datetime.fromtimestamp(ts, tz=timezone.utc),
+            message=message.rstrip("\n"),
+            changes=[FileChange(path, kind, old_path, *counts.get(path, (0, 0)))
+                     for kind, path, old_path in statuses],
         )
-
-
-def _parse_name_status(blob: str) -> list[tuple[str, str, Optional[str]]]:
-    """Parse `git diff-tree --name-status -z` output into (kind, path, old_path)."""
-    fields = blob.split("\0")
-    out: list[tuple[str, str, Optional[str]]] = []
-    i = 0
-    while i < len(fields) and fields[i]:
-        status = fields[i]
-        code = status[0]
-        if code == "R" or code == "C":
-            old, new = fields[i + 1], fields[i + 2]
-            i += 3
-            kind = "renamed" if code == "R" else "added"
-            out.append((kind, normalize_path(new), normalize_path(old) if code == "R" else None))
-        else:
-            path = fields[i + 1]
-            i += 2
-            kind = {"A": "added", "M": "modified", "D": "deleted", "T": "modified"}.get(code)
-            if kind is None:
-                kind = "modified"
-            out.append((kind, normalize_path(path), None))
-    return out
-
-
-def _parse_numstat(blob: str) -> dict[str, tuple[int, int]]:
-    """Parse `git diff-tree --numstat -z` output into {post path: (added, deleted)}."""
-    fields = blob.split("\0")
-    counts: dict[str, tuple[int, int]] = {}
-    i = 0
-    while i < len(fields) and fields[i]:
-        head = fields[i]
-        parts = head.split("\t")
-        added = 0 if parts[0] == "-" else int(parts[0])
-        deleted = 0 if parts[1] == "-" else int(parts[1])
-        path = parts[2] if len(parts) > 2 else ""
-        if path:
-            i += 1
-        else:
-            # rename/copy: two NUL-separated paths follow (old, new)
-            path = fields[i + 2]
-            i += 3
-        counts[normalize_path(path)] = (added, deleted)
-    return counts
-
-
-def parse_commit_changes(repo: Path | str, parent_sha: str, sha: str) -> tuple[FileChange, ...]:
-    """Diff one parent/child pair with rename detection at 50% similarity."""
-    status_blob = run_git(
-        repo, "diff-tree", "-r", RENAME_SIMILARITY, "-z", "--no-commit-id",
-        "--name-status", parent_sha, sha,
-    )
-    numstat_blob = run_git(
-        repo, "diff-tree", "-r", RENAME_SIMILARITY, "-z", "--no-commit-id",
-        "--numstat", parent_sha, sha,
-    )
-    counts = _parse_numstat(numstat_blob)
-    changes = []
-    for kind, path, old_path in _parse_name_status(status_blob):
-        added, deleted = counts.get(path, (0, 0))
-        changes.append(
-            FileChange(
-                path=path,
-                change_kind=kind,
-                old_path=old_path,
-                lines_added=added,
-                lines_deleted=deleted,
-            )
-        )
-    return tuple(changes)
 
 
 def commit_diff_text(repo: Path | str, commit: CommitRecord) -> str:
@@ -291,34 +294,29 @@ def walk_history(
     config: HarvestConfig,
     branch: str = "HEAD",
 ) -> Iterator[CommitRecord]:
-    """Yield first-parent, non-merge, in-window commits, oldest first.
+    """Yield every first-parent, non-merge commit with a non-empty diff, oldest first.
 
-    Each record carries a fully parsed diff against its single parent.
-    Commits with an empty parsed diff are skipped: they cannot satisfy the
+    The date window is the structural filter's alone: the walk reads
+    ``config.since`` only to check that a shallow clone reaches back to
+    it. Each record carries a fully parsed diff against its single parent.
+    Commits with an empty diff are skipped: they cannot satisfy the
     non-empty-changes invariant and would trivially pass the file filters.
     """
-    _check_window_coverage(repo, branch, config.since)
-    shas = run_git(repo, "rev-list", "--first-parent", "--reverse", branch).split()
-    for sha in shas:
-        header = run_git(repo, "show", "-s", "--format=%H%x00%P%x00%at%x00%B", sha)
-        full_sha, parents_blob, ts_blob, message = header.split("\0", 3)
-        parents = parents_blob.split()
+    shallow = run_git(repo, "rev-parse", "--is-shallow-repository").strip() == "true"
+    for index, (parents, record) in enumerate(_parse_log(_git_log(repo, branch))):
+        # shallow boundary commits masquerade as roots, so the only reliable
+        # signal is the date of the oldest commit still reachable
+        if index == 0 and shallow and record.author_timestamp > config.since:
+            raise ShallowCloneError(
+                f"shallow clone starts at {record.sha[:12]}, after the window start; "
+                "re-clone with more depth or --unshallow"
+            )
         if len(parents) != 1:
             continue  # root or merge commit
-        ts = datetime.fromtimestamp(int(ts_blob), tz=timezone.utc)
-        if not config.since <= ts <= config.until:
+        if not record.changes:
+            log.debug("skipping empty-diff commit %s", record.sha[:12])
             continue
-        changes = parse_commit_changes(repo, parents[0], full_sha)
-        if not changes:
-            log.debug("skipping empty-diff commit %s", full_sha[:12])
-            continue
-        yield CommitRecord(
-            sha=full_sha,
-            parent_sha=parents[0],
-            author_timestamp=ts,
-            message=message.rstrip("\n"),
-            changes=changes,
-        )
+        yield record
 
 
 # ---------------------------------------------------------------------------

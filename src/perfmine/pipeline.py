@@ -15,8 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .backends import ChatBackend
@@ -62,9 +61,6 @@ from .store import (
 )
 
 log = logging.getLogger("perfmine")
-
-_WIDE_SINCE = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_WIDE_UNTIL = datetime(2100, 1, 1, tzinfo=timezone.utc)
 
 
 @dataclass
@@ -183,14 +179,13 @@ def mine_repository(
 ) -> MineResult:
     """Walk one repository's history and store every surviving commit.
 
-    The walk itself uses a maximally wide time window so commits outside
-    the configured window are still counted as scanned; the structural
-    filter then enforces the real window. That keeps the scanned count
-    meaningful as the funnel's denominator.
+    The walk yields every first-parent, non-merge commit with a non-empty
+    diff, whatever its date, so each one counts as scanned; the structural
+    filter alone enforces the configured window. That keeps the scanned
+    count meaningful as the funnel's denominator.
     """
     result = MineResult()
-    wide = replace(harvest_config, since=_WIDE_SINCE, until=_WIDE_UNTIL)
-    for commit in walk_history(clone_path, wide):
+    for commit in walk_history(clone_path, harvest_config):
         result.funnel.scanned += 1
         decision = apply_structural_filter(commit, harvest_config)
         if not decision.accepted:

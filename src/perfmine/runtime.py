@@ -267,7 +267,8 @@ class DockerSession:
         return result.stdout
 
     def write_file(self, path: str, content: str) -> None:
-        result = self.exec(["sh", "-c", f"mkdir -p $(dirname {path}) && cat > {path}"], content)
+        script = 'mkdir -p "$(dirname "$1")" && cat > "$1"'
+        result = self.exec(["sh", "-c", script, "sh", path], content)
         if result.returncode != 0:
             raise RuntimeUnavailableError(f"write to {path} failed: {result.stderr}")
 

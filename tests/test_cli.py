@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FixtureRepo
+from conftest import COMPUTE_FAST, FixtureRepo, commit_all, git
 
 from perfmine import cli
 from perfmine.cli import (
@@ -19,6 +19,7 @@ from perfmine.cli import (
     EXIT_BROKEN,
     EXIT_DATA,
     EXIT_FUNCTIONAL_ONLY,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_UNAVAILABLE,
     EXIT_USAGE,
@@ -116,6 +117,74 @@ def test_mine_into_a_store_below_a_build_directory(fixture_repo, tmp_path):
     assert code == EXIT_OK
     assert "funnel: scanned=5 " in stdout
     assert f"stored local__fixturerepo__{fixture_repo.perf_sha}" in stdout
+
+
+def _funnel(stdout: str) -> dict[str, int]:
+    (line,) = [line for line in stdout.splitlines() if line.startswith("funnel: ")]
+    return {k: int(v) for k, v in (item.split("=") for item in line.split()[1:])}
+
+
+def _lines(stdout: str, prefix: str) -> list[str]:
+    return [line for line in stdout.splitlines() if line.startswith(prefix)]
+
+
+def test_mine_a_shallow_clone_that_covers_the_window(fixture_repo, tmp_path, capsys):
+    full = tmp_path / "full"
+    git(tmp_path, "clone", "-q", f"file://{fixture_repo.path}", str(full))
+    (full / "src" / "compute.cpp").write_text(COMPUTE_FAST.replace("base_ms=100", "base_ms=60"))
+    newest = commit_all(full, "Speed up compute again", "2024-02-01T00:00:00 +0000")
+    # holds the newest commit, the 2024-01-05 docs commit and, as its
+    # boundary, the commit dated 2019-12-31
+    shallow = tmp_path / "shallow"
+    git(tmp_path, "clone", "-q", "--depth", "3", f"file://{full}", str(shallow))
+    script = tmp_path / "stub.json"
+    script.write_text(json.dumps({newest: "Yes"}), encoding="utf-8")
+
+    def mine(repo, since):
+        return run_cli(
+            "mine", "--local-repo", str(repo), "--name", "fixturerepo",
+            "--out", str(tmp_path / f"store-{repo.name}-{since[:4]}"),
+            "--since", since, "--fake-runtime", "--stub-backends", str(script),
+        )
+
+    code, full_out = mine(full, "2024-01-01T00:00:00Z")
+    assert code == EXIT_OK
+    code, shallow_out = mine(shallow, "2024-01-01T00:00:00Z")
+    assert code == EXIT_OK
+    full_funnel, shallow_funnel = _funnel(full_out), _funnel(shallow_out)
+    assert (full_funnel.pop("scanned"), shallow_funnel.pop("scanned")) == (6, 2)
+    assert shallow_funnel == full_funnel == {
+        "structurally_accepted": 1, "classified_positive": 1, "built": 1, "stored": 1,
+    }
+    assert _lines(shallow_out, "stored ") == _lines(full_out, "stored ") == [
+        f"stored local__fixturerepo__{newest}"
+    ]
+    assert _lines(shallow_out, "skipped ") == [
+        f"skipped {fixture_repo.non_cpp_sha[:10]}: filtered: non_cpp_file"
+    ]
+    assert _lines(shallow_out, "skipped ")[0] in _lines(full_out, "skipped ")
+    capsys.readouterr()
+
+    code, _ = mine(shallow, "2019-06-01T00:00:00Z")
+    assert code == EXIT_INTERNAL
+    assert "error: shallow clone starts at" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content", [None, "{not json", "[1, 2]"], ids=["missing", "malformed", "not-an-object"]
+)
+def test_mine_with_unloadable_stub_backends_exits_64(tmp_path, capsys, content):
+    script = tmp_path / "stub.json"
+    if content is not None:
+        script.write_text(content, encoding="utf-8")
+    code, _ = run_cli(
+        "mine", "--out", str(tmp_path / "out"), "--fake-runtime",
+        "--stub-backends", str(script),
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load --stub-backends ")
+    assert err.count("\n") == 1
 
 
 def test_mine_with_unreachable_runtime_exits_69(fixture_repo, tmp_path, monkeypatch):

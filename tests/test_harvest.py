@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
 from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from perfmine.errors import ShallowCloneError
+from perfmine.errors import GitError, ShallowCloneError
 from perfmine.harvest import (
     CommitRecord,
     FileChange,
@@ -211,19 +213,17 @@ def test_harvest_config_validation():
 
 
 def test_walk_yields_in_window_commits_oldest_first(fixture_repo):
+    # the walk yields every commit whatever its date; the filter alone applies the window
     records = list(walk_history(fixture_repo.path, CFG))
     shas = [r.sha for r in records]
-    assert fixture_repo.out_of_window_sha not in shas  # 2019 author date
     assert fixture_repo.root_sha not in shas  # no parent
-    assert shas == [
-        fixture_repo.perf_sha,
-        fixture_repo.tests_sha,
-        fixture_repo.oversized_sha,
-        fixture_repo.non_cpp_sha,
-    ]
+    assert shas == fixture_repo.all_five
     for r in records:
         assert r.changes
         assert r.parent_sha
+    decisions = {r.sha: apply_structural_filter(r, CFG) for r in records}
+    assert decisions[fixture_repo.out_of_window_sha].reason is RejectReason.OUT_OF_WINDOW
+    assert [sha for sha, d in decisions.items() if d.accepted] == [fixture_repo.perf_sha]
 
 
 def test_walk_wide_window_includes_all_five(fixture_repo):
@@ -311,6 +311,145 @@ def test_walk_shallow_clone_rejected(tmp_path, fixture_repo):
     )
     with pytest.raises(ShallowCloneError):
         list(walk_history(shallow, CFG))
+
+
+def _dated(date: str) -> dict[str, str]:
+    return {"GIT_AUTHOR_DATE": date, "GIT_COMMITTER_DATE": date}
+
+
+def test_walk_parses_every_kind_of_change(tmp_path):
+    repo = tmp_path / "edge_repo"
+    repo.mkdir()
+    git(repo, "init", "-q", "-b", "main", ".")
+    (repo / "keep.cpp").write_text("int keep;\n")
+    (repo / "gone.cpp").write_text("int gone;\nint gone2;\n")
+    (repo / "old.cpp").write_text("".join(f"int line{i};\n" for i in range(12)))
+    os.symlink("keep.cpp", repo / "link.h")
+    root = commit_all(repo, "root", "2021-01-01T00:00:00 +0000")
+
+    (repo / "added.cpp").write_text("int added;\n")
+    (repo / "keep.cpp").write_text("int keep;\nint more;\n")
+    (repo / "gone.cpp").unlink()
+    git(repo, "mv", "old.cpp", "renamed.cpp")
+    text = (repo / "renamed.cpp").read_text().replace("line3", "moved3")
+    (repo / "renamed.cpp").write_text(text)
+    edits = commit_all(repo, "add, modify, delete, rename", "2021-02-01T00:00:00 +0000")
+
+    (repo / "link.h").unlink()
+    (repo / "link.h").write_text("#pragma once\nint link;\n")  # symlink -> file
+    (repo / "blob.bin").write_bytes(b"\x00\x01\x02\x03")
+    retyped = commit_all(repo, "type change and a binary file", "2021-03-01T00:00:00 +0000")
+
+    (repo / "dir with space").mkdir()
+    (repo / "dir with space" / "a b.cpp").write_text("int ab;\n")
+    (repo / "naïve_ü.hpp").write_text("int u;\nint v;\nint w;\n")
+    odd_message = "odd paths\n\n:000000 100644 not a raw line\n12\t3\tnot a numstat line"
+    odd = commit_all(repo, odd_message + "\n", "2021-04-01T00:00:00 +0000")
+
+    git(repo, "commit", "-q", "--allow-empty", "-m", "nothing",
+        env=_dated("2021-05-01T00:00:00 +0000"))
+    empty = git(repo, "rev-parse", "HEAD").strip()
+    git(repo, "checkout", "-q", "-b", "side")
+    (repo / "side.cpp").write_text("int side;\n")
+    commit_all(repo, "side work", "2021-06-01T00:00:00 +0000")
+    git(repo, "checkout", "-q", "main")
+    (repo / "keep.cpp").write_text("int keep;\n")
+    main = commit_all(repo, "main work", "2021-07-01T00:00:00 +0000")
+    git(repo, "merge", "-q", "--no-ff", "-m", "merge side", "side",
+        env=_dated("2021-08-01T00:00:00 +0000"))
+
+    def change(path, kind, added, deleted, old_path=None):
+        return FileChange(path, kind, old_path, added, deleted)
+
+    assert list(walk_history(repo, CFG)) == [
+        CommitRecord(edits, root, datetime(2021, 2, 1, tzinfo=UTC),
+                     "add, modify, delete, rename", changes=(
+                         change("added.cpp", "added", 1, 0),
+                         change("gone.cpp", "deleted", 0, 2),
+                         change("keep.cpp", "modified", 1, 0),
+                         change("renamed.cpp", "renamed", 1, 1, old_path="old.cpp"),
+                     )),
+        CommitRecord(retyped, edits, datetime(2021, 3, 1, tzinfo=UTC),
+                     "type change and a binary file", changes=(
+                         change("blob.bin", "added", 0, 0),
+                         change("link.h", "modified", 2, 1),
+                     )),
+        CommitRecord(odd, retyped, datetime(2021, 4, 1, tzinfo=UTC), odd_message, changes=(
+            change("dir with space/a b.cpp", "added", 1, 0),
+            change("naïve_ü.hpp", "added", 3, 0),
+        )),
+        CommitRecord(main, empty, datetime(2021, 7, 1, tzinfo=UTC), "main work", changes=(
+            change("keep.cpp", "modified", 0, 1),
+        )),
+    ]
+
+
+def test_walk_ignores_the_users_diff_config(fixture_repo, tmp_path, monkeypatch):
+    expected = list(walk_history(fixture_repo.path, CFG))
+    config = tmp_path / "gitconfig"
+    order = tmp_path / "order.txt"
+    order.write_text("tests/*\n*.hpp\n")
+    config.write_text(
+        f"[diff]\n\talgorithm = histogram\n\torderFile = {order}\n\trenames = copies\n"
+        "[log]\n\tshowSignature = true\n[color]\n\tui = always\n"
+    )
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
+    assert list(walk_history(fixture_repo.path, CFG)) == expected
+
+
+def test_walk_of_an_empty_repository_raises(tmp_path):
+    repo = tmp_path / "empty_repo"
+    repo.mkdir()
+    git(repo, "init", "-q", "-b", "main", ".")
+    with pytest.raises(GitError):
+        list(walk_history(repo, CFG))
+
+
+@pytest.fixture
+def recorded_processes(monkeypatch) -> list[subprocess.Popen]:
+    """Every process started through subprocess (``run`` included) during the test."""
+    started: list[subprocess.Popen] = []
+
+    class Recording(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recording)
+    return started
+
+
+def _linear_repo(path, commits: int, files: int = 1):
+    path.mkdir()
+    git(path, "init", "-q", "-b", "main", ".")
+    for i in range(commits + 1):
+        for f in range(files):
+            (path / f"{'long_name_' * 10}{f}.cpp").write_text(f"int a = {i};\n")
+        commit_all(path, f"commit {i}", f"2022-01-{i % 28 + 1:02d}T00:00:00 +0000")
+    return path
+
+
+def test_closing_the_walk_early_kills_and_reaps_git(tmp_path, recorded_processes):
+    # about 250 kB of log output: git is still blocked on the pipe after one record
+    repo = _linear_repo(tmp_path / "long", 40, files=20)
+    walk = walk_history(repo, CFG)
+    next(walk)
+    git_log = recorded_processes[-1]
+    assert git_log.poll() is None
+    walk.close()
+    assert git_log.returncode is not None
+    assert git_log.stdout.closed
+    assert all(proc.returncode is not None for proc in recorded_processes)
+
+
+def test_walk_starts_the_same_few_processes_for_any_history(tmp_path, recorded_processes):
+    counts = []
+    for commits in (3, 30):
+        repo = _linear_repo(tmp_path / f"linear{commits}", commits)
+        recorded_processes.clear()
+        assert len(list(walk_history(repo, CFG))) == commits
+        counts.append(len(recorded_processes))
+    assert counts[0] == counts[1] <= 3
 
 
 def test_commit_diff_text(fixture_repo):

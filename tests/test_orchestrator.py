@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import subprocess
 import sys
 from datetime import datetime, timezone
 
@@ -23,7 +24,15 @@ from perfmine.orchestrator import (
     select_base_image,
     snapshot_image,
 )
-from perfmine.runtime import BuildResult, FakeRuntime, SuiteRun, TestRun, scan_fake_timings
+from perfmine.runtime import (
+    BuildResult,
+    DockerCliRuntime,
+    FakeRuntime,
+    RunnerResult,
+    SuiteRun,
+    TestRun,
+    scan_fake_timings,
+)
 
 UTC = timezone.utc
 
@@ -500,6 +509,33 @@ def test_fake_session_apply_patch_conflict(fake_runtime, fixture_repo):
     result = session.apply_patch(ORIGINAL_DIR, bad_diff)
     assert not result.ok
     assert result.log
+
+
+def test_docker_write_file_passes_the_path_as_an_argument(tmp_path):
+    calls = []
+
+    def runner(argv, input_text=None, timeout=0.0):
+        calls.append(list(argv))
+        if argv[1] == "run":
+            return RunnerResult(0, "cid\n", "")
+        command = argv[argv.index("cid") + 1:]
+        if command[0] != "sh":
+            return RunnerResult(0, "", "")
+        # run the shell step on the host to show the script writes where it says
+        proc = subprocess.run(command, input=input_text, capture_output=True, text=True)
+        return RunnerResult(proc.returncode, proc.stdout, proc.stderr)
+
+    session = DockerCliRuntime(runner=runner).start_session("gcc:13")
+    path = f"{tmp_path}/logs dir/x; touch {tmp_path}/injected.log"
+    session.write_file(path, "payload")
+    argv = calls[-1]
+    assert argv[:4] == ["docker", "exec", "-i", "cid"]
+    assert argv[4:6] == ["sh", "-c"]
+    assert path not in argv[6]
+    assert argv[7:] == ["sh", path]
+    with open(path, encoding="utf-8") as handle:
+        assert handle.read() == "payload"
+    assert not (tmp_path / "injected.log").exists()
 
 
 def test_run_outcome_invariants():
