@@ -285,8 +285,13 @@ def _parse_log(fields: Iterator[str]) -> Iterator[tuple[list[str], CommitRecord]
 
 
 def commit_diff_text(repo: Path | str, commit: CommitRecord) -> str:
-    """Full unified diff of the commit against its parent (for phase 2)."""
-    return run_git(repo, "diff", RENAME_SIMILARITY, f"{commit.parent_sha}..{commit.sha}")
+    """Full unified diff of the commit against its parent (phase 2, ``patches/``).
+
+    Plumbing reads none of the operator's diff settings (prefixes, context,
+    order file, external or textconv tools); under the default settings
+    the text equals porcelain ``git diff``.
+    """
+    return run_git(repo, "diff-tree", "-p", RENAME_SIMILARITY, commit.parent_sha, commit.sha)
 
 
 def walk_history(

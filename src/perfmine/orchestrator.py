@@ -2,9 +2,10 @@
 
 Given a structurally accepted, positively classified commit, this module
 prepares a container holding the parent ("original") and commit
-("patched") checkouts, builds both with dependency repair, times the
-test suite repeatedly with a warm-up discard, and snapshots qualified
-results as a reusable image.
+("patched") trees, checked out from one object source with no ``.git``,
+builds both with dependency repair, times the test suite repeatedly with
+a warm-up discard, and snapshots qualified results as a reusable image
+of the two trees, their ``SHA_MARKER`` files and the logs.
 
 Dependency repair is two-layered: a shipped table of known error
 signatures mapped to packages, then (when the table is silent) a model
@@ -215,9 +216,9 @@ def prepare_environment(
     clone_source = source or f"https://github.com/{repo.owner}/{repo.name}.git"
     session = runtime.start_session(base_image, cpus=cpus, memory=memory)
     try:
-        session.clone_at(clone_source, ORIGINAL_DIR, commit.parent_sha)
-        session.clone_at(clone_source, PATCHED_DIR, commit.sha)
-        for directory, sha in ((ORIGINAL_DIR, commit.parent_sha), (PATCHED_DIR, commit.sha)):
+        trees = {ORIGINAL_DIR: commit.parent_sha, PATCHED_DIR: commit.sha}
+        session.check_out(clone_source, trees)
+        for directory, sha in trees.items():
             recorded = session.read_file(f"{directory}/{SHA_MARKER}").strip()
             if recorded != sha:
                 raise ContractViolation(

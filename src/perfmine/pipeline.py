@@ -12,6 +12,7 @@ configuration, credential, or runtime-reachability problems abort a run.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .backends import ChatBackend
-from .classifier import BackendConfig, classify_commit, verdict_to_dict
+from .classifier import BackendConfig, classify_commit
 from .discovery import HeadCheck, HeadTester, RepoDescriptor, gate_repository
 from .errors import (
     BackendError,
@@ -134,7 +135,7 @@ def gate_with_runtime(
         session = runtime.start_session(base_image, cpus=cpus, memory=memory)
         try:
             head_dir = "/work/head"
-            session.clone_at(str(tree), head_dir, head_sha_of(tree))
+            session.check_out(str(tree), {head_dir: head_sha_of(tree)})
             build = session.configure_and_build(head_dir, f"{head_dir}-build", ())
             if not build.ok:
                 return HeadCheck(has_tests=False, tests_pass=False)
@@ -185,6 +186,9 @@ def mine_repository(
     count meaningful as the funnel's denominator.
     """
     result = MineResult()
+    # Phase 2 and the store write share one diff; holding only the latest
+    # keeps memory flat over a long walk.
+    diff_text = functools.lru_cache(maxsize=1)(lambda c: commit_diff_text(clone_path, c))
     for commit in walk_history(clone_path, harvest_config):
         result.funnel.scanned += 1
         decision = apply_structural_filter(commit, harvest_config)
@@ -196,12 +200,7 @@ def mine_repository(
         if issue_fetcher is not None:
             commit = resolve_linked_issue(commit, repo.owner, repo.name, issue_fetcher)
         try:
-            verdict = classify_commit(
-                commit,
-                lambda c: commit_diff_text(clone_path, c),
-                backend_config,
-                backend,
-            )
+            verdict = classify_commit(commit, diff_text, backend_config, backend)
         except (UnparseableResponseError, BackendError) as exc:
             result.skip(commit.sha, f"classifier error: {exc}")
             continue
@@ -212,7 +211,7 @@ def mine_repository(
 
         try:
             _build_measure_store(
-                repo, commit, verdict, clone_path,
+                repo, commit, verdict, clone_path, diff_text,
                 stat_config=stat_config, limits=limits, runtime=runtime,
                 backend=backend, backend_config=backend_config,
                 out_dir=Path(out_dir), result=result,
@@ -225,7 +224,7 @@ def mine_repository(
 
 
 def _build_measure_store(
-    repo, commit, verdict, clone_path, *, stat_config, limits, runtime,
+    repo, commit, verdict, clone_path, diff_text, *, stat_config, limits, runtime,
     backend, backend_config, out_dir, result,
 ):
     try:
@@ -286,7 +285,7 @@ def _build_measure_store(
             timing=timing,
             stat_config=stat_config,
         )
-        write_entry(entry, out_dir, diff_text=commit_diff_text(clone_path, commit))
+        write_entry(entry, out_dir, diff_text=diff_text(commit))
         result.stored_patch_ids.append(patch_id)
         result.funnel.stored += 1
     finally:

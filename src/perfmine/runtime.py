@@ -2,9 +2,16 @@
 
 Everything the orchestrator and evaluator do to a container goes through
 two small protocols: ``ContainerRuntime`` (start sessions, snapshot and
-reopen images) and ``ContainerSession`` (clone, build, test, patch,
-read/write files). Paths inside a session are POSIX strings under
+reopen images) and ``ContainerSession`` (check out trees, build, test,
+patch, read/write files). Paths inside a session are POSIX strings under
 ``/work`` regardless of implementation.
+
+Sessions check trees out straight from a repository's objects: a tree
+holds one commit's files and a ``SHA_MARKER`` file naming it, and no
+``.git``, so neither sessions nor their images carry an object store.
+Such a tree may sit inside another git work tree, so ``git apply`` stops
+its search for a repository at the tree's parent; otherwise it would
+take the enclosing repository for the tree's own and apply nothing.
 
 Implementations:
 
@@ -14,10 +21,10 @@ Implementations:
 * ``LocalProcessRuntime`` runs cmake and ctest directly on the host with
   a directory standing in for the container. Snapshots are directory
   copies. Package installation is unsupported by design.
-* ``FakeRuntime`` is a deterministic in-process double. Clones are real
-  git operations, but builds always succeed and test timings come from
-  declarations planted in the source tree (see ``fake-timing`` below),
-  so a fixture repository fully scripts its own measurements.
+* ``FakeRuntime`` is a deterministic in-process double. Checkouts are
+  real git operations, but builds always succeed and test timings come
+  from declarations planted in the source tree (see ``fake-timing``
+  below), so a fixture repository fully scripts its own measurements.
 
 The local and fake runtimes keep each session in a directory of its own
 and delete it when the session closes; snapshots are copies taken
@@ -41,14 +48,15 @@ from __future__ import annotations
 
 import json
 import os
+import posixpath
 import re
 import shutil
 import subprocess
 import time
 import uuid
 import xml.etree.ElementTree as ET
-from collections.abc import Callable, Sequence
-from pathlib import Path, PurePosixPath
+from collections.abc import Callable, Mapping, Sequence
+from pathlib import Path
 from typing import NamedTuple, Protocol
 
 from .errors import ContractViolation, GitError, RuntimeUnavailableError
@@ -60,6 +68,17 @@ FAKE_TIMING_RE = re.compile(
     r"\s+step_ms=(?P<step>[0-9.]+)(?:\s+fail_run=(?P<fail>\d+))?"
 )
 _IMAGE_TAG_SAFE = re.compile(r"[^A-Za-z0-9_.-]")
+
+
+def _checkout_argv(repo: str, dest: str, sha: str) -> list[str]:
+    """One git process that writes commit ``sha`` of ``repo`` into ``dest``.
+
+    A pathspec checkout moves no HEAD or ref, and the caller points
+    ``GIT_INDEX_FILE`` at a fresh file, so the repository is untouched.
+    Hooks are off, as a clone never ran the source's hooks either.
+    """
+    return ["git", "-C", repo, "-c", "core.hooksPath=/dev/null", f"--work-tree={dest}",
+            "checkout", "--quiet", sha, "--", ":/"]
 
 
 class BuildResult(NamedTuple):
@@ -85,7 +104,10 @@ class SuiteRun(NamedTuple):
 class ContainerSession(Protocol):
     session_id: str
 
-    def clone_at(self, source: str, dest: str, sha: str) -> None: ...
+    def check_out(self, source: str, trees: Mapping[str, str]) -> None:
+        """Write each ``dest: sha`` tree of the repository at ``source``,
+        with a ``SHA_MARKER`` file and no ``.git``."""
+        ...
 
     def copy_tree(self, src: str, dest: str) -> None: ...
 
@@ -244,16 +266,24 @@ class DockerSession:
         full += list(argv)
         return self._runtime._run(full, input_text, 3600.0)
 
-    def clone_at(self, source: str, dest: str, sha: str) -> None:
-        steps = (
-            ["git", "clone", "--quiet", source, dest],
-            ["git", "-C", dest, "checkout", "--quiet", sha],
-        )
-        for argv in steps:
+    def check_out(self, source: str, trees: Mapping[str, str]) -> None:
+        # one clone with no work tree, deleted again so no commit stores it
+        scratch = f"{WORK_ROOT}/.checkout-source"
+
+        def run(argv: list[str]) -> None:
             result = self.exec(argv)
             if result.returncode != 0:
                 raise GitError(f"{' '.join(argv)} failed in container: {result.stderr.strip()}")
-        self.write_file(str(PurePosixPath(dest) / SHA_MARKER), sha + "\n")
+
+        try:
+            run(["git", "clone", "--quiet", "--no-checkout", source, scratch])
+            run(["mkdir", "-p", *trees])
+            for n, (dest, sha) in enumerate(trees.items()):
+                run(["env", f"GIT_INDEX_FILE={scratch}/index-{n}",
+                     *_checkout_argv(scratch, dest, sha)])
+                self.write_file(posixpath.join(dest, SHA_MARKER), sha + "\n")
+        finally:
+            run(["rm", "-rf", scratch])
 
     def copy_tree(self, src: str, dest: str) -> None:
         result = self.exec(["cp", "-a", src, dest])
@@ -312,8 +342,10 @@ class DockerSession:
 
     def apply_patch(self, tree_dir: str, diff_text: str) -> BuildResult:
         self.write_file("/tmp/candidate.patch", diff_text)
+        ceiling = posixpath.dirname(tree_dir.rstrip("/"))
         result = self.exec(
-            ["git", "-C", tree_dir, "apply", "--whitespace=nowarn", "/tmp/candidate.patch"]
+            ["env", f"GIT_CEILING_DIRECTORIES={ceiling}", "git", "-C", tree_dir,
+             "apply", "--whitespace=nowarn", "/tmp/candidate.patch"]
         )
         return BuildResult(result.returncode == 0, result.stdout + result.stderr)
 
@@ -347,9 +379,11 @@ def _parse_ctest_stdout(stdout: str) -> tuple[TestRun, ...]:
 
 
 def _run_host(argv: Sequence[str], cwd: str | Path | None = None,
-              input_text: str | None = None) -> RunnerResult:
+              input_text: str | None = None,
+              env: Mapping[str, str] | None = None) -> RunnerResult:
     proc = subprocess.run(
-        list(argv), cwd=cwd, input=input_text, capture_output=True, text=True, errors="replace"
+        list(argv), cwd=cwd, input=input_text, capture_output=True, text=True,
+        errors="replace", env=None if env is None else {**os.environ, **env},
     )
     return RunnerResult(proc.returncode, proc.stdout, proc.stderr)
 
@@ -379,16 +413,22 @@ class _HostFsSession:
             raise ValueError(f"session paths must be absolute POSIX paths: {path!r}")
         return os.path.join(self.root, path.lstrip("/"))
 
-    def clone_at(self, source: str, dest: str, sha: str) -> None:
-        dest_host = self.host_path(dest)
-        os.makedirs(os.path.dirname(dest_host), exist_ok=True)
-        clone = _run_host(["git", "clone", "--quiet", source, dest_host])
-        if clone.returncode != 0:
-            raise GitError(f"clone of {source} failed: {clone.stderr.strip()}")
-        checkout = _run_host(["git", "-C", dest_host, "checkout", "--quiet", sha])
-        if checkout.returncode != 0:
-            raise GitError(f"checkout of {sha} failed: {checkout.stderr.strip()}")
-        _write_text(os.path.join(dest_host, SHA_MARKER), sha + "\n")
+    def check_out(self, source: str, trees: Mapping[str, str]) -> None:
+        # git resolves --work-tree and GIT_INDEX_FILE after its -C, so both are absolute
+        index = os.path.abspath(os.path.join(self.root, "checkout.index"))
+        for dest, sha in trees.items():
+            dest_host = os.path.abspath(self.host_path(dest))
+            os.makedirs(dest_host, exist_ok=True)
+            try:
+                result = _run_host(_checkout_argv(source, dest_host, sha),
+                                   env={"GIT_INDEX_FILE": index})
+            finally:
+                if os.path.exists(index):
+                    os.remove(index)
+            if result.returncode != 0:
+                raise GitError(f"checkout of {sha} from {source} failed: "
+                               f"{result.stderr.strip()}")
+            _write_text(os.path.join(dest_host, SHA_MARKER), sha + "\n")
 
     def copy_tree(self, src: str, dest: str) -> None:
         shutil.copytree(self.host_path(src), self.host_path(dest), symlinks=True)
@@ -406,9 +446,10 @@ class _HostFsSession:
         return os.path.exists(self.host_path(path))
 
     def apply_patch(self, tree_dir: str, diff_text: str) -> BuildResult:
-        tree = self.host_path(tree_dir)
+        tree = os.path.abspath(self.host_path(tree_dir))
         result = _run_host(
-            ["git", "apply", "--whitespace=nowarn", "-"], cwd=tree, input_text=diff_text
+            ["git", "apply", "--whitespace=nowarn", "-"], cwd=tree, input_text=diff_text,
+            env={"GIT_CEILING_DIRECTORIES": os.path.dirname(tree)},
         )
         return BuildResult(result.returncode == 0, result.stdout + result.stderr)
 

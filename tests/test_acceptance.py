@@ -335,7 +335,7 @@ def test_acceptance_09_warmup_discard_law(runs, fixture_repo, tmp_path):
     runtime = FakeRuntime(state_dir=tmp_path / "state")
     session = runtime.start_session("gcc:12")
     try:
-        session.clone_at(str(fixture_repo.path), "/work/original", fixture_repo.perf_sha)
+        session.check_out(str(fixture_repo.path), {"/work/original": fixture_repo.perf_sha})
         build = session.configure_and_build("/work/original", "/work/original-build", ())
         assert build.ok
         outcome = run_tests_repeatedly(session, "/work/original", runs=runs, version="original")

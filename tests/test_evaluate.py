@@ -77,6 +77,19 @@ def test_ground_truth_diff_improves(mined_store):
     assert set(report.files_touched) == set(report.ground_truth_files)
 
 
+def test_store_inside_a_git_work_tree_still_applies_the_candidate(fixture_repo, tmp_path):
+    # a tree without .git would otherwise let `git apply` find the enclosing
+    # repository, apply nothing, and score the unchanged original
+    from conftest import git, mine_fixture
+
+    git(tmp_path, "init", "-q", "-b", "main", ".")
+    mined = mine_fixture(fixture_repo, tmp_path / "nested" / "store", runs=5)
+    diff = read_ground_truth_diff(mined.store_dir, mined.patch_id)
+    report = evaluate(mined.patch_id, diff, mined.store_dir, mined.runtime,
+                      write_report=False)
+    assert report.verdict == VERDICT_IMPROVES
+
+
 def test_empty_diff_is_functional_only(mined_store):
     report = evaluate(
         mined_store.patch_id, "", mined_store.store_dir, mined_store.runtime,

@@ -459,6 +459,26 @@ def test_commit_diff_text(fixture_repo):
     assert "hoisted out of the loop" in diff
 
 
+def test_commit_diff_text_ignores_the_users_diff_config(fixture_repo, tmp_path, monkeypatch):
+    record = {r.sha: r for r in walk_history(fixture_repo.path, CFG)}[fixture_repo.perf_sha]
+    monkeypatch.setenv("GIT_CONFIG_NOSYSTEM", "1")
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", os.devnull)
+    porcelain = git(fixture_repo.path, "diff", "-M50%",
+                    f"{record.parent_sha}..{record.sha}")
+    assert commit_diff_text(fixture_repo.path, record) == porcelain
+    config = tmp_path / "gitconfig"
+    order = tmp_path / "order.txt"
+    order.write_text("*.hpp\n")
+    config.write_text(
+        f"[diff]\n\tnoprefix = true\n\tmnemonicPrefix = true\n\tcontext = 1\n"
+        f"\torderFile = {order}\n\talgorithm = histogram\n[color]\n\tui = always\n"
+    )
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
+    diff = commit_diff_text(fixture_repo.path, record)
+    assert diff.startswith("diff --git a/src/compute.cpp b/src/compute.cpp\n")
+    assert diff == porcelain
+
+
 # ---------------------------------------------------------------------------
 # linked issues
 

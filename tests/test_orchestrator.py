@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from datetime import datetime, timezone
@@ -8,7 +9,7 @@ import pytest
 
 from perfmine.backends import StubBackend
 from perfmine.discovery import RepoDescriptor
-from perfmine.errors import ContractViolation, RuntimeUnavailableError
+from perfmine.errors import ContractViolation, GitError, RuntimeUnavailableError
 from perfmine.harvest import CommitRecord, FileChange
 from perfmine.orchestrator import (
     BuildPlan,
@@ -29,6 +30,7 @@ from perfmine.runtime import (
     DockerCliRuntime,
     FakeRuntime,
     RunnerResult,
+    SHA_MARKER,
     SuiteRun,
     TestRun,
     scan_fake_timings,
@@ -112,6 +114,60 @@ def test_prepare_environment_clones_both_versions(fake_runtime, fixture_repo):
     assert "reallocated every iteration" in original
     assert "hoisted out of the loop" in patched
     ses.close()
+
+
+def _tree_of(top: str) -> dict[str, tuple[str, str]]:
+    """Every file under ``top`` as git would list it: path -> (mode, content)."""
+    found = {}
+    for dirpath, dirnames, filenames in os.walk(top):
+        assert ".git" not in dirnames + filenames
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, top)
+            if os.path.islink(path):
+                found[rel] = ("120000", os.readlink(path))
+            else:
+                mode = "100755" if os.stat(path).st_mode & 0o100 else "100644"
+                with open(path, encoding="utf-8") as handle:
+                    found[rel] = (mode, handle.read())
+    return found
+
+
+def test_check_out_writes_each_commit_tree_exactly(fake_runtime, tmp_path):
+    # export-ignore and export-subst are what rule out `git archive`
+    import conftest as fixtures
+
+    repo = tmp_path / "attrs"
+    (repo / "tests").mkdir(parents=True)
+    fixtures.git(repo, "init", "-q", "-b", "main", ".")
+    (repo / ".gitattributes").write_text("tests export-ignore\nversion.txt export-subst\n")
+    (repo / "version.txt").write_text("$Format:%H$\n")
+    (repo / "tests" / "t.cpp").write_text("int t;\n")
+    (repo / "run.sh").write_text("#!/bin/sh\n")
+    (repo / "run.sh").chmod(0o755)
+    os.symlink("version.txt", repo / "link.txt")
+    first = fixtures.commit_all(repo, "first", "2023-01-01T00:00:00 +0000")
+    (repo / "tests" / "t.cpp").unlink()
+    (repo / "src").mkdir()
+    (repo / "src" / "new.cpp").write_text("int n;\n")
+    second = fixtures.commit_all(repo, "second", "2023-02-01T00:00:00 +0000")
+    index = (repo / ".git" / "index").read_bytes()
+
+    session = fake_runtime.start_session("gcc:12")
+    session.check_out(str(repo), {"/work/first": first, "/work/second": second})
+    for dest, sha in (("/work/first", first), ("/work/second", second)):
+        expected = {SHA_MARKER: ("100644", sha + "\n")}
+        for line in fixtures.git(repo, "ls-tree", "-r", sha).splitlines():
+            meta, path = line.split("\t", 1)
+            mode, _, blob = meta.split()
+            expected[path] = (mode, fixtures.git(repo, "cat-file", "blob", blob))
+        assert _tree_of(session.host_path(dest)) == expected
+    assert "tests/t.cpp" in _tree_of(session.host_path("/work/first"))
+    assert os.listdir(session.root) == ["work"]  # the temporary index is gone
+    session.close()
+    assert (repo / ".git" / "index").read_bytes() == index
+    assert fixtures.git(repo, "rev-parse", "HEAD").strip() == second
+    assert fixtures.git(repo, "status", "--porcelain") == ""
 
 
 def test_prepare_environment_rejects_parentless_commit(fixture_repo, tmp_path):
@@ -536,6 +592,65 @@ def test_docker_write_file_passes_the_path_as_an_argument(tmp_path):
     with open(path, encoding="utf-8") as handle:
         assert handle.read() == "payload"
     assert not (tmp_path / "injected.log").exists()
+
+
+def _recording_docker(fail_on: str = ""):
+    """A docker session whose runner records argv and runs nothing."""
+    calls = []
+
+    def runner(argv, input_text=None, timeout=0.0):
+        calls.append(list(argv))
+        if argv[1] == "run":
+            return RunnerResult(0, "cid\n", "")
+        if fail_on and fail_on in argv:
+            return RunnerResult(1, "", "boom")
+        return RunnerResult(0, "", "")
+
+    session = DockerCliRuntime(runner=runner).start_session("gcc:13")
+    calls.clear()
+    return session, calls
+
+
+def test_docker_check_out_clones_once_and_leaves_no_object_store():
+    session, calls = _recording_docker()
+    session.check_out("/src/repo", {ORIGINAL_DIR: "a" * 40, PATCHED_DIR: "b" * 40})
+    commands = [argv[argv.index("cid") + 1:] for argv in calls]
+    [clone] = [c for c in commands if c[:2] == ["git", "clone"]]
+    assert clone[2:4] == ["--quiet", "--no-checkout"]
+    assert clone[4] == "/src/repo"
+    scratch = clone[5]
+    assert scratch.startswith("/work/")
+    checkouts = [c for c in commands if "checkout" in c]
+    indexes = []
+    for command, (dest, sha) in zip(checkouts, ((ORIGINAL_DIR, "a" * 40),
+                                                (PATCHED_DIR, "b" * 40))):
+        assert command[0] == "env"
+        index = command[1].removeprefix("GIT_INDEX_FILE=")
+        assert index.startswith(scratch + "/")
+        indexes.append(index)
+        assert command[2:5] == ["git", "-C", scratch]
+        assert f"--work-tree={dest}" in command
+        assert command[-5:] == ["checkout", "--quiet", sha, "--", ":/"]
+    assert len(checkouts) == 2 and len(set(indexes)) == 2
+    markers = [argv[-1] for argv in calls if "sh" in argv]
+    assert markers == [f"{ORIGINAL_DIR}/{SHA_MARKER}", f"{PATCHED_DIR}/{SHA_MARKER}"]
+    assert commands[-1] == ["rm", "-rf", scratch]
+
+
+def test_docker_check_out_failure_still_removes_the_object_store():
+    session, calls = _recording_docker(fail_on="checkout")
+    with pytest.raises(GitError, match="boom"):
+        session.check_out("/src/repo", {ORIGINAL_DIR: "a" * 40})
+    scratch = next(argv for argv in calls if "clone" in argv)[-1]
+    assert calls[-1][-3:] == ["rm", "-rf", scratch]
+
+
+def test_docker_apply_stops_the_repository_search_at_the_tree():
+    session, calls = _recording_docker()
+    assert session.apply_patch("/work/candidate", "--- a/x\n+++ b/x\n").ok
+    command = calls[-1][calls[-1].index("cid") + 1:]
+    assert command[:2] == ["env", "GIT_CEILING_DIRECTORIES=/work"]
+    assert command[2:6] == ["git", "-C", "/work/candidate", "apply"]
 
 
 def test_run_outcome_invariants():

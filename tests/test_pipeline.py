@@ -106,6 +106,12 @@ def test_logs_mirrored_to_host(mined_store):
     assert runs["patched"]["warmup_failed"] is False
 
 
+def test_images_hold_no_git_directory(mined_store):
+    images = mined_store.store_dir / "fake-runtime" / "images"
+    assert list(images.iterdir())
+    assert not list(images.rglob(".git"))
+
+
 def test_image_snapshot_is_reopenable(mined_store):
     entry = read_entry(mined_store.store_dir, mined_store.patch_id)
     assert mined_store.runtime.has_image(entry.image)
@@ -196,6 +202,50 @@ def _mine_with(fixture, out_dir, *, runtime=None, backend=None, runs=31):
         out_dir=out_dir,
     )
     return result, runtime
+
+
+def test_a_stored_phase_two_commit_computes_its_diff_once(fixture_repo, tmp_path,
+                                                         monkeypatch):
+    import perfmine.pipeline as pipeline
+
+    calls = []
+    real = pipeline.commit_diff_text
+    monkeypatch.setattr(pipeline, "commit_diff_text",
+                        lambda repo, commit: calls.append(commit.sha) or real(repo, commit))
+    disagree = {"phase1:0": "Yes", "phase1:1": "No", "phase2": "Yes"}
+    result, _ = _mine_with(
+        fixture_repo, tmp_path / "out", backend=StubBackend({fixture_repo.perf_sha: disagree})
+    )
+    assert result.funnel.stored == 1
+    entry = read_entry(tmp_path / "out", result.stored_patch_ids[0])
+    assert entry.classification.decided_in_phase == 2
+    assert calls == [fixture_repo.perf_sha]
+
+
+def test_mining_leaves_the_operators_clone_alone(tmp_path):
+    fixture = build_fixture_repo(tmp_path / "clone")
+    git_dir = fixture.path / ".git"
+    hook = git_dir / "hooks" / "post-checkout"
+    hook.write_text(f"#!/bin/sh\ntouch '{tmp_path}/hook-ran'\n")
+    hook.chmod(0o755)
+    before = {
+        "index": (git_dir / "index").read_bytes(),
+        "refs": git(fixture.path, "for-each-ref"),
+        "head": git(fixture.path, "rev-parse", "HEAD"),
+        "status": git(fixture.path, "status", "--porcelain", "--ignored"),
+    }
+    runtime = FakeRuntime(state_dir=tmp_path / "out" / "fake-runtime")
+    repo = local_descriptor(fixture.path, "local", "fixturerepo")
+    assert gate_with_runtime(repo, fixture.path, runtime).passes_gate
+    result, _ = _mine_with(fixture, tmp_path / "out", runtime=runtime)
+    assert result.funnel.stored == 1
+    assert {
+        "index": (git_dir / "index").read_bytes(),
+        "refs": git(fixture.path, "for-each-ref"),
+        "head": git(fixture.path, "rev-parse", "HEAD"),
+        "status": git(fixture.path, "status", "--porcelain", "--ignored"),
+    } == before
+    assert not (tmp_path / "hook-ran").exists()
 
 
 def test_negative_classification_stops_the_funnel(fixture_repo, tmp_path):
