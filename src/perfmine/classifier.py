@@ -304,7 +304,7 @@ def verdict_from_dict(payload: Mapping) -> ClassificationVerdict:
     phase1 = tuple(vote(v) for v in payload["phase1"])
     return ClassificationVerdict(
         phase1=phase1,
-        phase2=vote(payload.get("phase2")),
+        phase2=vote(payload["phase2"]),
         final=payload["final"],
         decided_in_phase=payload["decided_in_phase"],
     )

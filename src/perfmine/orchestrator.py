@@ -88,9 +88,9 @@ class BuildPlan:
         return cls(
             base_image=payload["base_image"],
             compiler_version=payload["compiler_version"],
-            configure_args=tuple(payload.get("configure_args", ())),
-            install_packages=tuple(payload.get("install_packages", ())),
-            repair_rounds_used=payload.get("repair_rounds_used", 0),
+            configure_args=tuple(payload["configure_args"]),
+            install_packages=tuple(payload["install_packages"]),
+            repair_rounds_used=payload["repair_rounds_used"],
         )
 
 
@@ -374,8 +374,9 @@ def snapshot_image(
 
     Requires every supplied outcome to be qualified; snapshotting a
     disqualified version would publish an image whose timings the
-    benchmark could never trust. Re-snapshotting the same entry_id
-    replaces the old image.
+    benchmark could never trust. The snapshot ends the session: close()
+    is the only call left on it. Re-snapshotting the same entry_id takes
+    a newly prepared session and replaces the old image.
     """
     if not outcomes:
         raise ContractViolation("snapshot requires at least one run outcome")

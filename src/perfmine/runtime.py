@@ -27,8 +27,12 @@ Implementations:
   below), so a fixture repository fully scripts its own measurements.
 
 The local and fake runtimes keep each session in a directory of its own
-and delete it when the session closes; snapshots are copies taken
-before that, so images outlive their sessions.
+and delete it when the session closes. A snapshot moves the session's
+``/work`` into the image with one rename and so ends the session: every
+later call but ``close()`` raises ``ContractViolation``. Reopening an
+image copies it, so images outlive every session opened from them. The
+trees of one ``check_out`` are written by one git process each, all
+running at once.
 
 Fake timing declarations are comment lines inside any source file:
 
@@ -153,7 +157,13 @@ class ContainerRuntime(Protocol):
         self, tag: str, *, cpus: float | None = None, memory: str | None = None
     ) -> ContainerSession: ...
 
-    def snapshot(self, session: ContainerSession, tag: str) -> str: ...
+    def snapshot(self, session: ContainerSession, tag: str) -> str:
+        """Store the session's ``/work`` as image ``tag``.
+
+        After ``snapshot`` the only defined call on the session is
+        ``close()``; to snapshot again, prepare a new session.
+        """
+        ...
 
     def has_image(self, tag: str) -> bool: ...
 
@@ -396,38 +406,57 @@ def _write_text(path: str, content: str) -> None:
 class _HostFsSession:
     """Session whose /work paths map onto a directory on the host.
 
-    Paths below the root are plain ``str``. ``pathlib`` interns every
-    component of every path it builds, and each name that is not already
-    interned (a build directory, an image tag, a log file) spends a slot
-    of CPython's interned-string table; a process that runs many sessions
-    would keep resizing that table.
+    The root and every path below it are plain ``str``. ``pathlib`` interns
+    every component of every path it builds, and each name that is not
+    already interned (a session directory, a build directory, an image
+    tag, a log file) spends a slot of CPython's interned-string table; a
+    process that runs many sessions would keep resizing that table.
     """
 
-    def __init__(self, root: Path, session_id: str) -> None:
+    def __init__(self, root: str, session_id: str) -> None:
         self.root = root
         self.session_id = session_id
+        self.snapshotted = False  # set by the snapshot, which takes /work away
         os.makedirs(os.path.join(root, "work", "logs"), exist_ok=True)
 
     def host_path(self, path: str) -> str:
+        if self.snapshotted:
+            raise ContractViolation(
+                f"session {self.session_id} was snapshotted; only close() is defined"
+            )
         if not path.startswith("/"):
             raise ValueError(f"session paths must be absolute POSIX paths: {path!r}")
         return os.path.join(self.root, path.lstrip("/"))
 
     def check_out(self, source: str, trees: Mapping[str, str]) -> None:
         # git resolves --work-tree and GIT_INDEX_FILE after its -C, so both are absolute
-        index = os.path.abspath(os.path.join(self.root, "checkout.index"))
-        for dest, sha in trees.items():
+        jobs = []
+        for n, (dest, sha) in enumerate(trees.items()):
             dest_host = os.path.abspath(self.host_path(dest))
             os.makedirs(dest_host, exist_ok=True)
-            try:
-                result = _run_host(_checkout_argv(source, dest_host, sha),
-                                   env={"GIT_INDEX_FILE": index})
-            finally:
+            index = os.path.abspath(os.path.join(self.root, f"checkout-{n}.index"))
+            jobs.append((sha, dest_host, index))
+        # one process per tree, all started before any is waited on; each has
+        # its own index and only reads the repository's objects
+        procs: list[subprocess.Popen] = []
+        errors: list[str] = []
+        try:
+            for sha, dest_host, index in jobs:
+                procs.append(subprocess.Popen(
+                    _checkout_argv(source, dest_host, sha), stdout=subprocess.DEVNULL,
+                    stderr=subprocess.PIPE, text=True, errors="replace",
+                    env={**os.environ, "GIT_INDEX_FILE": index},
+                ))
+        finally:
+            for proc in procs:
+                errors.append(proc.communicate()[1])
+            for _, _, index in jobs:
                 if os.path.exists(index):
                     os.remove(index)
-            if result.returncode != 0:
-                raise GitError(f"checkout of {sha} from {source} failed: "
-                               f"{result.stderr.strip()}")
+        for (sha, _, _), proc, stderr in zip(jobs, procs, errors):
+            if proc.returncode != 0:
+                raise GitError(f"checkout of {sha} from {source} failed: {stderr.strip()}")
+        for sha, dest_host, _ in jobs:
             _write_text(os.path.join(dest_host, SHA_MARKER), sha + "\n")
 
     def copy_tree(self, src: str, dest: str) -> None:
@@ -464,10 +493,11 @@ class _HostFsRuntimeBase:
         self.state_dir = Path(state_dir)
         self._session_counter = 0
 
-    def _new_session_root(self) -> Path:
+    def _new_session_root(self) -> str:
         self._session_counter += 1
-        root = self.state_dir / "sessions" / f"s{self._session_counter}-{uuid.uuid4().hex[:8]}"
-        root.mkdir(parents=True)
+        name = f"s{self._session_counter}-{uuid.uuid4().hex[:8]}"
+        root = os.path.join(self.state_dir, "sessions", name)
+        os.makedirs(root)
         return root
 
     def _image_dir(self, tag: str) -> str:
@@ -480,18 +510,19 @@ class _HostFsRuntimeBase:
         shutil.rmtree(self._image_dir(tag), ignore_errors=True)
 
     def _store_snapshot(self, session: _HostFsSession, tag: str, meta: dict) -> str:
+        work = session.host_path(WORK_ROOT)  # refuses a session already snapshotted
         image_dir = self._image_dir(tag)
         if os.path.exists(image_dir):
             shutil.rmtree(image_dir)
         os.makedirs(image_dir)
-        shutil.copytree(
-            os.path.join(session.root, "work"), os.path.join(image_dir, "work"), symlinks=True
-        )
+        # sessions/ and images/ share the state directory, so this is a rename
+        os.rename(work, os.path.join(image_dir, "work"))
+        session.snapshotted = True
         meta_text = json.dumps({"tag": tag, **meta}, indent=2)
         _write_text(os.path.join(image_dir, "meta.json"), meta_text)
         return tag
 
-    def _seed_from_image(self, tag: str, root: Path) -> dict:
+    def _seed_from_image(self, tag: str, root: str) -> dict:
         image_dir = self._image_dir(tag)
         if not self.has_image(tag):
             raise RuntimeUnavailableError(f"no stored image tagged {tag} under {image_dir}")
@@ -524,14 +555,14 @@ class LocalProcessRuntime(_HostFsRuntimeBase):
         self, base_image: str, *, cpus: float | None = None, memory: str | None = None
     ) -> "LocalSession":
         root = self._new_session_root()
-        return LocalSession(root, f"local-{root.name}", base_image)
+        return LocalSession(root, f"local-{os.path.basename(root)}", base_image)
 
     def open_image(
         self, tag: str, *, cpus: float | None = None, memory: str | None = None
     ) -> "LocalSession":
         root = self._new_session_root()
         meta = self._seed_from_image(tag, root)
-        return LocalSession(root, f"local-{root.name}", meta.get("base_image", ""))
+        return LocalSession(root, f"local-{os.path.basename(root)}", meta.get("base_image", ""))
 
     def snapshot(self, session: "LocalSession", tag: str) -> str:
         return self._store_snapshot(session, tag, {"base_image": session.base_image})
@@ -541,7 +572,7 @@ _JUNIT_NAME = "perfmine-junit.xml"
 
 
 class LocalSession(_HostFsSession):
-    def __init__(self, root: Path, session_id: str, base_image: str) -> None:
+    def __init__(self, root: str, session_id: str, base_image: str) -> None:
         super().__init__(root, session_id)
         self.base_image = base_image
 
@@ -690,7 +721,7 @@ class FakeRuntime(_HostFsRuntimeBase):
                 f"container runtime unreachable at {self.describe_endpoint()}"
             )
         root = self._new_session_root()
-        return FakeSession(self, root, f"fake-{root.name}", base_image)
+        return FakeSession(self, root, f"fake-{os.path.basename(root)}", base_image)
 
     def open_image(
         self, tag: str, *, cpus: float | None = None, memory: str | None = None
@@ -713,7 +744,7 @@ class FakeRuntime(_HostFsRuntimeBase):
 
 
 class FakeSession(_HostFsSession):
-    def __init__(self, runtime: FakeRuntime, root: Path, session_id: str,
+    def __init__(self, runtime: FakeRuntime, root: str, session_id: str,
                  base_image: str) -> None:
         super().__init__(root, session_id)
         self._runtime = runtime

@@ -83,7 +83,7 @@ class RunSummary:
             version=payload["version"],
             runs_requested=payload["runs_requested"],
             runs_recorded=payload["runs_recorded"],
-            suite_wall_times_ms=tuple(payload.get("suite_wall_times_ms", ())),
+            suite_wall_times_ms=tuple(payload["suite_wall_times_ms"]),
         )
 
 
@@ -133,6 +133,49 @@ class BenchmarkEntry:
 # ---------------------------------------------------------------------------
 # serialization
 
+# The keys each level of a manifest holds: exactly what entry_to_dict writes.
+_ENTRY_KEYS = frozenset({
+    "schema_version", "patch_id", "repo", "commit", "classification", "build", "timing",
+    "stats_decisions", "has_significant_test", "verified", "reviewer_note",
+})
+_REPO_KEYS = frozenset({
+    "owner", "name", "stars", "primary_language", "default_branch", "head_sha",
+    "has_root_cmake", "has_cmake_tests", "head_tests_pass",
+})
+_COMMIT_KEYS = frozenset({
+    "sha", "parent_sha", "author_timestamp", "message", "linked_issue_text", "patch_file",
+    "changes",
+})
+_CHANGE_KEYS = frozenset({"path", "change_kind", "old_path", "lines_added", "lines_deleted"})
+_CLASSIFICATION_KEYS = frozenset({
+    "phase1", "phase2", "final", "decided_in_phase", "prompt_fingerprints",
+})
+_VOTE_KEYS = frozenset({"value", "backend_id", "raw_response"})
+_BUILD_KEYS = frozenset({"plan", "image", "suite_invocation", "runs"})
+_PLAN_KEYS = frozenset({
+    "base_image", "compiler_version", "configure_args", "install_packages",
+    "repair_rounds_used",
+})
+_RUN_KEYS = frozenset({"version", "runs_requested", "runs_recorded", "suite_wall_times_ms"})
+_TIMING_KEYS = frozenset({"test_name", "digest", "pre_ms", "post_ms", "result"})
+_RESULT_KEYS = frozenset({
+    "u_statistic", "p_value", "relative_improvement", "significant", "method",
+})
+_DECISION_KEYS = frozenset({
+    "delta", "alpha", "exact_threshold", "improvement_metric", "alternative",
+    "warmup_discarded",
+})
+
+
+def _exact(payload: object, keys: frozenset[str], where: str) -> dict:
+    """``payload`` itself, if it is an object holding exactly ``keys``."""
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    if payload.keys() != keys:
+        raise SchemaError(f"{where}: missing keys {sorted(keys - payload.keys())}, "
+                          f"unknown keys {sorted(payload.keys() - keys)}")
+    return payload
+
 
 def _repo_to_dict(repo: RepoDescriptor) -> dict:
     return {
@@ -149,16 +192,17 @@ def _repo_to_dict(repo: RepoDescriptor) -> dict:
 
 
 def _repo_from_dict(payload: dict) -> RepoDescriptor:
+    _exact(payload, _REPO_KEYS, "repo")
     return RepoDescriptor(
         owner=payload["owner"],
         name=payload["name"],
         stars=payload["stars"],
         primary_language=payload["primary_language"],
         default_branch=payload["default_branch"],
-        head_sha=payload.get("head_sha", ""),
-        has_root_cmake=payload.get("has_root_cmake", False),
-        has_cmake_tests=payload.get("has_cmake_tests", False),
-        head_tests_pass=HeadTestsState(payload.get("head_tests_pass", "untested")),
+        head_sha=payload["head_sha"],
+        has_root_cmake=payload["has_root_cmake"],
+        has_cmake_tests=payload["has_cmake_tests"],
+        head_tests_pass=HeadTestsState(payload["head_tests_pass"]),
     )
 
 
@@ -184,21 +228,23 @@ def _commit_to_dict(commit: CommitRecord, patch_file: str) -> dict:
 
 
 def _commit_from_dict(payload: dict) -> CommitRecord:
+    _exact(payload, _COMMIT_KEYS, "commit")
+    changes = [_exact(c, _CHANGE_KEYS, "commit.changes[]") for c in payload["changes"]]
     return CommitRecord(
         sha=payload["sha"],
         parent_sha=payload["parent_sha"],
         author_timestamp=datetime.fromisoformat(payload["author_timestamp"]),
         message=payload["message"],
-        linked_issue_text=payload.get("linked_issue_text"),
+        linked_issue_text=payload["linked_issue_text"],
         changes=tuple(
             FileChange(
                 path=c["path"],
                 change_kind=c["change_kind"],
-                old_path=c.get("old_path"),
-                lines_added=c.get("lines_added", 0),
-                lines_deleted=c.get("lines_deleted", 0),
+                old_path=c["old_path"],
+                lines_added=c["lines_added"],
+                lines_deleted=c["lines_deleted"],
             )
-            for c in payload.get("changes", ())
+            for c in changes
         ),
     )
 
@@ -220,6 +266,8 @@ def timing_to_dict(evidence: TimingEvidence) -> dict:
 
 
 def timing_from_dict(payload: dict) -> TimingEvidence:
+    _exact(payload, _TIMING_KEYS, "timing[]")
+    _exact(payload["result"], _RESULT_KEYS, "timing[].result")
     series = TimingSeries(
         test_name=payload["test_name"],
         pre_ms=tuple(payload["pre_ms"]),
@@ -234,8 +282,7 @@ def timing_from_dict(payload: dict) -> TimingEvidence:
         method=result_payload["method"],
     )
     evidence = TimingEvidence(series=series, result=result)
-    stored = payload.get("digest")
-    if stored is not None and stored != evidence.digest:
+    if payload["digest"] != evidence.digest:
         raise SchemaError(f"timing digest mismatch for test {series.test_name!r}")
     return evidence
 
@@ -273,26 +320,33 @@ def entry_from_dict(payload: dict) -> BenchmarkEntry:
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {version!r}")
-    decisions = payload.get("stats_decisions", {})
+    _exact(payload, _ENTRY_KEYS, "entry")
+    classification = _exact(payload["classification"], _CLASSIFICATION_KEYS, "classification")
+    for vote in (*classification["phase1"], classification["phase2"]):
+        if vote is not None:
+            _exact(vote, _VOTE_KEYS, "classification vote")
+    build = _exact(payload["build"], _BUILD_KEYS, "build")
+    decisions = _exact(payload["stats_decisions"], _DECISION_KEYS, "stats_decisions")
     entry = BenchmarkEntry(
         patch_id=payload["patch_id"],
         repo=_repo_from_dict(payload["repo"]),
         commit=_commit_from_dict(payload["commit"]),
-        classification=verdict_from_dict(payload["classification"]),
-        build_plan=BuildPlan.from_dict(payload["build"]["plan"]),
-        image=payload["build"]["image"],
-        runs=tuple(RunSummary.from_dict(r) for r in payload["build"].get("runs", ())),
-        timing=tuple(timing_from_dict(t) for t in payload.get("timing", ())),
+        classification=verdict_from_dict(classification),
+        build_plan=BuildPlan.from_dict(_exact(build["plan"], _PLAN_KEYS, "build.plan")),
+        image=build["image"],
+        runs=tuple(RunSummary.from_dict(_exact(r, _RUN_KEYS, "build.runs[]"))
+                   for r in build["runs"]),
+        timing=tuple(timing_from_dict(t) for t in payload["timing"]),
         stat_config=StatConfig(
-            delta=decisions.get("delta", 0.05),
-            alpha=decisions.get("alpha", 0.05),
-            exact_threshold=decisions.get("exact_threshold", 10000),
+            delta=decisions["delta"],
+            alpha=decisions["alpha"],
+            exact_threshold=decisions["exact_threshold"],
         ),
-        verified=payload.get("verified", "unreviewed"),
-        reviewer_note=payload.get("reviewer_note"),
+        verified=payload["verified"],
+        reviewer_note=payload["reviewer_note"],
         schema_version=version,
     )
-    if payload.get("has_significant_test") != entry.has_significant_test:
+    if payload["has_significant_test"] != entry.has_significant_test:
         raise SchemaError(
             f"{entry.patch_id}: stored has_significant_test contradicts timing results"
         )

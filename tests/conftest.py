@@ -174,6 +174,35 @@ def build_fixture_repo(root: Path) -> FixtureRepo:
     )
 
 
+def files_under(top: str | Path) -> dict[str, tuple[str, str]]:
+    """Every file under ``top`` as git would list it: path -> (mode, content)."""
+    import os
+
+    found = {}
+    for dirpath, dirnames, filenames in os.walk(top):
+        assert ".git" not in dirnames + filenames
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, top)
+            if os.path.islink(path):
+                found[rel] = ("120000", os.readlink(path))
+            else:
+                mode = "100755" if os.stat(path).st_mode & 0o100 else "100644"
+                with open(path, encoding="utf-8") as handle:
+                    found[rel] = (mode, handle.read())
+    return found
+
+
+def commit_files(repo: Path, sha: str) -> dict[str, tuple[str, str]]:
+    """The files of commit ``sha`` per ``git ls-tree -r``: path -> (mode, content)."""
+    found = {}
+    for line in git(repo, "ls-tree", "-r", sha).splitlines():
+        meta, path = line.split("\t", 1)
+        mode, _, blob = meta.split()
+        found[path] = (mode, git(repo, "cat-file", "blob", blob))
+    return found
+
+
 @pytest.fixture(scope="session")
 def fixture_repo(tmp_path_factory) -> FixtureRepo:
     return build_fixture_repo(tmp_path_factory.mktemp("fixture") / "fixturerepo")

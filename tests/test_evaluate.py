@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 from hypothesis import given
@@ -145,8 +146,8 @@ def test_original_and_candidate_share_one_session(mined_store, monkeypatch):
         mined_store.patch_id, "", mined_store.store_dir, runtime, write_report=False,
     )
     [root] = created
-    assert report.session_id.endswith(root.name)
-    assert not root.exists()  # closed sessions are deleted
+    assert report.session_id.endswith(os.path.basename(root))
+    assert not os.path.exists(root)  # closed sessions are deleted
 
 
 def test_runs_override_controls_sample_size(mined_store):

@@ -116,23 +116,6 @@ def test_prepare_environment_clones_both_versions(fake_runtime, fixture_repo):
     ses.close()
 
 
-def _tree_of(top: str) -> dict[str, tuple[str, str]]:
-    """Every file under ``top`` as git would list it: path -> (mode, content)."""
-    found = {}
-    for dirpath, dirnames, filenames in os.walk(top):
-        assert ".git" not in dirnames + filenames
-        for name in filenames:
-            path = os.path.join(dirpath, name)
-            rel = os.path.relpath(path, top)
-            if os.path.islink(path):
-                found[rel] = ("120000", os.readlink(path))
-            else:
-                mode = "100755" if os.stat(path).st_mode & 0o100 else "100644"
-                with open(path, encoding="utf-8") as handle:
-                    found[rel] = (mode, handle.read())
-    return found
-
-
 def test_check_out_writes_each_commit_tree_exactly(fake_runtime, tmp_path):
     # export-ignore and export-subst are what rule out `git archive`
     import conftest as fixtures
@@ -156,18 +139,86 @@ def test_check_out_writes_each_commit_tree_exactly(fake_runtime, tmp_path):
     session = fake_runtime.start_session("gcc:12")
     session.check_out(str(repo), {"/work/first": first, "/work/second": second})
     for dest, sha in (("/work/first", first), ("/work/second", second)):
-        expected = {SHA_MARKER: ("100644", sha + "\n")}
-        for line in fixtures.git(repo, "ls-tree", "-r", sha).splitlines():
-            meta, path = line.split("\t", 1)
-            mode, _, blob = meta.split()
-            expected[path] = (mode, fixtures.git(repo, "cat-file", "blob", blob))
-        assert _tree_of(session.host_path(dest)) == expected
-    assert "tests/t.cpp" in _tree_of(session.host_path("/work/first"))
-    assert os.listdir(session.root) == ["work"]  # the temporary index is gone
+        expected = {SHA_MARKER: ("100644", sha + "\n"), **fixtures.commit_files(repo, sha)}
+        assert fixtures.files_under(session.host_path(dest)) == expected
+    assert "tests/t.cpp" in fixtures.files_under(session.host_path("/work/first"))
+    assert os.listdir(session.root) == ["work"]  # the temporary indexes are gone
     session.close()
     assert (repo / ".git" / "index").read_bytes() == index
     assert fixtures.git(repo, "rev-parse", "HEAD").strip() == second
     assert fixtures.git(repo, "status", "--porcelain") == ""
+
+
+@pytest.fixture()
+def git_processes(monkeypatch):
+    """Record every ``subprocess.Popen`` made from now on, and each ``wait``."""
+    record = {"started": [], "events": []}
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, argv, *args, **kwargs):
+            super().__init__(argv, *args, **kwargs)
+            record["started"].append(self)
+            record["events"].append(("start", argv[-3]))
+
+        def wait(self, timeout=None):
+            record["events"].append(("wait", self.args[-3]))
+            return super().wait(timeout)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    return record
+
+
+def test_check_out_starts_every_tree_before_waiting_on_any(fake_runtime, fixture_repo,
+                                                           git_processes):
+    session = fake_runtime.start_session("gcc:12")
+    parent, sha = fixture_repo.perf_parent_sha, fixture_repo.perf_sha
+    session.check_out(str(fixture_repo.path), {ORIGINAL_DIR: parent, PATCHED_DIR: sha})
+    events = git_processes["events"]
+    assert events[:2] == [("start", parent), ("start", sha)]
+    assert sorted(events[2:]) == [("wait", parent), ("wait", sha)]
+    assert session.read_file(f"{PATCHED_DIR}/{SHA_MARKER}") == sha + "\n"
+    session.close()
+
+
+def test_a_failed_checkout_names_its_sha_and_reaps_every_process(fake_runtime, fixture_repo,
+                                                                 git_processes):
+    bad = "0123456789" * 4
+    session = fake_runtime.start_session("gcc:12")
+    with pytest.raises(GitError, match=bad):
+        session.check_out(str(fixture_repo.path),
+                          {ORIGINAL_DIR: fixture_repo.perf_parent_sha, PATCHED_DIR: bad})
+    assert len(git_processes["started"]) == 2
+    assert all(proc.returncode is not None for proc in git_processes["started"])
+    assert os.listdir(session.root) == ["work"]  # no checkout-*.index left
+    assert not session.path_exists(f"{ORIGINAL_DIR}/{SHA_MARKER}")  # no marker either
+    session.close()
+
+    with pytest.raises(GitError, match=bad):
+        prepare_environment(make_commit(bad, fixture_repo.perf_parent_sha), make_repo(),
+                            fake_runtime, source=str(fixture_repo.path))
+    assert os.listdir(os.path.join(fake_runtime.state_dir, "sessions")) == []
+
+
+def test_a_checkout_that_cannot_start_still_reaps_the_one_that_did(fake_runtime, fixture_repo,
+                                                                   monkeypatch):
+    started = []
+
+    class SecondStartFails(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            if started:
+                raise OSError("no more processes")
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", SecondStartFails)
+    session = fake_runtime.start_session("gcc:12")
+    with pytest.raises(OSError, match="no more processes"):
+        session.check_out(str(fixture_repo.path), {ORIGINAL_DIR: fixture_repo.perf_parent_sha,
+                                                   PATCHED_DIR: fixture_repo.perf_sha})
+    [first] = started
+    assert first.returncode is not None
+    assert os.listdir(session.root) == ["work"]
+    session.close()
 
 
 def test_prepare_environment_rejects_parentless_commit(fixture_repo, tmp_path):
@@ -418,22 +469,62 @@ def disqualified_outcome():
 
 
 def test_snapshot_naming_and_replacement(fake_runtime, fixture_repo):
+    entry_id = f"acme__fixture__{fixture_repo.perf_sha}"
+    outcomes = [qualified_outcome("original"), qualified_outcome("patched")]
+    tags = []
+    for marker in ("first snapshot", "second snapshot"):
+        # a snapshot ends its session, so replacing an image takes a new one
+        session = prepared_session(
+            fake_runtime, fixture_repo, fixture_repo.perf_sha, fixture_repo.perf_parent_sha
+        )
+        build_both(session)
+        session.write_file("/work/logs/marker.txt", marker)
+        tags.append(snapshot_image(session, entry_id, fake_runtime, outcomes))
+        session.close()
+    tag = image_tag(entry_id)
+    assert tags == [tag, tag] and tag == f"perfmine/{entry_id}"
+    assert fake_runtime.has_image(tag)
+    # replace: exactly one image under that tag, the second session's
+    assert os.listdir(os.path.join(fake_runtime.state_dir, "images")) == [
+        tag.replace("/", "_")
+    ]
+    reopened = fake_runtime.open_image(tag)
+    assert reopened.read_file("/work/logs/marker.txt") == "second snapshot"
+    assert reopened.path_exists(f"{PATCHED_DIR}/src/compute.cpp")
+    reopened.close()
+
+
+def test_a_snapshotted_session_refuses_every_call_but_close(fake_runtime, fixture_repo):
     session = prepared_session(
         fake_runtime, fixture_repo, fixture_repo.perf_sha, fixture_repo.perf_parent_sha
     )
     build_both(session)
-    entry_id = f"acme__fixture__{fixture_repo.perf_sha}"
-    outcomes = [qualified_outcome("original"), qualified_outcome("patched")]
-    tag = snapshot_image(session, entry_id, fake_runtime, outcomes)
-    assert tag == f"perfmine/{entry_id}" == image_tag(entry_id)
-    assert fake_runtime.has_image(tag)
-
-    # replace: second snapshot still yields exactly one image under that tag
-    session.write_file("/work/logs/marker.txt", "second snapshot")
-    tag2 = snapshot_image(session, entry_id, fake_runtime, outcomes)
-    assert tag2 == tag
+    tag = fake_runtime.snapshot(session, "perfmine/spent")
+    calls = {
+        "read_file": lambda: session.read_file(f"{ORIGINAL_DIR}/{SHA_MARKER}"),
+        "write_file": lambda: session.write_file("/work/logs/marker.txt", "too late"),
+        "path_exists": lambda: session.path_exists(ORIGINAL_DIR),
+        "copy_tree": lambda: session.copy_tree(ORIGINAL_DIR, "/work/candidate"),
+        "check_out": lambda: session.check_out(
+            str(fixture_repo.path), {"/work/again": fixture_repo.perf_sha}
+        ),
+        "configure_and_build": lambda: session.configure_and_build(
+            ORIGINAL_DIR, f"{ORIGINAL_DIR}-build", ()
+        ),
+        "apply_patch": lambda: session.apply_patch(ORIGINAL_DIR, "--- a/x\n+++ b/x\n"),
+    }
+    for call in calls.values():
+        with pytest.raises(ContractViolation, match="snapshotted"):
+            call()
+    with pytest.raises(ContractViolation):
+        fake_runtime.snapshot(session, "perfmine/spent-again")
+    assert os.listdir(session.root) == []  # no call re-created /work
+    assert not fake_runtime.has_image("perfmine/spent-again")
+    session.close()
+    assert not os.path.exists(session.root)
     reopened = fake_runtime.open_image(tag)
-    assert reopened.read_file("/work/logs/marker.txt") == "second snapshot"
+    assert reopened.path_exists(f"{ORIGINAL_DIR}/src/compute.cpp")
+    assert not reopened.path_exists("/work/logs/marker.txt")
     reopened.close()
 
 
@@ -524,12 +615,12 @@ def test_closing_a_session_deletes_it_but_not_its_snapshot(fake_runtime, fixture
     build_both(session)
     tag = fake_runtime.snapshot(session, "perfmine/closed")
     session.close()
-    assert not session.root.exists()
+    assert not os.path.exists(session.root)
     assert list((fake_runtime.state_dir / "sessions").iterdir()) == []
     reopened = fake_runtime.open_image(tag)
     assert reopened.path_exists(f"{ORIGINAL_DIR}/src/compute.cpp")
     reopened.close()
-    assert not reopened.root.exists()
+    assert not os.path.exists(reopened.root)
 
 
 def test_session_and_image_paths_skip_pathlib_interning(fake_runtime, fixture_repo,
@@ -547,8 +638,11 @@ def test_session_and_image_paths_skip_pathlib_interning(fake_runtime, fixture_re
     session.run_suite(f"{ORIGINAL_DIR}-build")
     tag = fake_runtime.snapshot(session, "perfmine/interned")
     session.close()
-    fake_runtime.open_image(tag).close()
+    reopened = fake_runtime.open_image(tag)
+    reopened.close()
     assert not {"original-build", "patched-build", "perfmine_interned"} & set(interned)
+    session_names = {os.path.basename(s.root) for s in (session, reopened)}
+    assert not session_names & set(interned)
 
 
 def test_fake_session_apply_patch_conflict(fake_runtime, fixture_repo):

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from conftest import COMPUTE_FAST, build_fixture_repo, commit_all, git
+from conftest import (
+    COMPUTE_FAST,
+    build_fixture_repo,
+    commit_all,
+    commit_files,
+    files_under,
+    git,
+)
 
 from perfmine.backends import StubBackend
 from perfmine.classifier import BackendConfig
@@ -110,6 +118,24 @@ def test_images_hold_no_git_directory(mined_store):
     images = mined_store.store_dir / "fake-runtime" / "images"
     assert list(images.iterdir())
     assert not list(images.rglob(".git"))
+
+
+def test_an_image_holds_both_commits_their_markers_and_the_logs(mined_store):
+    fixture = mined_store.fixture
+    entry = read_entry(mined_store.store_dir, mined_store.patch_id)
+    work = os.path.join(mined_store.runtime._image_dir(entry.image), "work")
+    expected = {}
+    for tree, sha in (("original", fixture.perf_parent_sha), ("patched", fixture.perf_sha)):
+        expected[f"{tree}/.perfmine-sha"] = ("100644", sha + "\n")
+        for path, blob in commit_files(fixture.path, sha).items():
+            expected[f"{tree}/{path}"] = blob
+    host_logs = mined_store.store_dir / "logs" / mined_store.patch_id
+    for log in sorted(host_logs.iterdir()):
+        expected[f"logs/{log.name}"] = ("100644", log.read_text(encoding="utf-8"))
+    assert files_under(work) == expected
+    # the fake build directories hold nothing
+    assert sorted(os.listdir(work)) == ["logs", "original", "original-build",
+                                        "patched", "patched-build"]
 
 
 def test_image_snapshot_is_reopenable(mined_store):
@@ -246,6 +272,25 @@ def test_mining_leaves_the_operators_clone_alone(tmp_path):
         "status": git(fixture.path, "status", "--porcelain", "--ignored"),
     } == before
     assert not (tmp_path / "hook-ran").exists()
+
+
+def test_mining_leaves_no_child_process_behind(fixture_repo, tmp_path):
+    def reap_exited():
+        while True:
+            try:
+                if os.waitpid(-1, os.WNOHANG)[0] == 0:
+                    return
+            except ChildProcessError:
+                return
+
+    reap_exited()  # whatever earlier tests left is not this mine's
+    runtime = FakeRuntime(state_dir=tmp_path / "out" / "fake-runtime")
+    repo = local_descriptor(fixture_repo.path, "local", "fixturerepo")
+    assert gate_with_runtime(repo, fixture_repo.path, runtime).passes_gate
+    result, _ = _mine_with(fixture_repo, tmp_path / "out", runtime=runtime)
+    assert result.funnel.stored == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_negative_classification_stops_the_funnel(fixture_repo, tmp_path):

@@ -115,6 +115,42 @@ def test_tampered_timing_digest_rejected(store):
         read_entry(store, entry.patch_id)
 
 
+@pytest.mark.parametrize("edit", [
+    "+comment",
+    "stats_decisions +tails",
+    "-stats_decisions",
+    "build -runs",
+    "-timing",
+    "-verified",
+    "-reviewer_note",
+    "repo -head_sha",
+    "commit.changes.0 +mode",
+    "classification.phase1.0 +latency_ms",
+    "build.plan -repair_rounds_used",
+    "build.runs.0 -suite_wall_times_ms",
+    "timing.0 -digest",
+    "timing.0.result +effect_size",
+])
+def test_unknown_or_missing_keys_rejected(store, edit):
+    # "<level> +key" adds a key at that level of the manifest, "-key" drops one
+    entry = make_entry(multi_file=True)
+    path = write_entry(entry, store, diff_text=DIFF_TEXT)
+    payload = json.loads(path.read_text())
+    *level, change = edit.split()
+    target = payload
+    for step in level[0].split(".") if level else ():
+        target = target[int(step) if step.isdigit() else step]
+    if change[0] == "+":
+        target[change[1:]] = 1
+    else:
+        del target[change[1:]]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError):
+        read_entry(store, entry.patch_id)
+    [(bad_path, _)] = query(store).errors
+    assert bad_path == str(path)
+
+
 def test_entry_dict_round_trip():
     entry = make_entry(multi_file=True, significant=False)
     assert entry_from_dict(entry_to_dict(entry)) == entry
