@@ -322,7 +322,8 @@ def cmd_evaluate(args) -> int:
     patch_file = Path(args.patch_file)
     if not patch_file.is_file():
         raise ConfigError(f"patch file does not exist: {patch_file}")
-    diff_text = patch_file.read_text(encoding="utf-8")
+    with open(patch_file, encoding="utf-8", newline="") as handle:  # keep CRLF lines
+        diff_text = handle.read()
     runtime = _make_runtime(args, store_dir)
     report = evaluate(args.patch_id, diff_text, store_dir, runtime, runs=args.runs)
     for evidence in report.timing:

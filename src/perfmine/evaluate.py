@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EvaluationError, RuntimeUnavailableError
-from .orchestrator import DEFAULT_RUNS, ORIGINAL_DIR, RunOutcome, run_tests_repeatedly
-from .runtime import ContainerRuntime, WORK_ROOT
+from .orchestrator import DEFAULT_RUNS, RunOutcome, run_tests_repeatedly
+from .runtime import ContainerRuntime, ORIGINAL_DIR, WORK_ROOT
 from .stats import StatConfig, TimingSeries, judge
 from .store import (
     BenchmarkEntry,

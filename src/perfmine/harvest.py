@@ -190,11 +190,17 @@ def apply_structural_filter(commit: CommitRecord, config: HarvestConfig) -> Filt
 
 
 def run_git(repo: Path | str, *args: str, check: bool = True) -> str:
+    """Git's stdout decoded as UTF-8, with no newline translation.
+
+    Text mode would turn every ``\r\n`` into ``\n``, and the diff of a
+    commit that edits a CRLF file would then no longer apply to its parent.
+    """
     cmd = ["git", "-C", str(repo), *args]
-    proc = subprocess.run(cmd, capture_output=True, text=True, errors="replace")
+    proc = subprocess.run(cmd, capture_output=True)
     if check and proc.returncode != 0:
-        raise GitError(f"{' '.join(cmd)} failed ({proc.returncode}): {proc.stderr.strip()}")
-    return proc.stdout
+        detail = proc.stderr.decode("utf-8", errors="replace").strip()
+        raise GitError(f"{' '.join(cmd)} failed ({proc.returncode}): {detail}")
+    return proc.stdout.decode("utf-8", errors="replace")
 
 
 # Porcelain `git log` reads these from user config where the diff-tree

@@ -4,8 +4,11 @@ Given a structurally accepted, positively classified commit, this module
 prepares a container holding the parent ("original") and commit
 ("patched") trees, checked out from one object source with no ``.git``,
 builds both with dependency repair, times the test suite repeatedly with
-a warm-up discard, and snapshots qualified results as a reusable image
-of the two trees, their ``SHA_MARKER`` files and the logs.
+a warm-up discard, and snapshots qualified results as a reusable image.
+The image keeps only the original tree and its ``SHA_MARKER``: it is the
+starting point of the task, and the patched tree, its answer, is kept
+outside as the store's patch file. Build directories and logs are not
+kept either.
 
 Dependency repair is two-layered: a shipped table of known error
 signatures mapped to packages, then (when the table is silent) a model
@@ -32,6 +35,7 @@ from .runtime import (
     BuildResult,
     ContainerRuntime,
     ContainerSession,
+    ORIGINAL_DIR,
     SHA_MARKER,
     WORK_ROOT,
 )
@@ -40,7 +44,6 @@ log = logging.getLogger("perfmine")
 
 DEFAULT_RUNS = 31
 DEFAULT_MAX_REPAIR_ROUNDS = 3
-ORIGINAL_DIR = f"{WORK_ROOT}/original"
 PATCHED_DIR = f"{WORK_ROOT}/patched"
 
 # Pinned toolchain images by declared C++ standard; the last entry doubles
@@ -370,13 +373,14 @@ def snapshot_image(
     runtime: ContainerRuntime,
     outcomes: Sequence[RunOutcome],
 ) -> str:
-    """Commit the session to the image perfmine/<entry_id>.
+    """Commit the session's original tree to the image perfmine/<entry_id>.
 
     Requires every supplied outcome to be qualified; snapshotting a
     disqualified version would publish an image whose timings the
     benchmark could never trust. The snapshot ends the session: close()
     is the only call left on it. Re-snapshotting the same entry_id takes
-    a newly prepared session and replaces the old image.
+    a newly prepared session and replaces the old image once the new one
+    is stored; a snapshot that fails leaves the old image in place.
     """
     if not outcomes:
         raise ContractViolation("snapshot requires at least one run outcome")
@@ -385,10 +389,7 @@ def snapshot_image(
             raise ContractViolation(
                 f"cannot snapshot: version {outcome.version} is disqualified"
             )
-    tag = image_tag(entry_id)
-    if runtime.has_image(tag):
-        runtime.remove_image(tag)
-    return runtime.snapshot(session, tag)
+    return runtime.snapshot(session, image_tag(entry_id))
 
 
 def image_tag(entry_id: str) -> str:

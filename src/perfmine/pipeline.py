@@ -3,8 +3,8 @@
 One public entry point per concern: ``gate_with_runtime`` builds the
 head-version tester used by repository gating, ``mine_repository`` walks
 one gated repository's history and stores every commit that survives
-filtering, classification, building, and timing, and ``MineResult``
-carries the funnel counts the CLI reports.
+filtering, classification and building and makes some test measurably
+faster, and ``MineResult`` carries the funnel counts the CLI reports.
 
 Failures of individual commits are recorded and skipped; only
 configuration, credential, or runtime-reachability problems abort a run.
@@ -42,7 +42,6 @@ from .harvest import (
 from .orchestrator import (
     BuildPlan,
     DEFAULT_RUNS,
-    ORIGINAL_DIR,
     PATCHED_DIR,
     RunOutcome,
     build_with_repair,
@@ -51,7 +50,7 @@ from .orchestrator import (
     select_base_image,
     snapshot_image,
 )
-from .runtime import ContainerRuntime
+from .runtime import ContainerRuntime, ORIGINAL_DIR
 # ``judge`` stays importable from this module: minebench/tracing.py looks it up here.
 from .stats import StatConfig, judge  # noqa: F401
 from .store import (
@@ -269,9 +268,13 @@ def _build_measure_store(
         if not timing:
             result.skip(commit.sha, "no common tests between versions")
             return
+        # the store holds only commits its one claim is true of
+        if not any(t.result.significant for t in timing):
+            result.skip(commit.sha, "no test measurably faster")
+            return
 
         patch_id = make_patch_id(repo.owner, repo.name, commit.sha)
-        _persist_logs(session, out_dir, patch_id, build_logs, outcomes)
+        _persist_logs(out_dir, patch_id, build_logs, outcomes)
         image = snapshot_image(session, patch_id, runtime, list(outcomes.values()))
 
         entry = BenchmarkEntry(
@@ -301,8 +304,11 @@ def _summarize(outcome: RunOutcome) -> RunSummary:
     )
 
 
-def _persist_logs(session, out_dir: Path, patch_id: str, build_logs: dict, outcomes: dict):
-    """Freeze logs into the container (snapshotted) and mirror them to the host."""
+def _persist_logs(out_dir: Path, patch_id: str, build_logs: dict, outcomes: dict):
+    """Write both build logs and every run's record to ``<out_dir>/logs/<patch_id>/``.
+
+    This is their only copy: the image holds the original tree alone.
+    """
     # str paths, as in runtime._HostFsSession: a Path would intern the patch id
     host_dir = os.path.join(out_dir, "logs", patch_id)
     os.makedirs(host_dir, exist_ok=True)
@@ -313,6 +319,5 @@ def _persist_logs(session, out_dir: Path, patch_id: str, build_logs: dict, outco
     files = {f"build-{version}.log": text for version, text in build_logs.items()}
     files["runs.json"] = runs_payload
     for name, text in files.items():
-        session.write_file(f"/work/logs/{name}", text)
         with open(os.path.join(host_dir, name), "w", encoding="utf-8") as handle:
             handle.write(text)

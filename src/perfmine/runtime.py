@@ -13,14 +13,22 @@ Such a tree may sit inside another git work tree, so ``git apply`` stops
 its search for a repository at the tree's parent; otherwise it would
 take the enclosing repository for the tree's own and apply nothing.
 
+An image holds ``ORIGINAL_DIR`` (the parent's tree and its marker) and
+nothing else from ``/work``: no other tree, no build directory, no log.
+The commit under study is the answer to the task the image poses, so it
+stays outside, in the store's ``patches/``; every build directory is
+remade by the next ``configure_and_build``. A snapshot replaces an
+image of the same tag only once the new one is complete, so a snapshot
+that fails leaves the stored image as it was.
+
 Implementations:
 
 * ``DockerCliRuntime`` drives a real daemon through the ``docker``
   executable. The process runner is injectable so unit tests can replay
   canned transcripts without a daemon.
 * ``LocalProcessRuntime`` runs cmake and ctest directly on the host with
-  a directory standing in for the container. Snapshots are directory
-  copies. Package installation is unsupported by design.
+  a directory standing in for the container. Package installation is
+  unsupported by design.
 * ``FakeRuntime`` is a deterministic in-process double. Checkouts are
   real git operations, but builds always succeed and test timings come
   from declarations planted in the source tree (see ``fake-timing``
@@ -28,11 +36,11 @@ Implementations:
 
 The local and fake runtimes keep each session in a directory of its own
 and delete it when the session closes. A snapshot moves the session's
-``/work`` into the image with one rename and so ends the session: every
-later call but ``close()`` raises ``ContractViolation``. Reopening an
-image copies it, so images outlive every session opened from them. The
-trees of one ``check_out`` are written by one git process each, all
-running at once.
+``ORIGINAL_DIR`` into the image with one rename and so ends the session:
+every later call but ``close()`` raises ``ContractViolation``, and
+``close()`` deletes the rest of ``/work``. Reopening an image copies
+it, so images outlive every session opened from them. The trees of one
+``check_out`` are written by one git process each, all running at once.
 
 Fake timing declarations are comment lines inside any source file:
 
@@ -66,6 +74,7 @@ from typing import NamedTuple, Protocol
 from .errors import ContractViolation, GitError, RuntimeUnavailableError
 
 WORK_ROOT = "/work"
+ORIGINAL_DIR = f"{WORK_ROOT}/original"  # the one tree an image keeps
 SHA_MARKER = ".perfmine-sha"
 FAKE_TIMING_RE = re.compile(
     r"//\s*fake-timing:\s*(?P<name>\S+)\s+base_ms=(?P<base>[0-9.]+)"
@@ -158,16 +167,16 @@ class ContainerRuntime(Protocol):
     ) -> ContainerSession: ...
 
     def snapshot(self, session: ContainerSession, tag: str) -> str:
-        """Store the session's ``/work`` as image ``tag``.
+        """Store the session's ``ORIGINAL_DIR``, and nothing else, as image ``tag``.
 
-        After ``snapshot`` the only defined call on the session is
-        ``close()``; to snapshot again, prepare a new session.
+        An image already stored under ``tag`` is replaced only once the
+        new one is complete. After ``snapshot`` the only defined call on
+        the session is ``close()``; to snapshot again, prepare a new
+        session.
         """
         ...
 
     def has_image(self, tag: str) -> bool: ...
-
-    def remove_image(self, tag: str) -> None: ...
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +244,7 @@ class DockerCliRuntime:
             )
         container_id = result.stdout.strip()
         session = DockerSession(self, container_id)
-        session.exec(["mkdir", "-p", WORK_ROOT, f"{WORK_ROOT}/logs"])
+        session.exec(["mkdir", "-p", WORK_ROOT])
         return session
 
     def open_image(
@@ -244,17 +253,24 @@ class DockerCliRuntime:
         return self.start_session(tag, cpus=cpus, memory=memory)
 
     def snapshot(self, session: "DockerSession", tag: str) -> str:
+        inspect = [self.docker_bin, "image", "inspect", "--format", "{{.Id}}", tag]
+        old = self._run(inspect, None, 60.0)
+        superseded = old.stdout.strip() if old.returncode == 0 else ""
+        prune = session.exec(["find", WORK_ROOT, "-mindepth", "1", "-maxdepth", "1",
+                              "!", "-path", ORIGINAL_DIR, "-exec", "rm", "-rf", "{}", "+"])
+        if prune.returncode != 0:
+            raise RuntimeUnavailableError(f"pruning {WORK_ROOT} failed: {prune.stderr.strip()}")
         result = self._run([self.docker_bin, "commit", session.session_id, tag], None, 600.0)
         if result.returncode != 0:
             raise RuntimeUnavailableError(f"docker commit failed: {result.stderr.strip()}")
+        if superseded:
+            # the tag has moved on; a dangling old image is a leak, not a fault
+            self._run([self.docker_bin, "rmi", superseded], None, 120.0)
         return tag
 
     def has_image(self, tag: str) -> bool:
         result = self._run([self.docker_bin, "image", "inspect", tag], None, 60.0)
         return result.returncode == 0
-
-    def remove_image(self, tag: str) -> None:
-        self._run([self.docker_bin, "rmi", "-f", tag], None, 120.0)
 
 
 _CTEST_LINE = re.compile(
@@ -416,8 +432,8 @@ class _HostFsSession:
     def __init__(self, root: str, session_id: str) -> None:
         self.root = root
         self.session_id = session_id
-        self.snapshotted = False  # set by the snapshot, which takes /work away
-        os.makedirs(os.path.join(root, "work", "logs"), exist_ok=True)
+        self.snapshotted = False  # set by the snapshot, which takes the original away
+        os.makedirs(os.path.join(root, "work"), exist_ok=True)
 
     def host_path(self, path: str) -> str:
         if self.snapshotted:
@@ -506,20 +522,23 @@ class _HostFsRuntimeBase:
     def has_image(self, tag: str) -> bool:
         return os.path.isfile(os.path.join(self._image_dir(tag), "meta.json"))
 
-    def remove_image(self, tag: str) -> None:
-        shutil.rmtree(self._image_dir(tag), ignore_errors=True)
-
     def _store_snapshot(self, session: _HostFsSession, tag: str, meta: dict) -> str:
-        work = session.host_path(WORK_ROOT)  # refuses a session already snapshotted
-        image_dir = self._image_dir(tag)
-        if os.path.exists(image_dir):
-            shutil.rmtree(image_dir)
-        os.makedirs(image_dir)
-        # sessions/ and images/ share the state directory, so this is a rename
-        os.rename(work, os.path.join(image_dir, "work"))
+        original = session.host_path(ORIGINAL_DIR)  # refuses a session already snapshotted
+        # the image is assembled inside the session root, which close() deletes,
+        # and moved into images/ only when complete; sessions/ and images/ share
+        # the state directory, so every move is a rename
+        staged = os.path.join(session.root, "image")
+        os.makedirs(os.path.join(staged, "work"))
+        os.rename(original, os.path.join(staged, "work", "original"))
         session.snapshotted = True
-        meta_text = json.dumps({"tag": tag, **meta}, indent=2)
-        _write_text(os.path.join(image_dir, "meta.json"), meta_text)
+        _write_text(os.path.join(staged, "meta.json"), json.dumps({"tag": tag, **meta}, indent=2))
+        image_dir = self._image_dir(tag)
+        os.makedirs(os.path.dirname(image_dir), exist_ok=True)
+        superseded = os.path.join(session.root, "superseded")
+        if os.path.exists(image_dir):
+            os.rename(image_dir, superseded)
+        os.rename(staged, image_dir)
+        shutil.rmtree(superseded, ignore_errors=True)
         return tag
 
     def _seed_from_image(self, tag: str, root: str) -> dict:

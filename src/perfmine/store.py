@@ -414,7 +414,8 @@ def read_ground_truth_diff(store_dir: str | Path, patch_id: str) -> str:
     target = patch_path(store_dir, patch_id)
     if not target.is_file():
         raise StoreError(f"no patch file for {patch_id!r} under {store_dir}")
-    return target.read_text(encoding="utf-8")
+    with open(target, encoding="utf-8", newline="") as handle:  # keep CRLF lines
+        return handle.read()
 
 
 @dataclass(frozen=True)

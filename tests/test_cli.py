@@ -170,6 +170,62 @@ def test_mine_a_shallow_clone_that_covers_the_window(fixture_repo, tmp_path, cap
     assert "error: shallow clone starts at" in capsys.readouterr().err
 
 
+def _mine_new_commits(fixture_repo, tmp_path, sources: list[bytes]):
+    """Clone the fixture, commit each ``src/compute.cpp`` in turn, mine the last.
+
+    The window starts after the fixture's own in-window commits, so only
+    the new commits and the 2024-01-05 docs commit are scanned.
+    """
+    clone = tmp_path / "clone"
+    git(tmp_path, "clone", "-q", f"file://{fixture_repo.path}", str(clone))
+    shas = []
+    for day, source in enumerate(sources, start=1):
+        (clone / "src" / "compute.cpp").write_bytes(source)
+        shas.append(commit_all(clone, f"Rework compute {day}", f"2024-02-0{day}T00:00:00 +0000"))
+    script = tmp_path / "stub.json"
+    script.write_text(json.dumps({shas[-1]: "Yes"}), encoding="utf-8")
+    store = tmp_path / "store"
+    code, stdout = run_cli(
+        "mine", "--local-repo", str(clone), "--name", "fixturerepo", "--out", str(store),
+        "--since", "2024-01-01T00:00:00Z", "--fake-runtime", "--stub-backends", str(script),
+    )
+    assert code == EXIT_OK
+    return clone, store, shas, stdout
+
+
+def test_mine_skips_a_commit_with_no_faster_test(fixture_repo, tmp_path):
+    # a positive classification, a clean build and passing tests, but every
+    # timing is unchanged: nothing is stored, logged or snapshotted
+    unchanged = COMPUTE_FAST.replace("long compute", "// same speed\nlong compute", 1)
+    _, store, [sha], stdout = _mine_new_commits(fixture_repo, tmp_path, [unchanged.encode()])
+    assert _funnel(stdout)["built"] == 1 and _funnel(stdout)["stored"] == 0
+    assert f"skipped {sha[:10]}: no test measurably faster" in _lines(stdout, "skipped ")
+    assert _lines(stdout, "stored ") == []
+    patch_id = f"local__fixturerepo__{sha}"
+    for path in (f"entries/{patch_id}.json", f"patches/{patch_id}.patch", f"logs/{patch_id}"):
+        assert not (store / path).exists()
+    images = store / "fake-runtime" / "images"
+    assert not images.exists() or list(images.iterdir()) == []
+
+
+def test_a_crlf_commit_stores_a_patch_that_applies(fixture_repo, tmp_path):
+    crlf = COMPUTE_FAST.replace("\n", "\r\n")
+    clone, store, [parent, sha], _ = _mine_new_commits(
+        fixture_repo, tmp_path, [crlf.encode(), crlf.replace("base_ms=100", "base_ms=60").encode()]
+    )
+    patch_id = f"local__fixturerepo__{sha}"
+    patch = store / "patches" / f"{patch_id}.patch"
+    assert b"base_ms=60 step_ms=0.01\r\n" in patch.read_bytes()
+    git(clone, "checkout", "-q", parent)
+    git(clone, "apply", "--check", str(patch))
+    code, stdout = run_cli(
+        "evaluate", "--store", str(store), "--patch-id", patch_id,
+        "--patch-file", str(patch), "--fake-runtime",
+    )
+    assert code == EXIT_OK
+    assert "verdict: improves" in stdout
+
+
 @pytest.mark.parametrize(
     "content", [None, "{not json", "[1, 2]"], ids=["missing", "malformed", "not-an-object"]
 )

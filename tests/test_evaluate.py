@@ -200,14 +200,16 @@ def test_missing_image_is_unavailable(mined_store, tmp_path):
 
 
 def test_preexisting_candidate_dir_is_rejected(mined_store):
+    # a snapshot keeps only /work/original, so plant the candidate directly
+    # in a copy of the image's files
+    import shutil
+
     entry = read_entry(mined_store.store_dir, mined_store.patch_id)
-    session = mined_store.runtime.open_image(entry.image)
+    tag = "perfmine/poisoned"
+    image_dir = mined_store.runtime._image_dir(tag)
+    shutil.copytree(mined_store.runtime._image_dir(entry.image), image_dir)
     try:
-        session.write_file("/work/candidate/marker.txt", "already here\n")
-        tag = mined_store.runtime.snapshot(session, "perfmine/poisoned")
-    finally:
-        session.close()
-    try:
+        os.makedirs(os.path.join(image_dir, "work", "candidate"))
         poisoned = json.loads(
             (mined_store.store_dir / "entries" / f"{mined_store.patch_id}.json").read_text(
                 encoding="utf-8"
@@ -218,7 +220,7 @@ def test_preexisting_candidate_dir_is_rejected(mined_store):
         with pytest.raises(EvaluationError, match="already exists"):
             _evaluate_raw_entry(mined_store, poisoned)
     finally:
-        mined_store.runtime.remove_image("perfmine/poisoned")
+        shutil.rmtree(image_dir)
 
 
 def _evaluate_raw_entry(mined_store, payload):

@@ -132,7 +132,7 @@ def test_real_build_measure_and_snapshot(timing_repo, tmp_path):
     reopened = runtime.open_image(tag)
     try:
         assert reopened.path_exists(ORIGINAL_DIR)
-        assert reopened.path_exists(PATCHED_DIR)
+        assert not reopened.path_exists(PATCHED_DIR)
         rebuilt = reopened.configure_and_build(ORIGINAL_DIR, f"{ORIGINAL_DIR}-build", ())
         assert rebuilt.ok
         suite = reopened.run_suite(f"{ORIGINAL_DIR}-build")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -35,6 +36,7 @@ from perfmine.runtime import (
     TestRun,
     scan_fake_timings,
 )
+from perfmine.store import read_entry, read_ground_truth_diff
 
 UTC = timezone.utc
 
@@ -478,7 +480,7 @@ def test_snapshot_naming_and_replacement(fake_runtime, fixture_repo):
             fake_runtime, fixture_repo, fixture_repo.perf_sha, fixture_repo.perf_parent_sha
         )
         build_both(session)
-        session.write_file("/work/logs/marker.txt", marker)
+        session.write_file(f"{ORIGINAL_DIR}/marker.txt", marker)
         tags.append(snapshot_image(session, entry_id, fake_runtime, outcomes))
         session.close()
     tag = image_tag(entry_id)
@@ -489,8 +491,24 @@ def test_snapshot_naming_and_replacement(fake_runtime, fixture_repo):
         tag.replace("/", "_")
     ]
     reopened = fake_runtime.open_image(tag)
-    assert reopened.read_file("/work/logs/marker.txt") == "second snapshot"
-    assert reopened.path_exists(f"{PATCHED_DIR}/src/compute.cpp")
+    assert reopened.read_file(f"{ORIGINAL_DIR}/marker.txt") == "second snapshot"
+    assert not reopened.path_exists(PATCHED_DIR)
+    reopened.close()
+
+
+def test_a_failed_snapshot_keeps_the_stored_image(fake_runtime, fixture_repo):
+    outcomes = [qualified_outcome("original"), qualified_outcome("patched")]
+    session = prepared_session(
+        fake_runtime, fixture_repo, fixture_repo.perf_sha, fixture_repo.perf_parent_sha
+    )
+    session.write_file(f"{ORIGINAL_DIR}/marker.txt", "stored")
+    tag = snapshot_image(session, "kept", fake_runtime, outcomes)
+    with pytest.raises(ContractViolation):  # the spent session cannot snapshot again
+        snapshot_image(session, "kept", fake_runtime, outcomes)
+    session.close()
+    assert fake_runtime.has_image(tag)
+    reopened = fake_runtime.open_image(tag)
+    assert reopened.read_file(f"{ORIGINAL_DIR}/marker.txt") == "stored"
     reopened.close()
 
 
@@ -500,9 +518,13 @@ def test_a_snapshotted_session_refuses_every_call_but_close(fake_runtime, fixtur
     )
     build_both(session)
     tag = fake_runtime.snapshot(session, "perfmine/spent")
+    # the snapshot took the original; the rest waits for close()
+    work = os.path.join(session.root, "work")
+    left = ["original-build", "patched", "patched-build"]
+    assert sorted(os.listdir(work)) == left
     calls = {
         "read_file": lambda: session.read_file(f"{ORIGINAL_DIR}/{SHA_MARKER}"),
-        "write_file": lambda: session.write_file("/work/logs/marker.txt", "too late"),
+        "write_file": lambda: session.write_file(f"{ORIGINAL_DIR}/marker.txt", "too late"),
         "path_exists": lambda: session.path_exists(ORIGINAL_DIR),
         "copy_tree": lambda: session.copy_tree(ORIGINAL_DIR, "/work/candidate"),
         "check_out": lambda: session.check_out(
@@ -518,13 +540,13 @@ def test_a_snapshotted_session_refuses_every_call_but_close(fake_runtime, fixtur
             call()
     with pytest.raises(ContractViolation):
         fake_runtime.snapshot(session, "perfmine/spent-again")
-    assert os.listdir(session.root) == []  # no call re-created /work
+    assert sorted(os.listdir(work)) == left  # no call re-created the original
     assert not fake_runtime.has_image("perfmine/spent-again")
     session.close()
     assert not os.path.exists(session.root)
     reopened = fake_runtime.open_image(tag)
     assert reopened.path_exists(f"{ORIGINAL_DIR}/src/compute.cpp")
-    assert not reopened.path_exists("/work/logs/marker.txt")
+    assert not reopened.path_exists(f"{ORIGINAL_DIR}/marker.txt")
     reopened.close()
 
 
@@ -536,22 +558,24 @@ def test_snapshot_disqualified_version_rejected(fake_runtime, fixture_repo):
         snapshot_image(session, "x", fake_runtime, [qualified_outcome(), disqualified_outcome()])
 
 
-def test_snapshot_replay_reproduces_records(fake_runtime, fixture_repo):
-    session = prepared_session(
-        fake_runtime, fixture_repo, fixture_repo.perf_sha, fixture_repo.perf_parent_sha
-    )
-    build_both(session)
-    first = run_tests_repeatedly(session, PATCHED_DIR, runs=5, version="patched")
-    tag = snapshot_image(
-        session, "replay-entry", fake_runtime, [qualified_outcome("original"), first]
-    )
-
-    replayed = fake_runtime.open_image(tag)
-    attempt = build_with_repair(replayed, PATCHED_DIR, make_plan(), repair_table=[])
-    assert attempt.build_ok
-    second = run_tests_repeatedly(replayed, PATCHED_DIR, runs=5, version="patched")
-    assert [t.passed for t in second.tests] == [t.passed for t in first.tests]
-    assert [t.wall_times_ms for t in second.tests] == [t.wall_times_ms for t in first.tests]
+def test_snapshot_replay_reproduces_records(mined_store):
+    # the image holds the original alone; the stored patch remakes the
+    # patched version, which then times exactly as it did when mined
+    entry = read_entry(mined_store.store_dir, mined_store.patch_id)
+    logs = mined_store.store_dir / "logs" / mined_store.patch_id
+    mined = json.loads((logs / "runs.json").read_text(encoding="utf-8"))["patched"]
+    replayed = mined_store.runtime.open_image(entry.image)
+    try:
+        replayed.copy_tree(ORIGINAL_DIR, PATCHED_DIR)
+        diff = read_ground_truth_diff(mined_store.store_dir, mined_store.patch_id)
+        assert replayed.apply_patch(PATCHED_DIR, diff).ok
+        attempt = build_with_repair(replayed, PATCHED_DIR, entry.build_plan, repair_table=[])
+        assert attempt.build_ok
+        second = run_tests_repeatedly(replayed, PATCHED_DIR, runs=mined["runs_requested"],
+                                      version="patched")
+    finally:
+        replayed.close()
+    assert second.to_dict() == mined
 
 
 # ---------------------------------------------------------------------------
@@ -737,6 +761,50 @@ def test_docker_check_out_failure_still_removes_the_object_store():
         session.check_out("/src/repo", {ORIGINAL_DIR: "a" * 40})
     scratch = next(argv for argv in calls if "clone" in argv)[-1]
     assert calls[-1][-3:] == ["rm", "-rf", scratch]
+
+
+def test_docker_snapshot_keeps_only_the_original_tree():
+    session, calls = _recording_docker()
+    assert session._runtime.snapshot(session, "perfmine/x") == "perfmine/x"
+    commands = [argv[1:] for argv in calls]
+    assert commands == [
+        ["image", "inspect", "--format", "{{.Id}}", "perfmine/x"],
+        ["exec", "cid", "find", "/work", "-mindepth", "1", "-maxdepth", "1",
+         "!", "-path", ORIGINAL_DIR, "-exec", "rm", "-rf", "{}", "+"],
+        ["commit", "cid", "perfmine/x"],
+    ]
+
+
+def _docker_replacing(commit_rc: int):
+    """A docker session whose tag already names image ``sha256:old``."""
+    calls = []
+
+    def runner(argv, input_text=None, timeout=0.0):
+        calls.append(list(argv))
+        if argv[1] == "run":
+            return RunnerResult(0, "cid\n", "")
+        if argv[1:3] == ["image", "inspect"]:
+            return RunnerResult(0, "sha256:old\n", "")
+        if argv[1] == "commit":
+            return RunnerResult(commit_rc, "", "" if commit_rc == 0 else "boom")
+        return RunnerResult(0, "", "")
+
+    return DockerCliRuntime(runner=runner).start_session("gcc:13"), calls
+
+
+def test_docker_snapshot_removes_the_superseded_image_after_the_commit():
+    session, calls = _docker_replacing(commit_rc=0)
+    snapshot_image(session, "x", session._runtime, [qualified_outcome()])
+    verbs = [argv[1] for argv in calls]
+    assert verbs.index("commit") < verbs.index("rmi")
+    assert calls[-1] == ["docker", "rmi", "sha256:old"]
+
+
+def test_docker_failed_commit_keeps_the_stored_image():
+    session, calls = _docker_replacing(commit_rc=1)
+    with pytest.raises(RuntimeUnavailableError, match="boom"):
+        snapshot_image(session, "x", session._runtime, [qualified_outcome()])
+    assert "rmi" not in [argv[1] for argv in calls]
 
 
 def test_docker_apply_stops_the_repository_search_at_the_tree():

@@ -120,22 +120,18 @@ def test_images_hold_no_git_directory(mined_store):
     assert not list(images.rglob(".git"))
 
 
-def test_an_image_holds_both_commits_their_markers_and_the_logs(mined_store):
+def test_an_image_holds_only_the_original_tree(mined_store):
+    # the parent's tree and its marker, exactly; the commit's tree is the
+    # answer to the task and lives in patches/, the logs in logs/, and no
+    # build directory outlives the session
     fixture = mined_store.fixture
     entry = read_entry(mined_store.store_dir, mined_store.patch_id)
     work = os.path.join(mined_store.runtime._image_dir(entry.image), "work")
-    expected = {}
-    for tree, sha in (("original", fixture.perf_parent_sha), ("patched", fixture.perf_sha)):
-        expected[f"{tree}/.perfmine-sha"] = ("100644", sha + "\n")
-        for path, blob in commit_files(fixture.path, sha).items():
-            expected[f"{tree}/{path}"] = blob
-    host_logs = mined_store.store_dir / "logs" / mined_store.patch_id
-    for log in sorted(host_logs.iterdir()):
-        expected[f"logs/{log.name}"] = ("100644", log.read_text(encoding="utf-8"))
+    expected = {"original/.perfmine-sha": ("100644", fixture.perf_parent_sha + "\n")}
+    for path, blob in commit_files(fixture.path, fixture.perf_parent_sha).items():
+        expected[f"original/{path}"] = blob
     assert files_under(work) == expected
-    # the fake build directories hold nothing
-    assert sorted(os.listdir(work)) == ["logs", "original", "original-build",
-                                        "patched", "patched-build"]
+    assert os.listdir(work) == ["original"]
 
 
 def test_image_snapshot_is_reopenable(mined_store):
@@ -143,12 +139,11 @@ def test_image_snapshot_is_reopenable(mined_store):
     assert mined_store.runtime.has_image(entry.image)
     session = mined_store.runtime.open_image(entry.image)
     try:
-        assert session.path_exists("/work/original")
-        assert session.path_exists("/work/patched")
-        assert session.path_exists("/work/logs/runs.json")
-        assert not session.path_exists("/work/candidate")
-        sha = session.read_file("/work/patched/.perfmine-sha").strip()
-        assert sha == mined_store.fixture.perf_sha
+        sha = session.read_file("/work/original/.perfmine-sha").strip()
+        assert sha == mined_store.fixture.perf_parent_sha
+        for absent in ("/work/patched", "/work/logs", "/work/original-build",
+                       "/work/candidate"):
+            assert not session.path_exists(absent)
     finally:
         session.close()
 
