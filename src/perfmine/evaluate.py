@@ -34,7 +34,11 @@ VERDICT_IMPROVES = "improves"
 VERDICT_FUNCTIONAL_ONLY = "functional_only"
 VERDICT_BROKEN = "broken"
 
-_DIFF_PATH_RE = re.compile(r"^\+\+\+ (?:b/)?(?P<path>\S+)", re.MULTILINE)
+# git ends the header with a tab after a path with a space, and C-quotes a
+# path with a quote, a backslash, a control or (by default) a non-ASCII byte
+_DIFF_PATH_RE = re.compile(r"^\+\+\+ (?P<path>[^\t\r\n]+)", re.MULTILINE)
+_C_ESCAPE_RE = re.compile(rb'\\([0-3][0-7]{2}|[abtnvfr"\\])')
+_C_ESCAPES = dict(zip(b'abtnvfr"\\', b'\a\b\t\n\v\f\r"\\'))
 
 
 @dataclass(frozen=True)
@@ -114,10 +118,21 @@ def candidate_digest(diff_text: str) -> str:
 def files_touched_by(diff_text: str) -> tuple[str, ...]:
     seen: list[str] = []
     for match in _DIFF_PATH_RE.finditer(diff_text):
-        path = match.group("path")
+        path = _unquote_git_path(match.group("path")).removeprefix("b/")
         if path != "/dev/null" and path not in seen:
             seen.append(path)
     return tuple(seen)
+
+
+def _unquote_git_path(path: str) -> str:
+    """Undo git's C quoting: ``"b/\\303\\251.cpp"`` is ``b/é.cpp``."""
+    if not (len(path) > 1 and path[0] == path[-1] == '"'):
+        return path
+    raw = _C_ESCAPE_RE.sub(
+        lambda m: bytes([int(m[1], 8) if len(m[1]) == 3 else _C_ESCAPES[m[1][0]]]),
+        path[1:-1].encode("utf-8"),
+    )
+    return raw.decode("utf-8", errors="replace")
 
 
 def report_path(store_dir: str | Path, patch_id: str) -> Path:
@@ -217,8 +232,8 @@ def _evaluate_in_session(
     candidate = run_tests_repeatedly(session, CANDIDATE_DIR, runs=runs, version="candidate")
     if not original.qualified:
         raise EvaluationError(
-            f"re-measured original from image {entry.image} failed its own tests; "
-            "refusing to score the candidate against a broken baseline"
+            f"re-measured original from image {entry.image} was not "
+            "consistently successful; refusing to score the candidate against a broken baseline"
         )
 
     timing = compare_timings(original, candidate, entry.stat_config)

@@ -220,7 +220,10 @@ def _git_log(repo: Path | str, branch: str) -> Iterator[str]:
     """Stream the NUL-separated fields of ``git log`` over ``branch`` from one process.
 
     Fields are split as they arrive, so memory is bounded by one commit,
-    not by the length of the history. Closing the generator early kills
+    not by the length of the history. The stream is read as bytes and
+    each field decoded as UTF-8 on its own: text mode would turn a ``\r``
+    in a path or a message into ``\n``, and no multibyte UTF-8 sequence
+    holds a zero byte. Closing the generator early kills
     and reaps git. stderr goes to a file, so it cannot fill a pipe while
     stdout is read. A non-zero exit (empty repository, unknown branch)
     raises GitError.
@@ -228,14 +231,13 @@ def _git_log(repo: Path | str, branch: str) -> Iterator[str]:
     cmd = ["git", "-C", str(repo), *_LOG_ARGS, branch, "--"]
     with tempfile.TemporaryFile() as stderr:
         # leaving the inner block closes stdout and waits for git
-        with subprocess.Popen(
-            cmd, stdout=subprocess.PIPE, stderr=stderr, text=True, errors="replace"
-        ) as proc:
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=stderr) as proc:
             try:
-                partial = ""  # git ends every field with NUL, so nothing is left at EOF
+                partial = b""  # git ends every field with NUL, so nothing is left at EOF
                 while chunk := proc.stdout.read(1 << 16):
-                    *fields, partial = (partial + chunk).split("\0")
-                    yield from fields
+                    *fields, partial = (partial + chunk).split(b"\0")
+                    for field in fields:
+                        yield field.decode("utf-8", errors="replace")
             except BaseException:
                 proc.kill()
                 raise

@@ -330,13 +330,14 @@ def run_tests_repeatedly(
 
     The warm-up's timings are discarded, but a failure there still
     disqualifies the version: "consistently successful" means every run.
+    So does a recorded run that reports other tests than the rest (a
+    crashed or timed-out ctest reports none): the version keeps no timings.
     """
     if runs < 1:
         raise ValueError("runs must be positive")
     build_dir = f"{version_dir}-build"
     suite_times: list[float] = []
-    per_test: dict[str, TestRuns] = {}
-    order: list[str] = []
+    per_test: dict[str, TestRuns] = {}  # in the order the tests first appear
     warmup_failed = False
     recorded = 0
     for index in range(runs):
@@ -347,19 +348,19 @@ def run_tests_repeatedly(
         recorded += 1
         suite_times.append(suite.wall_time_ms)
         for run in suite.results:
-            if run.name not in per_test:
-                per_test[run.name] = TestRuns(run.name, (), ())
-                order.append(run.name)
-            prev = per_test[run.name]
+            prev = per_test.get(run.name, TestRuns(run.name, (), ()))
             per_test[run.name] = TestRuns(
                 run.name,
                 prev.passed + (run.passed,),
                 prev.wall_times_ms + (run.wall_time_ms,),
             )
+    tests = tuple(per_test.values())
+    if any(len(test.passed) != recorded for test in tests):
+        tests, suite_times = (), []
     return RunOutcome(
         version=version,
         build_ok=True,
-        tests=tuple(per_test[name] for name in order),
+        tests=tests,
         runs_requested=runs,
         runs_recorded=recorded,
         suite_wall_times_ms=tuple(suite_times),

@@ -6,12 +6,14 @@ reopen images) and ``ContainerSession`` (check out trees, build, test,
 patch, read/write files). Paths inside a session are POSIX strings under
 ``/work`` regardless of implementation.
 
-Sessions check trees out straight from a repository's objects: a tree
-holds one commit's files and a ``SHA_MARKER`` file naming it, and no
-``.git``, so neither sessions nor their images carry an object store.
-Such a tree may sit inside another git work tree, so ``git apply`` stops
-its search for a repository at the tree's parent; otherwise it would
-take the enclosing repository for the tree's own and apply nothing.
+Trees are always checked out on the host, where the mined clone is,
+straight from its objects: a tree holds one commit's files and a
+``SHA_MARKER`` file naming it, and no ``.git``, so neither sessions nor
+their images carry an object store. The trees of one ``check_out`` are
+written by one git process each, all running at once. Such a tree may
+sit inside another git work tree, so ``git apply`` stops its search for
+a repository at the tree's parent; otherwise it would take the
+enclosing repository for the tree's own and apply nothing.
 
 An image holds ``ORIGINAL_DIR`` (the parent's tree and its marker) and
 nothing else from ``/work``: no other tree, no build directory, no log.
@@ -21,26 +23,30 @@ remade by the next ``configure_and_build``. A snapshot replaces an
 image of the same tag only once the new one is complete, so a snapshot
 that fails leaves the stored image as it was.
 
-Implementations:
+cmake, ctest (read through ``--output-junit``) and ``git apply`` are
+driven once, in ``_ExecSession``, over the ``exec`` and path mapping of
+each session adapter. A command that outlives ``COMMAND_TIMEOUT_S``
+fails like any other. Implementations:
 
 * ``DockerCliRuntime`` drives a real daemon through the ``docker``
-  executable. The process runner is injectable so unit tests can replay
-  canned transcripts without a daemon.
+  executable. A checkout is written to a host directory and copied in
+  with one ``docker cp``. The process runner is injectable so unit tests
+  can replay canned transcripts without a daemon.
 * ``LocalProcessRuntime`` runs cmake and ctest directly on the host with
   a directory standing in for the container. Package installation is
   unsupported by design.
-* ``FakeRuntime`` is a deterministic in-process double. Checkouts are
-  real git operations, but builds always succeed and test timings come
-  from declarations planted in the source tree (see ``fake-timing``
-  below), so a fixture repository fully scripts its own measurements.
+* ``FakeRuntime`` is a deterministic in-process double. Checkouts and
+  patches are real git operations, but builds always succeed and test
+  timings come from declarations planted in the source tree (see
+  ``fake-timing`` below), so a fixture repository fully scripts its own
+  measurements.
 
 The local and fake runtimes keep each session in a directory of its own
 and delete it when the session closes. A snapshot moves the session's
 ``ORIGINAL_DIR`` into the image with one rename and so ends the session:
 every later call but ``close()`` raises ``ContractViolation``, and
 ``close()`` deletes the rest of ``/work``. Reopening an image copies
-it, so images outlive every session opened from them. The trees of one
-``check_out`` are written by one git process each, all running at once.
+it, so images outlive every session opened from them.
 
 Fake timing declarations are comment lines inside any source file:
 
@@ -64,6 +70,7 @@ import posixpath
 import re
 import shutil
 import subprocess
+import tempfile
 import time
 import uuid
 import xml.etree.ElementTree as ET
@@ -118,8 +125,8 @@ class ContainerSession(Protocol):
     session_id: str
 
     def check_out(self, source: str, trees: Mapping[str, str]) -> None:
-        """Write each ``dest: sha`` tree of the repository at ``source``,
-        with a ``SHA_MARKER`` file and no ``.git``."""
+        """Write each ``dest: sha`` tree of the repository at the host path
+        ``source``, with a ``SHA_MARKER`` file and no ``.git``."""
         ...
 
     def copy_tree(self, src: str, dest: str) -> None: ...
@@ -180,7 +187,7 @@ class ContainerRuntime(Protocol):
 
 
 # ---------------------------------------------------------------------------
-# Docker via its CLI
+# Processes and checkouts, shared by every runtime
 
 
 class RunnerResult(NamedTuple):
@@ -191,19 +198,146 @@ class RunnerResult(NamedTuple):
 
 Runner = Callable[..., RunnerResult]
 
+COMMAND_TIMEOUT_S = 3600.0  # a build, a suite run or a patch that takes longer fails
+
 
 def _subprocess_runner(
-    argv: Sequence[str], input_text: str | None = None, timeout: float = 3600.0
+    argv: Sequence[str], input_text: str | None = None, timeout: float = COMMAND_TIMEOUT_S
 ) -> RunnerResult:
-    proc = subprocess.run(
-        list(argv),
-        input=input_text,
-        capture_output=True,
-        text=True,
-        errors="replace",
-        timeout=timeout,
-    )
+    """Run one command; one still running after ``timeout`` is killed and fails."""
+    try:
+        proc = subprocess.run(
+            list(argv), input=input_text, capture_output=True, encoding="utf-8",
+            errors="replace", timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        return RunnerResult(124, "", f"{' '.join(argv)} timed out after {timeout:g} s")
     return RunnerResult(proc.returncode, proc.stdout, proc.stderr)
+
+
+def _check_out_on_host(source: str, trees: Mapping[str, str], scratch: str) -> None:
+    """Write each ``host directory: sha`` tree of the repository at ``source``.
+
+    One git process per tree, all started before any is waited on; each
+    has its own index file in ``scratch`` and only reads the repository's
+    objects. Every path must be absolute, since git resolves
+    ``--work-tree`` and ``GIT_INDEX_FILE`` after its ``-C``.
+    """
+    jobs = []
+    for n, (dest, sha) in enumerate(trees.items()):
+        os.makedirs(dest, exist_ok=True)
+        jobs.append((sha, dest, os.path.join(scratch, f"checkout-{n}.index")))
+    procs: list[subprocess.Popen] = []
+    try:
+        for sha, dest, index in jobs:
+            procs.append(subprocess.Popen(
+                _checkout_argv(source, dest, sha), stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE, text=True, errors="replace",
+                env={**os.environ, "GIT_INDEX_FILE": index},
+            ))
+    finally:
+        errors = [proc.communicate()[1] for proc in procs]
+        for _, _, index in jobs:
+            if os.path.exists(index):
+                os.remove(index)
+    for (sha, _, _), proc, stderr in zip(jobs, procs, errors):
+        if proc.returncode != 0:
+            raise GitError(f"checkout of {sha} from {source} failed: {stderr.strip()}")
+    for sha, dest, _ in jobs:
+        _write_text(os.path.join(dest, SHA_MARKER), sha + "\n")
+
+
+def _write_text(path: str, content: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(content)
+
+
+# ---------------------------------------------------------------------------
+# cmake, ctest and git apply, written once over an adapter's exec
+
+
+_JUNIT_NAME = "perfmine-junit.xml"
+
+
+class _ExecSession:
+    """Builds, lists and runs tests, and applies patches, through two primitives.
+
+    An adapter supplies ``exec(argv, input_text=None)``, which runs one
+    command where the session's files are and returns a ``RunnerResult``,
+    and ``exec_path(path)``, which maps a ``/work`` path to the path that
+    command sees. It also supplies ``read_file``. A suite run reads the
+    JUnit report of ``ctest --output-junit`` (ctest 3.21 or newer).
+    """
+
+    def configure_and_build(
+        self, source_dir: str, build_dir: str, configure_args: Sequence[str]
+    ) -> BuildResult:
+        src, build = self.exec_path(source_dir), self.exec_path(build_dir)
+        self.exec(["rm", "-rf", build])
+        configure = self.exec(["cmake", "-S", src, "-B", build, *configure_args])
+        if configure.returncode != 0:
+            return BuildResult(False, configure.stdout + configure.stderr)
+        compile_step = self.exec(["cmake", "--build", build, "--parallel"])
+        log = configure.stdout + configure.stderr + compile_step.stdout + compile_step.stderr
+        return BuildResult(compile_step.returncode == 0, log)
+
+    def list_tests(self, build_dir: str) -> list[str]:
+        result = self.exec(
+            ["ctest", "--test-dir", self.exec_path(build_dir), "--show-only=json-v1"]
+        )
+        if result.returncode != 0:
+            return []
+        return _test_names_from_ctest_json(result.stdout)
+
+    def run_suite(self, build_dir: str) -> SuiteRun:
+        report = posixpath.join(build_dir, _JUNIT_NAME)
+        # a run that writes no report must not read the one before it
+        self.exec(["rm", "-f", self.exec_path(report)])
+        started = time.monotonic()
+        self.exec(["ctest", "--test-dir", self.exec_path(build_dir),
+                   "--output-junit", self.exec_path(report)])
+        elapsed_ms = (time.monotonic() - started) * 1000.0
+        try:
+            return SuiteRun(_parse_junit(self.read_file(report)), elapsed_ms)
+        except (FileNotFoundError, ET.ParseError):
+            return SuiteRun((), elapsed_ms)
+
+    def apply_patch(self, tree_dir: str, diff_text: str) -> BuildResult:
+        tree = self.exec_path(tree_dir).rstrip("/")
+        result = self.exec(
+            ["env", f"GIT_CEILING_DIRECTORIES={posixpath.dirname(tree)}", "git", "-C", tree,
+             "apply", "--whitespace=nowarn", "-"],
+            diff_text,
+        )
+        return BuildResult(result.returncode == 0, result.stdout + result.stderr)
+
+
+def _test_names_from_ctest_json(payload: str) -> list[str]:
+    try:
+        doc = json.loads(payload)
+    except ValueError:
+        return []
+    return [t.get("name", "") for t in doc.get("tests", []) if t.get("name")]
+
+
+def _parse_junit(xml_text: str) -> tuple[TestRun, ...]:
+    root = ET.fromstring(xml_text)
+    runs = []
+    for case in root.iter("testcase"):
+        status = case.get("status", "")
+        failed = status in ("failed", "fail") or case.find("failure") is not None
+        runs.append(
+            TestRun(
+                name=case.get("name", ""),
+                passed=not failed and status != "notrun",
+                wall_time_ms=float(case.get("time", "0") or 0) * 1000.0,
+            )
+        )
+    return tuple(runs)
+
+
+# ---------------------------------------------------------------------------
+# Docker via its CLI
 
 
 class DockerCliRuntime:
@@ -219,7 +353,7 @@ class DockerCliRuntime:
     def available(self) -> bool:
         try:
             return self._run([self.docker_bin, "info"], None, 30.0).returncode == 0
-        except (OSError, subprocess.SubprocessError):
+        except OSError:
             return False
 
     def start_session(
@@ -273,13 +407,9 @@ class DockerCliRuntime:
         return result.returncode == 0
 
 
-_CTEST_LINE = re.compile(
-    r"Test\s+#\d+:\s+(?P<name>\S+)\s+[.* ]*(?P<status>Passed|Failed|Timeout|Exception|Not Run)"
-    r".*?(?P<secs>[0-9]+\.[0-9]+)\s+sec"
-)
+class DockerSession(_ExecSession):
+    """A running container; its paths are the container's own."""
 
-
-class DockerSession:
     def __init__(self, runtime: DockerCliRuntime, container_id: str) -> None:
         self._runtime = runtime
         self.session_id = container_id
@@ -290,26 +420,28 @@ class DockerSession:
             full.append("-i")
         full.append(self.session_id)
         full += list(argv)
-        return self._runtime._run(full, input_text, 3600.0)
+        return self._runtime._run(full, input_text, COMMAND_TIMEOUT_S)
+
+    def exec_path(self, path: str) -> str:
+        return path
 
     def check_out(self, source: str, trees: Mapping[str, str]) -> None:
-        # one clone with no work tree, deleted again so no commit stores it
-        scratch = f"{WORK_ROOT}/.checkout-source"
-
-        def run(argv: list[str]) -> None:
-            result = self.exec(argv)
-            if result.returncode != 0:
-                raise GitError(f"{' '.join(argv)} failed in container: {result.stderr.strip()}")
-
-        try:
-            run(["git", "clone", "--quiet", "--no-checkout", source, scratch])
-            run(["mkdir", "-p", *trees])
-            for n, (dest, sha) in enumerate(trees.items()):
-                run(["env", f"GIT_INDEX_FILE={scratch}/index-{n}",
-                     *_checkout_argv(scratch, dest, sha)])
-                self.write_file(posixpath.join(dest, SHA_MARKER), sha + "\n")
-        finally:
-            run(["rm", "-rf", scratch])
+        # the clone is on the host, where the container cannot see it: write
+        # the trees there, then copy them all in with one docker cp
+        with tempfile.TemporaryDirectory(prefix="perfmine-checkout-") as staging:
+            _check_out_on_host(
+                source, {os.path.join(staging, d.lstrip("/")): sha for d, sha in trees.items()},
+                staging,
+            )
+            os.chmod(staging, 0o755)  # its mode may be carried onto the container's /
+            result = self._runtime._run(
+                [self._runtime.docker_bin, "cp", f"{staging}/.", f"{self.session_id}:/"],
+                None, COMMAND_TIMEOUT_S,
+            )
+        if result.returncode != 0:
+            raise RuntimeUnavailableError(
+                f"copying trees into {self.session_id} failed: {result.stderr.strip()}"
+            )
 
     def copy_tree(self, src: str, dest: str) -> None:
         result = self.exec(["cp", "-a", src, dest])
@@ -331,31 +463,6 @@ class DockerSession:
     def path_exists(self, path: str) -> bool:
         return self.exec(["test", "-e", path]).returncode == 0
 
-    def configure_and_build(
-        self, source_dir: str, build_dir: str, configure_args: Sequence[str]
-    ) -> BuildResult:
-        self.exec(["rm", "-rf", build_dir])
-        configure = self.exec(
-            ["cmake", "-S", source_dir, "-B", build_dir, *configure_args]
-        )
-        if configure.returncode != 0:
-            return BuildResult(False, configure.stdout + configure.stderr)
-        build = self.exec(["cmake", "--build", build_dir, "--parallel"])
-        log = configure.stdout + configure.stderr + build.stdout + build.stderr
-        return BuildResult(build.returncode == 0, log)
-
-    def list_tests(self, build_dir: str) -> list[str]:
-        result = self.exec(["ctest", "--test-dir", build_dir, "--show-only=json-v1"])
-        if result.returncode != 0:
-            return []
-        return _test_names_from_ctest_json(result.stdout)
-
-    def run_suite(self, build_dir: str) -> SuiteRun:
-        started = time.monotonic()
-        result = self.exec(["ctest", "--test-dir", build_dir])
-        elapsed_ms = (time.monotonic() - started) * 1000.0
-        return SuiteRun(_parse_ctest_stdout(result.stdout), elapsed_ms)
-
     def install_packages(self, packages: Sequence[str]) -> BuildResult:
         if not packages:
             return BuildResult(True, "")
@@ -366,74 +473,30 @@ class DockerSession:
         log = update.stdout + install.stdout + install.stderr
         return BuildResult(install.returncode == 0, log)
 
-    def apply_patch(self, tree_dir: str, diff_text: str) -> BuildResult:
-        self.write_file("/tmp/candidate.patch", diff_text)
-        ceiling = posixpath.dirname(tree_dir.rstrip("/"))
-        result = self.exec(
-            ["env", f"GIT_CEILING_DIRECTORIES={ceiling}", "git", "-C", tree_dir,
-             "apply", "--whitespace=nowarn", "/tmp/candidate.patch"]
-        )
-        return BuildResult(result.returncode == 0, result.stdout + result.stderr)
-
     def close(self) -> None:
         self._runtime._run([self._runtime.docker_bin, "rm", "-f", self.session_id], None, 120.0)
-
-
-def _test_names_from_ctest_json(payload: str) -> list[str]:
-    try:
-        doc = json.loads(payload)
-    except ValueError:
-        return []
-    return [t.get("name", "") for t in doc.get("tests", []) if t.get("name")]
-
-
-def _parse_ctest_stdout(stdout: str) -> tuple[TestRun, ...]:
-    runs = []
-    for match in _CTEST_LINE.finditer(stdout):
-        runs.append(
-            TestRun(
-                name=match.group("name"),
-                passed=match.group("status") == "Passed",
-                wall_time_ms=float(match.group("secs")) * 1000.0,
-            )
-        )
-    return tuple(runs)
 
 
 # ---------------------------------------------------------------------------
 # Shared host-filesystem session base (local and fake runtimes)
 
 
-def _run_host(argv: Sequence[str], cwd: str | Path | None = None,
-              input_text: str | None = None,
-              env: Mapping[str, str] | None = None) -> RunnerResult:
-    proc = subprocess.run(
-        list(argv), cwd=cwd, input=input_text, capture_output=True, text=True,
-        errors="replace", env=None if env is None else {**os.environ, **env},
-    )
-    return RunnerResult(proc.returncode, proc.stdout, proc.stderr)
-
-
-def _write_text(path: str, content: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(content)
-
-
-class _HostFsSession:
+class _HostFsSession(_ExecSession):
     """Session whose /work paths map onto a directory on the host.
 
-    The root and every path below it are plain ``str``. ``pathlib`` interns
-    every component of every path it builds, and each name that is not
-    already interned (a session directory, a build directory, an image
+    The root and every path below it are plain absolute ``str``. ``pathlib``
+    interns every component of every path it builds, and each name that is
+    not already interned (a session directory, a build directory, an image
     tag, a log file) spends a slot of CPython's interned-string table; a
     process that runs many sessions would keep resizing that table.
     """
 
-    def __init__(self, root: str, session_id: str) -> None:
-        self.root = root
+    def __init__(self, root: str, session_id: str, base_image: str) -> None:
+        self.root = os.path.abspath(root)
         self.session_id = session_id
+        self.base_image = base_image
         self.snapshotted = False  # set by the snapshot, which takes the original away
-        os.makedirs(os.path.join(root, "work"), exist_ok=True)
+        os.makedirs(os.path.join(self.root, "work"), exist_ok=True)
 
     def host_path(self, path: str) -> str:
         if self.snapshotted:
@@ -444,36 +507,14 @@ class _HostFsSession:
             raise ValueError(f"session paths must be absolute POSIX paths: {path!r}")
         return os.path.join(self.root, path.lstrip("/"))
 
+    exec_path = host_path
+
+    def exec(self, argv: Sequence[str], input_text: str | None = None) -> RunnerResult:
+        return _subprocess_runner(argv, input_text, COMMAND_TIMEOUT_S)
+
     def check_out(self, source: str, trees: Mapping[str, str]) -> None:
-        # git resolves --work-tree and GIT_INDEX_FILE after its -C, so both are absolute
-        jobs = []
-        for n, (dest, sha) in enumerate(trees.items()):
-            dest_host = os.path.abspath(self.host_path(dest))
-            os.makedirs(dest_host, exist_ok=True)
-            index = os.path.abspath(os.path.join(self.root, f"checkout-{n}.index"))
-            jobs.append((sha, dest_host, index))
-        # one process per tree, all started before any is waited on; each has
-        # its own index and only reads the repository's objects
-        procs: list[subprocess.Popen] = []
-        errors: list[str] = []
-        try:
-            for sha, dest_host, index in jobs:
-                procs.append(subprocess.Popen(
-                    _checkout_argv(source, dest_host, sha), stdout=subprocess.DEVNULL,
-                    stderr=subprocess.PIPE, text=True, errors="replace",
-                    env={**os.environ, "GIT_INDEX_FILE": index},
-                ))
-        finally:
-            for proc in procs:
-                errors.append(proc.communicate()[1])
-            for _, _, index in jobs:
-                if os.path.exists(index):
-                    os.remove(index)
-        for (sha, _, _), proc, stderr in zip(jobs, procs, errors):
-            if proc.returncode != 0:
-                raise GitError(f"checkout of {sha} from {source} failed: {stderr.strip()}")
-        for sha, dest_host, _ in jobs:
-            _write_text(os.path.join(dest_host, SHA_MARKER), sha + "\n")
+        _check_out_on_host(source, {self.host_path(d): sha for d, sha in trees.items()},
+                           self.root)
 
     def copy_tree(self, src: str, dest: str) -> None:
         shutil.copytree(self.host_path(src), self.host_path(dest), symlinks=True)
@@ -489,14 +530,6 @@ class _HostFsSession:
 
     def path_exists(self, path: str) -> bool:
         return os.path.exists(self.host_path(path))
-
-    def apply_patch(self, tree_dir: str, diff_text: str) -> BuildResult:
-        tree = os.path.abspath(self.host_path(tree_dir))
-        result = _run_host(
-            ["git", "apply", "--whitespace=nowarn", "-"], cwd=tree, input_text=diff_text,
-            env={"GIT_CEILING_DIRECTORIES": os.path.dirname(tree)},
-        )
-        return BuildResult(result.returncode == 0, result.stdout + result.stderr)
 
     def close(self) -> None:
         shutil.rmtree(self.root, ignore_errors=True)
@@ -587,66 +620,9 @@ class LocalProcessRuntime(_HostFsRuntimeBase):
         return self._store_snapshot(session, tag, {"base_image": session.base_image})
 
 
-_JUNIT_NAME = "perfmine-junit.xml"
-
-
 class LocalSession(_HostFsSession):
-    def __init__(self, root: str, session_id: str, base_image: str) -> None:
-        super().__init__(root, session_id)
-        self.base_image = base_image
-
-    def configure_and_build(
-        self, source_dir: str, build_dir: str, configure_args: Sequence[str]
-    ) -> BuildResult:
-        src, build = self.host_path(source_dir), self.host_path(build_dir)
-        shutil.rmtree(build, ignore_errors=True)
-        os.makedirs(build)
-        configure = _run_host(["cmake", "-S", src, "-B", build, *configure_args])
-        if configure.returncode != 0:
-            return BuildResult(False, configure.stdout + configure.stderr)
-        compile_step = _run_host(["cmake", "--build", build, "--parallel"])
-        log = configure.stdout + configure.stderr + compile_step.stdout + compile_step.stderr
-        return BuildResult(compile_step.returncode == 0, log)
-
-    def list_tests(self, build_dir: str) -> list[str]:
-        result = _run_host(
-            ["ctest", "--test-dir", self.host_path(build_dir), "--show-only=json-v1"]
-        )
-        if result.returncode != 0:
-            return []
-        return _test_names_from_ctest_json(result.stdout)
-
-    def run_suite(self, build_dir: str) -> SuiteRun:
-        build = self.host_path(build_dir)
-        junit = os.path.join(build, _JUNIT_NAME)
-        if os.path.exists(junit):
-            os.remove(junit)
-        started = time.monotonic()
-        _run_host(["ctest", "--test-dir", build, "--output-junit", _JUNIT_NAME])
-        elapsed_ms = (time.monotonic() - started) * 1000.0
-        if not os.path.isfile(junit):
-            return SuiteRun((), elapsed_ms)
-        with open(junit, encoding="utf-8") as handle:
-            return SuiteRun(_parse_junit(handle.read()), elapsed_ms)
-
     def install_packages(self, packages: Sequence[str]) -> BuildResult:
         return BuildResult(False, "package installation is unsupported on the local runtime")
-
-
-def _parse_junit(xml_text: str) -> tuple[TestRun, ...]:
-    root = ET.fromstring(xml_text)
-    runs = []
-    for case in root.iter("testcase"):
-        status = case.get("status", "")
-        failed = status in ("failed", "fail") or case.find("failure") is not None
-        runs.append(
-            TestRun(
-                name=case.get("name", ""),
-                passed=not failed and status != "notrun",
-                wall_time_ms=float(case.get("time", "0") or 0) * 1000.0,
-            )
-        )
-    return tuple(runs)
 
 
 # ---------------------------------------------------------------------------
@@ -765,9 +741,8 @@ class FakeRuntime(_HostFsRuntimeBase):
 class FakeSession(_HostFsSession):
     def __init__(self, runtime: FakeRuntime, root: str, session_id: str,
                  base_image: str) -> None:
-        super().__init__(root, session_id)
+        super().__init__(root, session_id, base_image)
         self._runtime = runtime
-        self.base_image = base_image
         self.installed_packages: list[str] = []
         # build dir -> (source dir, declarations read when it was built)
         self._builds: dict[str, tuple[str, list[FakeTimingDecl]]] = {}

@@ -203,6 +203,24 @@ def commit_files(repo: Path, sha: str) -> dict[str, tuple[str, str]]:
     return found
 
 
+def lose_a_suite_run(monkeypatch, build_dir: str, invocation: int = 5) -> None:
+    """Make the fake runtime's ``invocation``-th suite run of ``build_dir`` report
+    no tests, as a ctest that crashed before writing its report does."""
+    from perfmine.runtime import FakeSession, SuiteRun
+
+    real = FakeSession.run_suite
+    seen = {}
+
+    def run_suite(self, build):
+        suite = real(self, build)
+        seen[build] = seen.get(build, 0) + 1
+        if build == build_dir and seen[build] == invocation:
+            return SuiteRun((), suite.wall_time_ms)
+        return suite
+
+    monkeypatch.setattr(FakeSession, "run_suite", run_suite)
+
+
 @pytest.fixture(scope="session")
 def fixture_repo(tmp_path_factory) -> FixtureRepo:
     return build_fixture_repo(tmp_path_factory.mktemp("fixture") / "fixturerepo")

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import lose_a_suite_run
+
 from perfmine.errors import EvaluationError, RuntimeUnavailableError, StoreError
 from perfmine.evaluate import (
     EvaluationReport,
@@ -125,6 +127,26 @@ def test_candidate_with_failing_test_is_broken(mined_store):
     assert report.verdict == VERDICT_BROKEN
     assert report.applied_ok and report.build_ok
     assert not report.all_tests_pass
+
+
+def test_candidate_whose_run_reports_no_tests_is_broken(mined_store, monkeypatch):
+    lose_a_suite_run(monkeypatch, "/work/candidate-build")
+    diff = read_ground_truth_diff(mined_store.store_dir, mined_store.patch_id)
+    report = evaluate(
+        mined_store.patch_id, diff, mined_store.store_dir, mined_store.runtime,
+        write_report=False,
+    )
+    assert report.verdict == VERDICT_BROKEN
+    assert report.applied_ok and report.build_ok
+    assert not report.all_tests_pass and report.timing == ()
+
+
+def test_original_whose_run_reports_no_tests_is_refused(mined_store, monkeypatch):
+    lose_a_suite_run(monkeypatch, "/work/original-build")
+    diff = read_ground_truth_diff(mined_store.store_dir, mined_store.patch_id)
+    with pytest.raises(EvaluationError, match="not consistently successful"):
+        evaluate(mined_store.patch_id, diff, mined_store.store_dir, mined_store.runtime,
+                 write_report=False)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +304,14 @@ def test_files_touched_parses_new_and_deleted_files():
         "--- a/removed.cpp\n+++ /dev/null\n@@ -1 +0,0 @@\n-q\n"
     )
     assert files_touched_by(diff) == ("kept.cpp", "added.cpp")
+    # git diff-tree -p ends a header naming a spaced path with a tab, and
+    # C-quotes one with a quote or a non-ASCII byte
+    spaced_and_quoted = (
+        "--- /dev/null\n+++ b/my file.cpp\t\n@@ -0,0 +1 @@\n+1\n"
+        '--- /dev/null\n+++ "b/q\\"t.cpp"\n@@ -0,0 +1 @@\n+2\n'
+        '--- /dev/null\n+++ "b/\\303\\251.cpp"\n@@ -0,0 +1 @@\n+3\n'
+    )
+    assert files_touched_by(spaced_and_quoted) == ("my file.cpp", 'q"t.cpp', "é.cpp")
 
 
 def test_candidate_digest_is_stable_sha256():

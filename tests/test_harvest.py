@@ -384,6 +384,22 @@ def test_walk_parses_every_kind_of_change(tmp_path):
     ]
 
 
+def test_walk_keeps_carriage_returns_in_paths_and_messages(tmp_path):
+    repo = tmp_path / "cr_repo"
+    repo.mkdir()
+    git(repo, "init", "-q", "-b", "main", ".")
+    (repo / "base.cpp").write_text("int base;\n")
+    root = commit_all(repo, "root", "2021-01-01T00:00:00 +0000")
+    (repo / "a\rb.cpp").write_text("int ab;\n")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "--cleanup=verbatim", "-m", "fix\r\nspeed",
+        env=_dated("2021-02-01T00:00:00 +0000"))
+    [record] = walk_history(repo, CFG)
+    assert record.parent_sha == root
+    assert record.message == "fix\r\nspeed"
+    assert record.changes == (FileChange("a\rb.cpp", "added", None, 1, 0),)
+
+
 def test_walk_ignores_the_users_diff_config(fixture_repo, tmp_path, monkeypatch):
     expected = list(walk_history(fixture_repo.path, CFG))
     config = tmp_path / "gitconfig"

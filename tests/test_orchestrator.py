@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from datetime import datetime, timezone
 
 import pytest
@@ -422,6 +424,28 @@ def test_flaky_failure_disqualifies(fake_runtime, tmp_path):
     assert sum(1 for p in outcome.tests[0].passed if not p) == 1
 
 
+class _ScriptedSuites:
+    def __init__(self, *suites: SuiteRun) -> None:
+        self._suites = iter(suites)
+
+    def run_suite(self, build_dir: str) -> SuiteRun:
+        return next(self._suites)
+
+
+@pytest.mark.parametrize("ragged", [
+    SuiteRun((TestRun("u", True, 5.0),), 5.0),  # t lost, as by a crashed ctest
+    SuiteRun((), 1.0),  # no report at all
+    SuiteRun((TestRun("t", True, 9.0), TestRun("t", True, 9.0), TestRun("u", True, 5.0)), 23.0),
+])
+def test_recorded_runs_that_disagree_on_their_tests_disqualify(ragged):
+    whole = SuiteRun((TestRun("t", True, 10.0), TestRun("u", True, 5.0)), 15.0)
+    session = _ScriptedSuites(whole, whole, ragged, whole)
+    outcome = run_tests_repeatedly(session, ORIGINAL_DIR, runs=4, version="original")
+    assert not outcome.qualified
+    assert outcome.tests == () and outcome.suite_wall_times_ms == ()
+    assert outcome.runs_recorded == 3
+
+
 def test_warmup_failure_disqualifies(fake_runtime, tmp_path):
     import conftest as fixtures
 
@@ -712,7 +736,7 @@ def test_docker_write_file_passes_the_path_as_an_argument(tmp_path):
     assert not (tmp_path / "injected.log").exists()
 
 
-def _recording_docker(fail_on: str = ""):
+def _recording_docker():
     """A docker session whose runner records argv and runs nothing."""
     calls = []
 
@@ -720,8 +744,6 @@ def _recording_docker(fail_on: str = ""):
         calls.append(list(argv))
         if argv[1] == "run":
             return RunnerResult(0, "cid\n", "")
-        if fail_on and fail_on in argv:
-            return RunnerResult(1, "", "boom")
         return RunnerResult(0, "", "")
 
     session = DockerCliRuntime(runner=runner).start_session("gcc:13")
@@ -729,38 +751,58 @@ def _recording_docker(fail_on: str = ""):
     return session, calls
 
 
-def test_docker_check_out_clones_once_and_leaves_no_object_store():
-    session, calls = _recording_docker()
-    session.check_out("/src/repo", {ORIGINAL_DIR: "a" * 40, PATCHED_DIR: "b" * 40})
-    commands = [argv[argv.index("cid") + 1:] for argv in calls]
-    [clone] = [c for c in commands if c[:2] == ["git", "clone"]]
-    assert clone[2:4] == ["--quiet", "--no-checkout"]
-    assert clone[4] == "/src/repo"
-    scratch = clone[5]
-    assert scratch.startswith("/work/")
-    checkouts = [c for c in commands if "checkout" in c]
-    indexes = []
-    for command, (dest, sha) in zip(checkouts, ((ORIGINAL_DIR, "a" * 40),
-                                                (PATCHED_DIR, "b" * 40))):
-        assert command[0] == "env"
-        index = command[1].removeprefix("GIT_INDEX_FILE=")
-        assert index.startswith(scratch + "/")
-        indexes.append(index)
-        assert command[2:5] == ["git", "-C", scratch]
-        assert f"--work-tree={dest}" in command
-        assert command[-5:] == ["checkout", "--quiet", sha, "--", ":/"]
-    assert len(checkouts) == 2 and len(set(indexes)) == 2
-    markers = [argv[-1] for argv in calls if "sh" in argv]
-    assert markers == [f"{ORIGINAL_DIR}/{SHA_MARKER}", f"{PATCHED_DIR}/{SHA_MARKER}"]
-    assert commands[-1] == ["rm", "-rf", scratch]
+@pytest.fixture()
+def docker_over_a_directory(tmp_path, monkeypatch):
+    """A docker session whose ``docker cp`` copies into a host directory.
+
+    The directory stands in for the container's ``/``. Temporary
+    directories are made under ``tmp/``, so a test can see what is left.
+    """
+    container, staging = tmp_path / "container", tmp_path / "tmp"
+    staging.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(staging))
+    calls = []
+
+    def runner(argv, input_text=None, timeout=0.0):
+        calls.append(list(argv))
+        if argv[1] == "run":
+            return RunnerResult(0, "cid\n", "")
+        if argv[1] == "cp":
+            assert argv[2].endswith("/.") and argv[3] == "cid:/"
+            shutil.copytree(argv[2], container, symlinks=True, dirs_exist_ok=True)
+        return RunnerResult(0, "", "")
+
+    session = DockerCliRuntime(runner=runner).start_session("gcc:13")
+    calls.clear()
+    return session, calls, container, staging
 
 
-def test_docker_check_out_failure_still_removes_the_object_store():
-    session, calls = _recording_docker(fail_on="checkout")
-    with pytest.raises(GitError, match="boom"):
-        session.check_out("/src/repo", {ORIGINAL_DIR: "a" * 40})
-    scratch = next(argv for argv in calls if "clone" in argv)[-1]
-    assert calls[-1][-3:] == ["rm", "-rf", scratch]
+def test_docker_check_out_copies_host_trees_in_with_one_cp(fixture_repo,
+                                                           docker_over_a_directory):
+    import conftest as fixtures
+
+    session, calls, container, staging = docker_over_a_directory
+    trees = {ORIGINAL_DIR: fixture_repo.perf_parent_sha, PATCHED_DIR: fixture_repo.perf_sha}
+    session.check_out(str(fixture_repo.path), trees)
+    assert [argv[1] for argv in calls] == ["cp"]  # nothing runs in the container
+    for dest, sha in trees.items():
+        expected = {SHA_MARKER: ("100644", sha + "\n"),
+                    **fixtures.commit_files(fixture_repo.path, sha)}
+        assert fixtures.files_under(container / dest.lstrip("/")) == expected
+    assert os.listdir(container) == ["work"]  # no index file went in
+    assert os.listdir(staging) == []
+
+
+def test_docker_check_out_failure_copies_nothing_and_leaves_no_staging(
+        fixture_repo, docker_over_a_directory):
+    session, calls, container, staging = docker_over_a_directory
+    bad = "0123456789" * 4
+    with pytest.raises(GitError, match=bad):
+        session.check_out(str(fixture_repo.path),
+                          {ORIGINAL_DIR: fixture_repo.perf_parent_sha, PATCHED_DIR: bad})
+    assert calls == []
+    assert not container.exists()
+    assert os.listdir(staging) == []
 
 
 def test_docker_snapshot_keeps_only_the_original_tree():
@@ -810,9 +852,10 @@ def test_docker_failed_commit_keeps_the_stored_image():
 def test_docker_apply_stops_the_repository_search_at_the_tree():
     session, calls = _recording_docker()
     assert session.apply_patch("/work/candidate", "--- a/x\n+++ b/x\n").ok
-    command = calls[-1][calls[-1].index("cid") + 1:]
-    assert command[:2] == ["env", "GIT_CEILING_DIRECTORIES=/work"]
-    assert command[2:6] == ["git", "-C", "/work/candidate", "apply"]
+    [argv] = calls  # the diff goes in on stdin, with no file written first
+    assert argv[:4] == ["docker", "exec", "-i", "cid"]
+    assert argv[4:] == ["env", "GIT_CEILING_DIRECTORIES=/work", "git", "-C", "/work/candidate",
+                        "apply", "--whitespace=nowarn", "-"]
 
 
 def test_run_outcome_invariants():

@@ -15,6 +15,7 @@ from conftest import (
     commit_files,
     files_under,
     git,
+    lose_a_suite_run,
 )
 
 from perfmine.backends import StubBackend
@@ -363,6 +364,16 @@ def test_flaky_test_disqualifies_the_version(tmp_path):
     assert result.funnel.stored == 0
     reasons = dict(result.skipped)
     assert reasons[flaky_sha] == "patched version not consistently successful"
+
+
+def test_a_suite_run_that_reports_no_tests_skips_the_commit(fixture_repo, tmp_path,
+                                                           monkeypatch):
+    lose_a_suite_run(monkeypatch, "/work/patched-build")
+    result, _ = _mine_with(fixture_repo, tmp_path / "out")
+    assert result.funnel.built == 1
+    assert result.funnel.stored == 0
+    reasons = dict(result.skipped)
+    assert reasons[fixture_repo.perf_sha] == "patched version not consistently successful"
 
 
 def test_empty_repository_yields_zero_funnel(tmp_path):
