@@ -16,7 +16,7 @@ import functools
 import hashlib
 import re
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 
@@ -67,6 +67,10 @@ class ClassificationVerdict:
     phase2: Vote | None
     final: str
     decided_in_phase: int
+    # (phase, sha256) of the prompts the votes were asked with
+    prompt_fingerprints: tuple[tuple[str, str], ...] = field(
+        default_factory=lambda: tuple(prompt_fingerprints().items())
+    )
 
     def __post_init__(self) -> None:
         if self.final not in ("positive", "negative"):
@@ -287,7 +291,7 @@ def verdict_to_dict(verdict: ClassificationVerdict) -> dict:
         "phase2": vote(verdict.phase2),
         "final": verdict.final,
         "decided_in_phase": verdict.decided_in_phase,
-        "prompt_fingerprints": prompt_fingerprints(),
+        "prompt_fingerprints": dict(verdict.prompt_fingerprints),
     }
 
 
@@ -307,4 +311,5 @@ def verdict_from_dict(payload: Mapping) -> ClassificationVerdict:
         phase2=vote(payload["phase2"]),
         final=payload["final"],
         decided_in_phase=payload["decided_in_phase"],
+        prompt_fingerprints=tuple(payload["prompt_fingerprints"].items()),
     )

@@ -55,14 +55,6 @@ class RuntimeUnavailableError(PerfMineError):
     """The container runtime cannot be reached."""
 
 
-class BuildRepairError(PerfMineError):
-    """Dependency repair budget exhausted with a failing build."""
-
-    def __init__(self, message: str, build_log: str = ""):
-        super().__init__(message)
-        self.build_log = build_log
-
-
 class StoreError(PerfMineError):
     """Benchmark store I/O failure."""
 

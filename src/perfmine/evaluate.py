@@ -24,7 +24,6 @@ from .stats import StatConfig, TimingSeries, judge
 from .store import (
     BenchmarkEntry,
     TimingEvidence,
-    timing_from_dict,
     timing_to_dict,
     read_entry,
 )
@@ -84,22 +83,6 @@ class EvaluationReport:
             "files_touched": list(self.files_touched),
             "ground_truth_files": list(self.ground_truth_files),
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EvaluationReport":
-        return cls(
-            patch_id=payload["patch_id"],
-            candidate_digest=payload["candidate_digest"],
-            applied_ok=payload["applied_ok"],
-            build_ok=payload["build_ok"],
-            all_tests_pass=payload["all_tests_pass"],
-            timing=tuple(timing_from_dict(t) for t in payload.get("timing", ())),
-            verdict=payload["verdict"],
-            runs=payload["runs"],
-            session_id=payload.get("session_id", ""),
-            files_touched=tuple(payload.get("files_touched", ())),
-            ground_truth_files=tuple(payload.get("ground_truth_files", ())),
-        )
 
 
 def verdict_for(

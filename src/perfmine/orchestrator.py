@@ -28,7 +28,6 @@ from importlib import resources
 from typing import NamedTuple
 
 from .backends import ChatBackend
-from .discovery import RepoDescriptor
 from .errors import BackendError, ContractViolation, RuntimeUnavailableError
 from .harvest import CommitRecord
 from .runtime import (
@@ -195,15 +194,15 @@ def _packaged_repair_table() -> tuple[tuple[str, tuple[str, ...]], ...]:
 
 def prepare_environment(
     commit: CommitRecord,
-    repo: RepoDescriptor,
     runtime: ContainerRuntime,
     *,
-    source: str | None = None,
+    source: str,
     base_image: str = "",
     cpus: float | None = None,
     memory: str | None = None,
 ) -> PreparedEnvironment:
-    """Start a session holding /work/original (parent) and /work/patched (commit).
+    """Start a session holding /work/original (parent) and /work/patched (commit),
+    both checked out from the clone at the host path ``source``.
 
     The parent check runs before any container work: a root commit has no
     "original" version to compare against.
@@ -216,11 +215,10 @@ def prepare_environment(
         raise RuntimeUnavailableError(
             f"container runtime unreachable at {runtime.describe_endpoint()}"
         )
-    clone_source = source or f"https://github.com/{repo.owner}/{repo.name}.git"
     session = runtime.start_session(base_image, cpus=cpus, memory=memory)
     try:
         trees = {ORIGINAL_DIR: commit.parent_sha, PATCHED_DIR: commit.sha}
-        session.check_out(clone_source, trees)
+        session.check_out(source, trees)
         for directory, sha in trees.items():
             recorded = session.read_file(f"{directory}/{SHA_MARKER}").strip()
             if recorded != sha:

@@ -232,7 +232,7 @@ def _build_measure_store(
         cmake_text = ""
     base_image, compiler_version = select_base_image(cmake_text)
     env = prepare_environment(
-        commit, repo, runtime,
+        commit, runtime,
         source=str(clone_path), base_image=base_image,
         cpus=limits.container_cpus, memory=limits.container_memory,
     )

@@ -26,7 +26,10 @@ that fails leaves the stored image as it was.
 cmake, ctest (read through ``--output-junit``) and ``git apply`` are
 driven once, in ``_ExecSession``, over the ``exec`` and path mapping of
 each session adapter. A command that outlives ``COMMAND_TIMEOUT_S``
-fails like any other. Implementations:
+fails like any other, and every process it started on the host is
+killed with it; under docker that host process is the ``docker exec``
+client, and the command inside the container keeps running.
+Implementations:
 
 * ``DockerCliRuntime`` drives a real daemon through the ``docker``
   executable. A checkout is written to a host directory and copied in
@@ -64,11 +67,13 @@ time themselves consistently.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import posixpath
 import re
 import shutil
+import signal
 import subprocess
 import tempfile
 import time
@@ -132,8 +137,6 @@ class ContainerSession(Protocol):
     def copy_tree(self, src: str, dest: str) -> None: ...
 
     def read_file(self, path: str) -> str: ...
-
-    def write_file(self, path: str, content: str) -> None: ...
 
     def path_exists(self, path: str) -> bool: ...
 
@@ -204,15 +207,27 @@ COMMAND_TIMEOUT_S = 3600.0  # a build, a suite run or a patch that takes longer 
 def _subprocess_runner(
     argv: Sequence[str], input_text: str | None = None, timeout: float = COMMAND_TIMEOUT_S
 ) -> RunnerResult:
-    """Run one command; one still running after ``timeout`` is killed and fails."""
-    try:
-        proc = subprocess.run(
-            list(argv), input=input_text, capture_output=True, encoding="utf-8",
-            errors="replace", timeout=timeout,
-        )
-    except subprocess.TimeoutExpired:
-        return RunnerResult(124, "", f"{' '.join(argv)} timed out after {timeout:g} s")
-    return RunnerResult(proc.returncode, proc.stdout, proc.stderr)
+    """Run one command in a process group of its own.
+
+    A command still running after ``timeout`` fails with code 124. Then,
+    or when the caller is interrupted (Ctrl-C reaches only the caller's
+    group), the whole group is killed, so a hung ctest takes its test
+    processes with it.
+    """
+    with subprocess.Popen(
+        list(argv), stdin=None if input_text is None else subprocess.PIPE,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, encoding="utf-8", errors="replace",
+        start_new_session=True,
+    ) as proc:
+        try:
+            stdout, stderr = proc.communicate(input_text, timeout=timeout)
+        except BaseException as exc:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            if not isinstance(exc, subprocess.TimeoutExpired):
+                raise
+            return RunnerResult(124, "", f"{' '.join(argv)} timed out after {timeout:g} s")
+    return RunnerResult(proc.returncode, stdout, stderr)
 
 
 def _check_out_on_host(source: str, trees: Mapping[str, str], scratch: str) -> None:
@@ -454,12 +469,6 @@ class DockerSession(_ExecSession):
             raise FileNotFoundError(path)
         return result.stdout
 
-    def write_file(self, path: str, content: str) -> None:
-        script = 'mkdir -p "$(dirname "$1")" && cat > "$1"'
-        result = self.exec(["sh", "-c", script, "sh", path], content)
-        if result.returncode != 0:
-            raise RuntimeUnavailableError(f"write to {path} failed: {result.stderr}")
-
     def path_exists(self, path: str) -> bool:
         return self.exec(["test", "-e", path]).returncode == 0
 
@@ -522,11 +531,6 @@ class _HostFsSession(_ExecSession):
     def read_file(self, path: str) -> str:
         with open(self.host_path(path), encoding="utf-8") as handle:
             return handle.read()
-
-    def write_file(self, path: str, content: str) -> None:
-        host = self.host_path(path)
-        os.makedirs(os.path.dirname(host), exist_ok=True)
-        _write_text(host, content)
 
     def path_exists(self, path: str) -> bool:
         return os.path.exists(self.host_path(path))

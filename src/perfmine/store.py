@@ -2,13 +2,17 @@
 
 Layout under a store directory:
 
-    entries/<patch_id>.json    the manifest (schema below)
+    entries/<patch_id>.json    the manifest, as ``entry_to_dict`` writes it
     patches/<patch_id>.patch   the ground-truth unified diff
 
 Writes are atomic (write to a temp file, then rename), manifests are
 dumped with sorted keys and UTF-8 so regenerated stores diff cleanly,
-and the reader is strict: unknown schema versions and internally
-inconsistent manifests are rejected rather than repaired.
+and ``entry_to_dict`` is the one definition of a manifest: one is
+accepted only when re-serialising the parsed entry gives back exactly
+the stored JSON, the same keys and the same derived values (digests,
+``has_significant_test``, ``patch_file``, the fixed decisions). A
+faulty manifest is rejected with a ``SchemaError``, never repaired. The
+prompt fingerprints are the ones recorded at classification.
 """
 
 from __future__ import annotations
@@ -133,49 +137,6 @@ class BenchmarkEntry:
 # ---------------------------------------------------------------------------
 # serialization
 
-# The keys each level of a manifest holds: exactly what entry_to_dict writes.
-_ENTRY_KEYS = frozenset({
-    "schema_version", "patch_id", "repo", "commit", "classification", "build", "timing",
-    "stats_decisions", "has_significant_test", "verified", "reviewer_note",
-})
-_REPO_KEYS = frozenset({
-    "owner", "name", "stars", "primary_language", "default_branch", "head_sha",
-    "has_root_cmake", "has_cmake_tests", "head_tests_pass",
-})
-_COMMIT_KEYS = frozenset({
-    "sha", "parent_sha", "author_timestamp", "message", "linked_issue_text", "patch_file",
-    "changes",
-})
-_CHANGE_KEYS = frozenset({"path", "change_kind", "old_path", "lines_added", "lines_deleted"})
-_CLASSIFICATION_KEYS = frozenset({
-    "phase1", "phase2", "final", "decided_in_phase", "prompt_fingerprints",
-})
-_VOTE_KEYS = frozenset({"value", "backend_id", "raw_response"})
-_BUILD_KEYS = frozenset({"plan", "image", "suite_invocation", "runs"})
-_PLAN_KEYS = frozenset({
-    "base_image", "compiler_version", "configure_args", "install_packages",
-    "repair_rounds_used",
-})
-_RUN_KEYS = frozenset({"version", "runs_requested", "runs_recorded", "suite_wall_times_ms"})
-_TIMING_KEYS = frozenset({"test_name", "digest", "pre_ms", "post_ms", "result"})
-_RESULT_KEYS = frozenset({
-    "u_statistic", "p_value", "relative_improvement", "significant", "method",
-})
-_DECISION_KEYS = frozenset({
-    "delta", "alpha", "exact_threshold", "improvement_metric", "alternative",
-    "warmup_discarded",
-})
-
-
-def _exact(payload: object, keys: frozenset[str], where: str) -> dict:
-    """``payload`` itself, if it is an object holding exactly ``keys``."""
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{where} must be a JSON object")
-    if payload.keys() != keys:
-        raise SchemaError(f"{where}: missing keys {sorted(keys - payload.keys())}, "
-                          f"unknown keys {sorted(payload.keys() - keys)}")
-    return payload
-
 
 def _repo_to_dict(repo: RepoDescriptor) -> dict:
     return {
@@ -192,7 +153,6 @@ def _repo_to_dict(repo: RepoDescriptor) -> dict:
 
 
 def _repo_from_dict(payload: dict) -> RepoDescriptor:
-    _exact(payload, _REPO_KEYS, "repo")
     return RepoDescriptor(
         owner=payload["owner"],
         name=payload["name"],
@@ -228,8 +188,6 @@ def _commit_to_dict(commit: CommitRecord, patch_file: str) -> dict:
 
 
 def _commit_from_dict(payload: dict) -> CommitRecord:
-    _exact(payload, _COMMIT_KEYS, "commit")
-    changes = [_exact(c, _CHANGE_KEYS, "commit.changes[]") for c in payload["changes"]]
     return CommitRecord(
         sha=payload["sha"],
         parent_sha=payload["parent_sha"],
@@ -244,7 +202,7 @@ def _commit_from_dict(payload: dict) -> CommitRecord:
                 lines_added=c["lines_added"],
                 lines_deleted=c["lines_deleted"],
             )
-            for c in changes
+            for c in payload["changes"]
         ),
     )
 
@@ -265,26 +223,22 @@ def timing_to_dict(evidence: TimingEvidence) -> dict:
     }
 
 
-def timing_from_dict(payload: dict) -> TimingEvidence:
-    _exact(payload, _TIMING_KEYS, "timing[]")
-    _exact(payload["result"], _RESULT_KEYS, "timing[].result")
-    series = TimingSeries(
-        test_name=payload["test_name"],
-        pre_ms=tuple(payload["pre_ms"]),
-        post_ms=tuple(payload["post_ms"]),
+def _timing_from_dict(payload: dict) -> TimingEvidence:
+    result = payload["result"]
+    return TimingEvidence(
+        series=TimingSeries(
+            test_name=payload["test_name"],
+            pre_ms=tuple(payload["pre_ms"]),
+            post_ms=tuple(payload["post_ms"]),
+        ),
+        result=SignificanceResult(
+            u_statistic=result["u_statistic"],
+            p_value=result["p_value"],
+            relative_improvement=result["relative_improvement"],
+            significant=result["significant"],
+            method=result["method"],
+        ),
     )
-    result_payload = payload["result"]
-    result = SignificanceResult(
-        u_statistic=result_payload["u_statistic"],
-        p_value=result_payload["p_value"],
-        relative_improvement=result_payload["relative_improvement"],
-        significant=result_payload["significant"],
-        method=result_payload["method"],
-    )
-    evidence = TimingEvidence(series=series, result=result)
-    if payload["digest"] != evidence.digest:
-        raise SchemaError(f"timing digest mismatch for test {series.test_name!r}")
-    return evidence
 
 
 def entry_to_dict(entry: BenchmarkEntry) -> dict:
@@ -316,41 +270,57 @@ def entry_to_dict(entry: BenchmarkEntry) -> dict:
     }
 
 
-def entry_from_dict(payload: dict) -> BenchmarkEntry:
-    version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema_version {version!r}")
-    _exact(payload, _ENTRY_KEYS, "entry")
-    classification = _exact(payload["classification"], _CLASSIFICATION_KEYS, "classification")
-    for vote in (*classification["phase1"], classification["phase2"]):
-        if vote is not None:
-            _exact(vote, _VOTE_KEYS, "classification vote")
-    build = _exact(payload["build"], _BUILD_KEYS, "build")
-    decisions = _exact(payload["stats_decisions"], _DECISION_KEYS, "stats_decisions")
-    entry = BenchmarkEntry(
-        patch_id=payload["patch_id"],
-        repo=_repo_from_dict(payload["repo"]),
-        commit=_commit_from_dict(payload["commit"]),
-        classification=verdict_from_dict(classification),
-        build_plan=BuildPlan.from_dict(_exact(build["plan"], _PLAN_KEYS, "build.plan")),
-        image=build["image"],
-        runs=tuple(RunSummary.from_dict(_exact(r, _RUN_KEYS, "build.runs[]"))
-                   for r in build["runs"]),
-        timing=tuple(timing_from_dict(t) for t in payload["timing"]),
-        stat_config=StatConfig(
-            delta=decisions["delta"],
-            alpha=decisions["alpha"],
-            exact_threshold=decisions["exact_threshold"],
-        ),
-        verified=payload["verified"],
-        reviewer_note=payload["reviewer_note"],
-        schema_version=version,
-    )
-    if payload["has_significant_test"] != entry.has_significant_test:
-        raise SchemaError(
-            f"{entry.patch_id}: stored has_significant_test contradicts timing results"
+def entry_from_dict(payload: object) -> BenchmarkEntry:
+    """The entry ``payload`` describes, if ``entry_to_dict`` writes it back unchanged.
+
+    That one comparison rejects unknown and missing keys at every level and
+    every value the writer derives. It is Python's ``==``: ``1`` passes for
+    ``true``, and ``1.0`` for ``1``.
+    """
+    if not isinstance(payload, dict):
+        raise SchemaError(f"a manifest must be a JSON object, not {type(payload).__name__}")
+    try:
+        build, decisions = payload["build"], payload["stats_decisions"]
+        entry = BenchmarkEntry(
+            patch_id=payload["patch_id"],
+            repo=_repo_from_dict(payload["repo"]),
+            commit=_commit_from_dict(payload["commit"]),
+            classification=verdict_from_dict(payload["classification"]),
+            build_plan=BuildPlan.from_dict(build["plan"]),
+            image=build["image"],
+            runs=tuple(RunSummary.from_dict(r) for r in build["runs"]),
+            timing=tuple(_timing_from_dict(t) for t in payload["timing"]),
+            stat_config=StatConfig(
+                delta=decisions["delta"],
+                alpha=decisions["alpha"],
+                exact_threshold=decisions["exact_threshold"],
+            ),
+            verified=payload["verified"],
+            reviewer_note=payload["reviewer_note"],
+            schema_version=payload["schema_version"],
         )
+        derived = entry_to_dict(entry)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise SchemaError(f"malformed manifest ({type(exc).__name__}: {exc})") from exc
+    if derived != payload:
+        raise SchemaError(_first_difference(payload, derived, "entry"))
     return entry
+
+
+def _first_difference(stored: object, derived: object, where: str) -> str:
+    """Name the first place, in the writer's key order, where two trees differ."""
+    if isinstance(stored, dict) and isinstance(derived, dict):
+        if stored.keys() != derived.keys():
+            return (f"{where}: missing keys {sorted(derived.keys() - stored.keys())}, "
+                    f"unknown keys {sorted(stored.keys() - derived.keys())}")
+        for key, value in derived.items():
+            if stored[key] != value:
+                return _first_difference(stored[key], value, f"{where}.{key}")
+    if isinstance(stored, list) and isinstance(derived, list) and len(stored) == len(derived):
+        for n, (s, d) in enumerate(zip(stored, derived)):
+            if s != d:
+                return _first_difference(s, d, f"{where}[{n}]")
+    return f"{where}: stored {repr(stored)[:100]}, derived {repr(derived)[:100]}"
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +373,15 @@ def read_entry(store_dir: str | Path, patch_id: str) -> BenchmarkEntry:
     target = entry_path(store_dir, patch_id)
     if not target.is_file():
         raise StoreError(f"no entry named {patch_id!r} under {store_dir}")
+    return _load_entry(target)
+
+
+def _load_entry(path: Path) -> BenchmarkEntry:
+    """The entry stored in ``path``; any fault in its content is a ``SchemaError``."""
     try:
-        payload = json.loads(target.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
-        raise SchemaError(f"{target} is not valid JSON: {exc}") from exc
+        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     return entry_from_dict(payload)
 
 
@@ -456,9 +431,8 @@ def query(store_dir: str | Path, entry_filter: EntryFilter | None = None) -> Que
     errors = []
     for path in sorted(entries_dir.glob("*.json")):
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            entry = entry_from_dict(payload)
-        except (ValueError, KeyError, TypeError, SchemaError) as exc:
+            entry = _load_entry(path)
+        except SchemaError as exc:
             errors.append((str(path), str(exc)))
             continue
         if entry_filter.matches(entry):

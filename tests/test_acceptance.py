@@ -358,7 +358,6 @@ docker_available = DockerCliRuntime().available()
 
 @pytest.mark.skipif(not docker_available, reason="no reachable container engine")
 def test_acceptance_10_real_container_runtime(tmp_path):
-    from perfmine.discovery import RepoDescriptor
     from perfmine.orchestrator import (
         BuildPlan,
         ORIGINAL_DIR,
@@ -378,15 +377,9 @@ def test_acceptance_10_real_container_runtime(tmp_path):
         message="Shorten the busy loop",
         changes=(FileChange(path="main.cpp", change_kind="modified"),),
     )
-    descriptor = RepoDescriptor(
-        owner="local", name="realrepo", stars=0,
-        primary_language="C++", default_branch="main", head_sha=fast_sha,
-    )
     base_image, _ = select_base_image((repo_dir / "CMakeLists.txt").read_text())
     runtime = DockerCliRuntime()
-    env = prepare_environment(
-        commit, descriptor, runtime, source=str(repo_dir), base_image=base_image
-    )
+    env = prepare_environment(commit, runtime, source=str(repo_dir), base_image=base_image)
     try:
         plan = BuildPlan(base_image=base_image, compiler_version="")
         for version_dir in (ORIGINAL_DIR, PATCHED_DIR):

@@ -486,8 +486,61 @@ def test_inspect_reports_malformed_entries_without_crashing(cli_store, capsys):
         junk.unlink()
 
 
+def _copy_of(cli_store: CliStore, tmp_path: Path) -> Path:
+    copy = tmp_path / "store-copy"
+    for part in ("entries", "patches"):
+        shutil.copytree(cli_store.out_dir / part, copy / part)
+    return copy
+
+
+@pytest.mark.parametrize("level, key, value", [
+    ("classification", "final", "negative"),  # the votes were Yes and Yes
+    ("repo", "stars", "400"),
+    (None, "timing", None),
+    ("commit", "patch_file", "patches/other.patch"),
+])
+def test_a_malformed_entry_exits_65_with_one_line(cli_store, tmp_path, capsys, level, key, value):
+    store = _copy_of(cli_store, tmp_path)
+    path = store / "entries" / f"{cli_store.patch_id}.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    (payload[level] if level else payload)[key] = value
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    for command in (["inspect", "--patch-id", cli_store.patch_id],
+                    ["verify", "--patch-id", cli_store.patch_id, "--decision", "accepted"]):
+        code, stdout = run_cli(*command, "--store", str(store))
+        assert (code, stdout) == (EXIT_DATA, "")
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+
+
+def test_inspect_warns_about_an_entry_that_is_no_json_object(cli_store, tmp_path, capsys):
+    store = _copy_of(cli_store, tmp_path)
+    (store / "entries" / "junk.json").write_text("[]", encoding="utf-8")
+    capsys.readouterr()
+    code, stdout = run_cli("inspect", "--store", str(store))
+    assert code == EXIT_OK
+    assert stdout.split()[0] == cli_store.patch_id
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("warning: ") and "junk.json" in line
+
+
 # ---------------------------------------------------------------------------
 # verify
+
+
+def test_verify_keeps_the_recorded_prompt_fingerprints(cli_store, tmp_path):
+    store = _copy_of(cli_store, tmp_path)
+    path = store / "entries" / f"{cli_store.patch_id}.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["classification"]["prompt_fingerprints"] = {"phase1": "0" * 64, "phase2": "1" * 64}
+    before = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    path.write_text(before, encoding="utf-8")
+    code, _ = run_cli("verify", "--store", str(store), "--patch-id", cli_store.patch_id,
+                      "--decision", "accepted")
+    assert code == EXIT_OK
+    after = path.read_text(encoding="utf-8")
+    assert after == before.replace('"verified": "unreviewed"', '"verified": "accepted"')
 
 
 def test_verify_accepts_once_then_refuses(cli_store, tmp_path):

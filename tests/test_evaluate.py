@@ -201,9 +201,7 @@ def test_report_written_next_to_the_store(mined_store):
     assert payload["verdict"] == VERDICT_IMPROVES
     assert payload["baseline"] == "re_measured_same_session"
     assert payload["candidate_digest"] == candidate_digest(diff)
-    round_tripped = EvaluationReport.from_dict(payload)
-    assert round_tripped.verdict == report.verdict
-    assert round_tripped.timing == report.timing
+    assert payload == report.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +252,7 @@ def _evaluate_raw_entry(mined_store, payload):
     payload["patch_id"] = patch_id
     payload["repo"]["owner"], payload["repo"]["name"] = "x", "y"
     payload["commit"]["sha"] = sha
+    payload["commit"]["patch_file"] = f"patches/{patch_id}.patch"
     target = mined_store.store_dir / "entries" / f"{patch_id}.json"
     target.write_text(json.dumps(payload), encoding="utf-8")
     patch_src = mined_store.store_dir / "patches" / f"{mined_store.patch_id}.patch"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -115,11 +116,18 @@ def _docker_session(tmp_path):
     return DockerCliRuntime(runner=runner).start_session("gcc:13"), container
 
 
+def _plant(root: str, path: str, content: str) -> None:
+    """Write a file where a session whose ``/`` is the host directory ``root`` sees ``path``."""
+    os.makedirs(os.path.dirname(root + path), exist_ok=True)
+    with open(root + path, "w", encoding="utf-8") as handle:
+        handle.write(content)
+
+
 @pytest.mark.parametrize("adapter", [_local_session, _docker_session], ids=["local", "docker"])
 def test_both_adapters_issue_the_same_commands_and_read_the_same_report(
         adapter, tmp_path, stub_toolchain):
     session, root = adapter(tmp_path)
-    session.write_file(f"{SOURCE}/CMakeLists.txt", "project(stub)\n")
+    _plant(root, f"{SOURCE}/CMakeLists.txt", "project(stub)\n")
     assert session.configure_and_build(SOURCE, BUILD, ("-DFAST=ON",)).ok
     assert session.list_tests(BUILD) == ["my test", "broken"]
     suite = session.run_suite(BUILD)
@@ -127,7 +135,7 @@ def test_both_adapters_issue_the_same_commands_and_read_the_same_report(
     assert _logged_argv(stub_toolchain, root) == EXPECTED_ARGV
 
     # a run whose ctest writes no report reads no report, not the last one
-    session.write_file(f"{BUILD}/crash", "")
+    _plant(root, f"{BUILD}/crash", "")
     assert session.run_suite(BUILD).results == ()
     session.close()
 
@@ -141,12 +149,56 @@ def test_a_command_that_outlives_its_limit_fails_instead_of_raising():
     assert "timed out after 0.2 s" in result.stderr
 
 
+def _still_running(pid: int, within_s: float = 5.0) -> bool:
+    """Whether ``pid`` is still alive, and no zombie, after waiting up to ``within_s``
+    seconds for it to die (a SIGKILL takes effect when the process is next scheduled)."""
+    deadline = time.monotonic() + within_s
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+                state = handle.read().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            return False
+        if state == "Z":
+            return False
+        time.sleep(0.05)
+    return True
+
+
+# the shell starts a sleep, records its pid and waits for it
+GRANDCHILD = ["sh", "-c", 'sleep 20 & echo $! > "$1"; wait', "sh"]
+
+
+def test_a_timed_out_command_takes_its_whole_process_group_with_it(tmp_path):
+    pid_file = tmp_path / "grandchild.pid"
+    result = _subprocess_runner([*GRANDCHILD, str(pid_file)], None, 0.5)
+    assert result.returncode == 124
+    assert not _still_running(int(pid_file.read_text()))
+
+
+def test_an_interrupted_command_takes_its_whole_process_group_with_it(tmp_path):
+    pid_file = tmp_path / "grandchild.pid"
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            _subprocess_runner([*GRANDCHILD, str(pid_file)], None, 30.0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not _still_running(int(pid_file.read_text()))
+
+
 def test_a_hung_ctest_fails_its_version_on_the_host(tmp_path, stub_toolchain, monkeypatch):
     monkeypatch.setattr(runtime_module, "COMMAND_TIMEOUT_S", 0.5)
-    session, _ = _local_session(tmp_path)
-    session.write_file(f"{SOURCE}/CMakeLists.txt", "project(stub)\n")
+    session, root = _local_session(tmp_path)
+    _plant(root, f"{SOURCE}/CMakeLists.txt", "project(stub)\n")
     assert session.configure_and_build(SOURCE, BUILD, ()).ok
-    session.write_file(f"{BUILD}/hang", "")
+    _plant(root, f"{BUILD}/hang", "")
     started = time.monotonic()
     assert session.run_suite(BUILD).results == ()
     assert time.monotonic() - started < 5

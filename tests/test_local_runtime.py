@@ -14,7 +14,7 @@ import pytest
 
 from conftest import commit_all, git
 
-from perfmine.discovery import HeadTestsState, RepoDescriptor
+from perfmine.discovery import HeadTestsState
 from perfmine.harvest import CommitRecord, FileChange
 from perfmine.orchestrator import (
     BuildPlan,
@@ -96,14 +96,8 @@ def test_real_build_measure_and_snapshot(timing_repo, tmp_path):
         message="Halve the loop time",
         changes=(FileChange(path="main.cpp", change_kind="modified"),),
     )
-    descriptor = RepoDescriptor(
-        owner="local", name="timedrepo", stars=0,
-        primary_language="C++", default_branch="main", head_sha=fast_sha,
-    )
     runtime = LocalProcessRuntime(state_dir=tmp_path / "state")
-    env = prepare_environment(
-        commit, descriptor, runtime, source=str(root), base_image="host"
-    )
+    env = prepare_environment(commit, runtime, source=str(root), base_image="host")
     try:
         plan = BuildPlan(base_image="host", compiler_version="")
         for version_dir in (ORIGINAL_DIR, PATCHED_DIR):

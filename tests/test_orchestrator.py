@@ -11,7 +11,6 @@ from datetime import datetime, timezone
 import pytest
 
 from perfmine.backends import StubBackend
-from perfmine.discovery import RepoDescriptor
 from perfmine.errors import ContractViolation, GitError, RuntimeUnavailableError
 from perfmine.harvest import CommitRecord, FileChange
 from perfmine.orchestrator import (
@@ -41,11 +40,6 @@ from perfmine.runtime import (
 from perfmine.store import read_entry, read_ground_truth_diff
 
 UTC = timezone.utc
-
-
-def make_repo():
-    return RepoDescriptor(owner="acme", name="fixture", stars=400,
-                          primary_language="C++", default_branch="main")
 
 
 def make_commit(sha, parent):
@@ -107,7 +101,7 @@ def test_repair_table_is_read_once_and_copied_out(monkeypatch):
 def test_prepare_environment_clones_both_versions(fake_runtime, fixture_repo):
     commit = make_commit(fixture_repo.perf_sha, fixture_repo.perf_parent_sha)
     env = prepare_environment(
-        commit, make_repo(), fake_runtime, source=str(fixture_repo.path), base_image="gcc:12"
+        commit, fake_runtime, source=str(fixture_repo.path), base_image="gcc:12"
     )
     ses = env.session
     assert ses.read_file(f"{ORIGINAL_DIR}/.perfmine-sha").strip() == fixture_repo.perf_parent_sha
@@ -198,8 +192,8 @@ def test_a_failed_checkout_names_its_sha_and_reaps_every_process(fake_runtime, f
     session.close()
 
     with pytest.raises(GitError, match=bad):
-        prepare_environment(make_commit(bad, fixture_repo.perf_parent_sha), make_repo(),
-                            fake_runtime, source=str(fixture_repo.path))
+        prepare_environment(make_commit(bad, fixture_repo.perf_parent_sha), fake_runtime,
+                            source=str(fixture_repo.path))
     assert os.listdir(os.path.join(fake_runtime.state_dir, "sessions")) == []
 
 
@@ -238,7 +232,7 @@ def test_prepare_environment_rejects_parentless_commit(fixture_repo, tmp_path):
             raise AssertionError("runtime touched for a parentless commit")
 
     with pytest.raises(ContractViolation):
-        prepare_environment(commit, make_repo(), ExplodingRuntime(),
+        prepare_environment(commit, ExplodingRuntime(),
                             source=str(fixture_repo.path))
 
 
@@ -246,7 +240,7 @@ def test_prepare_environment_unreachable_runtime_names_endpoint(tmp_path, fixtur
     runtime = FakeRuntime(tmp_path / "state", reachable=False)
     commit = make_commit(fixture_repo.perf_sha, fixture_repo.perf_parent_sha)
     with pytest.raises(RuntimeUnavailableError) as exc_info:
-        prepare_environment(commit, make_repo(), runtime, source=str(fixture_repo.path))
+        prepare_environment(commit, runtime, source=str(fixture_repo.path))
     assert "fake runtime state" in str(exc_info.value)
 
 
@@ -352,7 +346,7 @@ def test_model_package_parsing_rejects_junk():
 
 def prepared_session(fake_runtime, fixture_repo, sha, parent):
     env = prepare_environment(
-        make_commit(sha, parent), make_repo(), fake_runtime,
+        make_commit(sha, parent), fake_runtime,
         source=str(fixture_repo.path), base_image="gcc:12",
     )
     return env.session
@@ -365,6 +359,11 @@ def build_both(session):
         assert attempt.build_ok
         plan = attempt.plan
     return plan
+
+
+def _write(host_path: str, content: str) -> None:
+    with open(host_path, "w", encoding="utf-8") as handle:
+        handle.write(content)
 
 
 @pytest.mark.parametrize("runs", [2, 5, 31])
@@ -412,7 +411,7 @@ def test_flaky_failure_disqualifies(fake_runtime, tmp_path):
     child = fixtures.commit_all(repo, "speed", "2022-06-01T00:00:00 +0000")
 
     env = prepare_environment(
-        make_commit(child, base), make_repo(), fake_runtime,
+        make_commit(child, base), fake_runtime,
         source=str(repo), base_image="gcc:12",
     )
     build_both(env.session)
@@ -460,7 +459,7 @@ def test_warmup_failure_disqualifies(fake_runtime, tmp_path):
     child = fixtures.commit_all(repo, "speed", "2022-06-01T00:00:00 +0000")
 
     env = prepare_environment(
-        make_commit(child, base), make_repo(), fake_runtime,
+        make_commit(child, base), fake_runtime,
         source=str(repo), base_image="gcc:12",
     )
     build_both(env.session)
@@ -504,7 +503,7 @@ def test_snapshot_naming_and_replacement(fake_runtime, fixture_repo):
             fake_runtime, fixture_repo, fixture_repo.perf_sha, fixture_repo.perf_parent_sha
         )
         build_both(session)
-        session.write_file(f"{ORIGINAL_DIR}/marker.txt", marker)
+        _write(session.host_path(f"{ORIGINAL_DIR}/marker.txt"), marker)
         tags.append(snapshot_image(session, entry_id, fake_runtime, outcomes))
         session.close()
     tag = image_tag(entry_id)
@@ -525,7 +524,7 @@ def test_a_failed_snapshot_keeps_the_stored_image(fake_runtime, fixture_repo):
     session = prepared_session(
         fake_runtime, fixture_repo, fixture_repo.perf_sha, fixture_repo.perf_parent_sha
     )
-    session.write_file(f"{ORIGINAL_DIR}/marker.txt", "stored")
+    _write(session.host_path(f"{ORIGINAL_DIR}/marker.txt"), "stored")
     tag = snapshot_image(session, "kept", fake_runtime, outcomes)
     with pytest.raises(ContractViolation):  # the spent session cannot snapshot again
         snapshot_image(session, "kept", fake_runtime, outcomes)
@@ -548,7 +547,6 @@ def test_a_snapshotted_session_refuses_every_call_but_close(fake_runtime, fixtur
     assert sorted(os.listdir(work)) == left
     calls = {
         "read_file": lambda: session.read_file(f"{ORIGINAL_DIR}/{SHA_MARKER}"),
-        "write_file": lambda: session.write_file(f"{ORIGINAL_DIR}/marker.txt", "too late"),
         "path_exists": lambda: session.path_exists(ORIGINAL_DIR),
         "copy_tree": lambda: session.copy_tree(ORIGINAL_DIR, "/work/candidate"),
         "check_out": lambda: session.check_out(
@@ -644,9 +642,8 @@ def test_fake_suite_runs_what_was_built(fake_runtime, fixture_repo):
     build_both(session)
     build_dir = f"{ORIGINAL_DIR}-build"
     source = session.read_file(f"{ORIGINAL_DIR}/src/compute.cpp")
-    session.write_file(
-        f"{ORIGINAL_DIR}/src/compute.cpp", source.replace("base_ms=150", "base_ms=900")
-    )
+    _write(session.host_path(f"{ORIGINAL_DIR}/src/compute.cpp"),
+           source.replace("base_ms=150", "base_ms=900"))
     [before] = session.run_suite(build_dir).results
     assert before.wall_time_ms == pytest.approx(150.0)
     assert session.list_tests(build_dir) == ["unit_main"]
@@ -707,33 +704,6 @@ def test_fake_session_apply_patch_conflict(fake_runtime, fixture_repo):
     result = session.apply_patch(ORIGINAL_DIR, bad_diff)
     assert not result.ok
     assert result.log
-
-
-def test_docker_write_file_passes_the_path_as_an_argument(tmp_path):
-    calls = []
-
-    def runner(argv, input_text=None, timeout=0.0):
-        calls.append(list(argv))
-        if argv[1] == "run":
-            return RunnerResult(0, "cid\n", "")
-        command = argv[argv.index("cid") + 1:]
-        if command[0] != "sh":
-            return RunnerResult(0, "", "")
-        # run the shell step on the host to show the script writes where it says
-        proc = subprocess.run(command, input=input_text, capture_output=True, text=True)
-        return RunnerResult(proc.returncode, proc.stdout, proc.stderr)
-
-    session = DockerCliRuntime(runner=runner).start_session("gcc:13")
-    path = f"{tmp_path}/logs dir/x; touch {tmp_path}/injected.log"
-    session.write_file(path, "payload")
-    argv = calls[-1]
-    assert argv[:4] == ["docker", "exec", "-i", "cid"]
-    assert argv[4:6] == ["sh", "-c"]
-    assert path not in argv[6]
-    assert argv[7:] == ["sh", path]
-    with open(path, encoding="utf-8") as handle:
-        assert handle.read() == "payload"
-    assert not (tmp_path / "injected.log").exists()
 
 
 def _recording_docker():

@@ -130,25 +130,68 @@ def test_tampered_timing_digest_rejected(store):
     "build.runs.0 -suite_wall_times_ms",
     "timing.0 -digest",
     "timing.0.result +effect_size",
+    # values the writer derives or fixes, and values no entry can hold
+    'commit patch_file="patches/acme__lib__bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb.patch"',
+    'stats_decisions alternative="two_sided"',
+    "stats_decisions warmup_discarded=false",
+    'build suite_invocation="per_test"',
+    'classification final="negative"',
+    'repo stars="400"',
+    "timing=null",
 ])
 def test_unknown_or_missing_keys_rejected(store, edit):
-    # "<level> +key" adds a key at that level of the manifest, "-key" drops one
+    # "<level> +key" adds a key at that level of the manifest, "-key" drops
+    # one, and "key=<json>" sets one
     entry = make_entry(multi_file=True)
     path = write_entry(entry, store, diff_text=DIFF_TEXT)
-    payload = json.loads(path.read_text())
+    payload = _edited(json.loads(path.read_text()), edit)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError):
+        read_entry(store, entry.patch_id)
+    [(bad_path, _)] = query(store).errors
+    assert bad_path == str(path)
+
+
+def _edited(payload: dict, edit: str) -> dict:
     *level, change = edit.split()
     target = payload
     for step in level[0].split(".") if level else ():
         target = target[int(step) if step.isdigit() else step]
     if change[0] == "+":
         target[change[1:]] = 1
-    else:
+    elif change[0] == "-":
         del target[change[1:]]
+    else:
+        key, value = change.split("=", 1)
+        target[key] = json.loads(value)
+    return payload
+
+
+@pytest.mark.parametrize("edit, message", [
+    ('commit patch_file="patches/other.patch"',
+     "entry.commit.patch_file: stored 'patches/other.patch', "
+     "derived 'patches/acme__lib__aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa.patch'"),
+    ("build.plan +cache", "entry.build.plan: missing keys [], unknown keys ['cache']"),
+    ("timing.0 -digest", "entry.timing[0]: missing keys ['digest'], unknown keys []"),
+    ("has_significant_test=false", "entry.has_significant_test: stored False, derived True"),
+])
+def test_a_rejected_manifest_names_the_first_difference(edit, message):
+    payload = _edited(entry_to_dict(make_entry()), edit)
+    with pytest.raises(SchemaError) as excinfo:
+        entry_from_dict(payload)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("payload", [[], "entry", None, 1])
+def test_a_manifest_that_is_no_json_object_is_a_schema_error(store, payload):
+    populate(store)
+    path = store / "entries" / "junk.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(SchemaError):
-        read_entry(store, entry.patch_id)
-    [(bad_path, _)] = query(store).errors
-    assert bad_path == str(path)
+    with pytest.raises(SchemaError, match="must be a JSON object"):
+        read_entry(store, "junk")
+    result = query(store)
+    assert len(result.entries) == 3
+    assert [p for p, _ in result.errors] == [str(path)]
 
 
 def test_entry_dict_round_trip():
