@@ -343,7 +343,7 @@ def cmd_inspect(args) -> int:
         raise StoreError(f"store directory does not exist: {store_dir}")
     if args.patch_id:
         entries = [read_entry(store_dir, args.patch_id)]
-        errors: list[str] = []
+        errors: list[tuple[str, str]] = []
     else:
         entry_filter = EntryFilter(
             repo=args.repo,
@@ -353,8 +353,8 @@ def cmd_inspect(args) -> int:
         )
         found = query(store_dir, entry_filter)
         entries, errors = list(found.entries), list(found.errors)
-    for message in errors:
-        print(f"warning: {message}", file=sys.stderr)
+    for path, message in errors:
+        print(f"warning: {path}: {message}", file=sys.stderr)
     if args.json:
         _print_json_array(entry_to_dict(e) for e in entries)
         return EXIT_OK

@@ -48,8 +48,15 @@ The local and fake runtimes keep each session in a directory of its own
 and delete it when the session closes. A snapshot moves the session's
 ``ORIGINAL_DIR`` into the image with one rename and so ends the session:
 every later call but ``close()`` raises ``ContractViolation``, and
-``close()`` deletes the rest of ``/work``. Reopening an image copies
-it, so images outlive every session opened from them.
+``close()`` deletes the rest of ``/work``. The snapshot then clears the
+write bits of every file in the image, and a session opened from it
+gets the image's directories anew and its files as hard links, so
+images outlive every session opened from them. ``copy_tree`` links the
+same way. A file in a session is therefore changed by replacing it, as
+``git apply`` does, never by writing into it: a build that writes in
+place into a source file fails with ``EACCES``. Mode bits do not stop
+a process running as root, so that guard holds only for unprivileged
+runs.
 
 Fake timing declarations are comment lines inside any source file:
 
@@ -68,12 +75,14 @@ time themselves consistently.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 import posixpath
 import re
 import shutil
 import signal
+import stat
 import subprocess
 import tempfile
 import time
@@ -134,7 +143,15 @@ class ContainerSession(Protocol):
         ``source``, with a ``SHA_MARKER`` file and no ``.git``."""
         ...
 
-    def copy_tree(self, src: str, dest: str) -> None: ...
+    def copy_tree(self, src: str, dest: str) -> None:
+        """Make ``dest`` a copy of the tree at ``src``.
+
+        On the host runtimes ``dest``'s directories are its own but its
+        files are hard links to ``src``'s, which in a session opened from
+        an image are the image's read-only files: change a file by
+        replacing it, as ``git apply`` does. Docker copies the files.
+        """
+        ...
 
     def read_file(self, path: str) -> str: ...
 
@@ -265,6 +282,42 @@ def _check_out_on_host(source: str, trees: Mapping[str, str], scratch: str) -> N
 def _write_text(path: str, content: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(content)
+
+
+# os.link failures that a plain copy of the file gets round: another file
+# system, a file system without hard links, or a file at its link limit
+_COPY_INSTEAD_OF_LINK = frozenset({errno.EXDEV, errno.EPERM, errno.EMLINK, errno.ENOTSUP})
+
+
+def _link_or_copy(src: str, dst: str) -> None:
+    try:
+        os.link(src, dst)
+    except OSError as exc:
+        if exc.errno not in _COPY_INSTEAD_OF_LINK:
+            raise
+        shutil.copy2(src, dst)
+
+
+def _link_tree(src: str, dst: str) -> None:
+    """Make ``dst`` a tree of new directories, with ``src``'s symlinks
+    recreated as symlinks and its regular files hard-linked (or copied,
+    where a link cannot be made)."""
+    shutil.copytree(src, dst, symlinks=True, copy_function=_link_or_copy)
+
+
+def _make_files_read_only(top: str) -> None:
+    """Clear the write bits of every regular file under ``top``.
+
+    Symlinks are never followed: one in a mined tree may point at a file
+    outside it. Directories keep their modes, so the tree can be deleted.
+    """
+    with os.scandir(top) as entries:
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):
+                _make_files_read_only(entry.path)
+            elif entry.is_file(follow_symlinks=False):
+                mode = entry.stat(follow_symlinks=False).st_mode
+                os.chmod(entry.path, stat.S_IMODE(mode) & ~0o222)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +579,7 @@ class _HostFsSession(_ExecSession):
                            self.root)
 
     def copy_tree(self, src: str, dest: str) -> None:
-        shutil.copytree(self.host_path(src), self.host_path(dest), symlinks=True)
+        _link_tree(self.host_path(src), self.host_path(dest))
 
     def read_file(self, path: str) -> str:
         with open(self.host_path(path), encoding="utf-8") as handle:
@@ -568,6 +621,7 @@ class _HostFsRuntimeBase:
         os.makedirs(os.path.join(staged, "work"))
         os.rename(original, os.path.join(staged, "work", "original"))
         session.snapshotted = True
+        _make_files_read_only(os.path.join(staged, "work"))
         _write_text(os.path.join(staged, "meta.json"), json.dumps({"tag": tag, **meta}, indent=2))
         image_dir = self._image_dir(tag)
         os.makedirs(os.path.dirname(image_dir), exist_ok=True)
@@ -584,7 +638,7 @@ class _HostFsRuntimeBase:
             raise RuntimeUnavailableError(f"no stored image tagged {tag} under {image_dir}")
         work = os.path.join(root, "work")
         shutil.rmtree(work, ignore_errors=True)
-        shutil.copytree(os.path.join(image_dir, "work"), work, symlinks=True)
+        _link_tree(os.path.join(image_dir, "work"), work)
         with open(os.path.join(image_dir, "meta.json"), encoding="utf-8") as handle:
             return json.load(handle)
 

@@ -10,9 +10,10 @@ dumped with sorted keys and UTF-8 so regenerated stores diff cleanly,
 and ``entry_to_dict`` is the one definition of a manifest: one is
 accepted only when re-serialising the parsed entry gives back exactly
 the stored JSON, the same keys and the same derived values (digests,
-``has_significant_test``, ``patch_file``, the fixed decisions). A
-faulty manifest is rejected with a ``SchemaError``, never repaired. The
-prompt fingerprints are the ones recorded at classification.
+``has_significant_test``, ``patch_file``, the fixed decisions), each of
+the same JSON type. A faulty manifest is rejected with a ``SchemaError``
+that names where it differs, never repaired. The prompt fingerprints are
+the ones recorded at classification.
 """
 
 from __future__ import annotations
@@ -257,8 +258,8 @@ def entry_to_dict(entry: BenchmarkEntry) -> dict:
         },
         "timing": [timing_to_dict(t) for t in entry.timing],
         "stats_decisions": {
-            "delta": entry.stat_config.delta,
-            "alpha": entry.stat_config.alpha,
+            "delta": float(entry.stat_config.delta),
+            "alpha": float(entry.stat_config.alpha),
             "exact_threshold": entry.stat_config.exact_threshold,
             "improvement_metric": "relative_median",
             "alternative": "post_stochastically_smaller",
@@ -274,37 +275,83 @@ def entry_from_dict(payload: object) -> BenchmarkEntry:
     """The entry ``payload`` describes, if ``entry_to_dict`` writes it back unchanged.
 
     That one comparison rejects unknown and missing keys at every level and
-    every value the writer derives. It is Python's ``==``: ``1`` passes for
-    ``true``, and ``1.0`` for ``1``.
+    every value the writer derives. It compares types too: ``1`` is not
+    ``true``, nor ``1.0`` ``1``.
     """
     if not isinstance(payload, dict):
         raise SchemaError(f"a manifest must be a JSON object, not {type(payload).__name__}")
     try:
-        build, decisions = payload["build"], payload["stats_decisions"]
-        entry = BenchmarkEntry(
-            patch_id=payload["patch_id"],
-            repo=_repo_from_dict(payload["repo"]),
-            commit=_commit_from_dict(payload["commit"]),
-            classification=verdict_from_dict(payload["classification"]),
-            build_plan=BuildPlan.from_dict(build["plan"]),
-            image=build["image"],
-            runs=tuple(RunSummary.from_dict(r) for r in build["runs"]),
-            timing=tuple(_timing_from_dict(t) for t in payload["timing"]),
-            stat_config=StatConfig(
-                delta=decisions["delta"],
-                alpha=decisions["alpha"],
-                exact_threshold=decisions["exact_threshold"],
-            ),
-            verified=payload["verified"],
-            reviewer_note=payload["reviewer_note"],
-            schema_version=payload["schema_version"],
-        )
+        try:
+            entry = _build_entry(payload)
+        except KeyError:
+            # build it again from a copy that names the object missing the key
+            entry = _build_entry(_located(payload, "entry"))
         derived = entry_to_dict(entry)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SchemaError(f"malformed manifest ({type(exc).__name__}: {exc})") from exc
-    if derived != payload:
+    if derived != payload or not _same_types(payload, derived):
         raise SchemaError(_first_difference(payload, derived, "entry"))
     return entry
+
+
+def _build_entry(payload: dict) -> BenchmarkEntry:
+    build, decisions = payload["build"], payload["stats_decisions"]
+    return BenchmarkEntry(
+        patch_id=payload["patch_id"],
+        repo=_repo_from_dict(payload["repo"]),
+        commit=_commit_from_dict(payload["commit"]),
+        classification=verdict_from_dict(payload["classification"]),
+        build_plan=BuildPlan.from_dict(build["plan"]),
+        image=build["image"],
+        runs=tuple(RunSummary.from_dict(r) for r in build["runs"]),
+        timing=tuple(_timing_from_dict(t) for t in payload["timing"]),
+        stat_config=StatConfig(
+            delta=decisions["delta"],
+            alpha=decisions["alpha"],
+            exact_threshold=decisions["exact_threshold"],
+        ),
+        verified=payload["verified"],
+        reviewer_note=payload["reviewer_note"],
+        schema_version=payload["schema_version"],
+    )
+
+
+class _Located(dict):
+    """A JSON object of a manifest that names its path when a key is missing."""
+
+    def __init__(self, items: dict, where: str) -> None:
+        super().__init__(items)
+        self.where = where
+
+    def __missing__(self, key: str):
+        raise SchemaError(f"{self.where}: missing key {key!r}")
+
+
+def _located(value: object, where: str) -> object:
+    """``value`` with every JSON object in it made a ``_Located`` at its path."""
+    if isinstance(value, dict):
+        return _Located({k: _located(v, f"{where}.{k}") for k, v in value.items()}, where)
+    if isinstance(value, list):
+        return [_located(v, f"{where}[{n}]") for n, v in enumerate(value)]
+    return value
+
+
+_CONTAINERS = frozenset({dict, list})
+
+
+def _same_types(stored: object, derived: object) -> bool:
+    """Whether two trees that compare equal hold a value of the same type at
+    every place: ``==`` takes ``1`` for ``true``, and ``1.0`` for ``1``."""
+    if isinstance(derived, dict):
+        return type(stored) is dict and all(
+            _same_types(stored[key], value) if type(value) in _CONTAINERS
+            else type(stored[key]) is type(value)
+            for key, value in derived.items())
+    if isinstance(derived, list):
+        kinds = list(map(type, derived))
+        return (type(stored) is list and list(map(type, stored)) == kinds
+                and (_CONTAINERS.isdisjoint(kinds) or all(map(_same_types, stored, derived))))
+    return type(stored) is type(derived)
 
 
 def _first_difference(stored: object, derived: object, where: str) -> str:
@@ -314,11 +361,11 @@ def _first_difference(stored: object, derived: object, where: str) -> str:
             return (f"{where}: missing keys {sorted(derived.keys() - stored.keys())}, "
                     f"unknown keys {sorted(stored.keys() - derived.keys())}")
         for key, value in derived.items():
-            if stored[key] != value:
+            if stored[key] != value or not _same_types(stored[key], value):
                 return _first_difference(stored[key], value, f"{where}.{key}")
     if isinstance(stored, list) and isinstance(derived, list) and len(stored) == len(derived):
         for n, (s, d) in enumerate(zip(stored, derived)):
-            if s != d:
+            if s != d or not _same_types(s, d):
                 return _first_difference(s, d, f"{where}[{n}]")
     return f"{where}: stored {repr(stored)[:100]}, derived {repr(derived)[:100]}"
 

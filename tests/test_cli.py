@@ -522,7 +522,8 @@ def test_inspect_warns_about_an_entry_that_is_no_json_object(cli_store, tmp_path
     assert code == EXIT_OK
     assert stdout.split()[0] == cli_store.patch_id
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("warning: ") and "junk.json" in line
+    junk = store / "entries" / "junk.json"
+    assert line == f"warning: {junk}: a manifest must be a JSON object, not list"
 
 
 # ---------------------------------------------------------------------------

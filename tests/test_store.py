@@ -174,6 +174,16 @@ def _edited(payload: dict, edit: str) -> dict:
     ("build.plan +cache", "entry.build.plan: missing keys [], unknown keys ['cache']"),
     ("timing.0 -digest", "entry.timing[0]: missing keys ['digest'], unknown keys []"),
     ("has_significant_test=false", "entry.has_significant_test: stored False, derived True"),
+    # `==` takes 1 for true and 1 for 1.0, so only the types tell these apart
+    ("has_significant_test=1", "entry.has_significant_test: stored 1, derived True"),
+    ("stats_decisions warmup_discarded=1",
+     "entry.stats_decisions.warmup_discarded: stored 1, derived True"),
+    ("stats_decisions delta=1", "entry.stats_decisions.delta: stored 1, derived 1.0"),
+    # a key the reader copies is missing: the object that lacks it is named
+    ("-patch_id", "entry: missing key 'patch_id'"),
+    ("repo -stars", "entry.repo: missing key 'stars'"),
+    ("build.plan -repair_rounds_used", "entry.build.plan: missing key 'repair_rounds_used'"),
+    ("timing.0.result -p_value", "entry.timing[0].result: missing key 'p_value'"),
 ])
 def test_a_rejected_manifest_names_the_first_difference(edit, message):
     payload = _edited(entry_to_dict(make_entry()), edit)
