@@ -24,6 +24,7 @@ from .stats import StatConfig, TimingSeries, judge
 from .store import (
     BenchmarkEntry,
     TimingEvidence,
+    _atomic_write,
     timing_to_dict,
     read_entry,
 )
@@ -124,10 +125,9 @@ def report_path(store_dir: str | Path, patch_id: str) -> Path:
 
 def _write_report(report: EvaluationReport, store_dir: str | Path) -> Path:
     target = report_path(store_dir, report.patch_id)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
+    # replaced whole, so an interrupted evaluate leaves the last report as it was
+    _atomic_write(
+        target, json.dumps(report.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     )
     return target
 

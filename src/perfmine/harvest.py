@@ -5,11 +5,17 @@ and yields every non-merge commit with a non-empty diff, whatever its date.
 The structural filter alone decides: a commit survives iff it falls inside
 the configured time window, touches at most max_files files, and every
 touched file is C++ source that is not a test file.
+
+What a mine reads of single commits afterwards (each phase-2 diff, each
+built commit's ``CMakeLists.txt``) comes from ``GitObjects``: one
+``git diff-tree --stdin`` and one ``git cat-file --batch`` per mine,
+however many commits it reads.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import re
 import subprocess
 import tempfile
@@ -292,14 +298,116 @@ def _parse_log(fields: Iterator[str]) -> Iterator[tuple[list[str], CommitRecord]
         )
 
 
-def commit_diff_text(repo: Path | str, commit: CommitRecord) -> str:
+# A line that is no object id: ``diff-tree --stdin`` echoes it and flushes,
+# so sent after a request it marks where that request's diff ends.
+_END_OF_DIFF = b"~end\n"
+# --always: a commit's id line comes first even when its diff is empty, so
+# a missing commit (which diff-tree skips without a word) is told apart.
+_DIFF_TREE = ("diff-tree", "--stdin", "--always", "-p", RENAME_SIMILARITY)
+_CAT_FILE = ("cat-file", "--batch")
+
+
+class GitObjects:
+    """Diffs and blobs of one clone, each served by one long-lived git process.
+
+    ``diff`` asks one ``git diff-tree --stdin`` and ``blob`` one ``git
+    cat-file --batch``. Each process starts on its first request and
+    serves every later one, so a mine starts at most one of each, however
+    many commits it reads. Use it as a context manager: ``close`` kills and
+    reaps both on every exit path; they only read, so nothing is lost.
+
+    A request fails as loudly as a process of its own would. Both processes
+    write stderr to one temporary file, and anything written there during
+    a request raises GitError, as does output that ends early or lacks the
+    commit's id line. A process whose request failed is stopped, and the
+    next request starts a new one.
+    """
+
+    def __init__(self, repo: Path | str) -> None:
+        self.repo = repo
+        self._processes: dict[tuple[str, ...], subprocess.Popen] = {}
+        self._stderr = tempfile.TemporaryFile()
+
+    def __enter__(self) -> "GitObjects":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def diff(self, sha: str, parent: str) -> str:
+        """The text of ``git diff-tree -p -M50% <parent> <sha>``, as ``run_git`` decodes it."""
+        def read(out) -> bytes:
+            lines = []
+            while (line := out.readline()) != _END_OF_DIFF:
+                if not line:
+                    raise ValueError("output ended early")
+                lines.append(line)
+            if lines[:1] != [f"{sha}\n".encode()]:
+                raise ValueError(f"no commit {sha}")
+            return b"".join(lines[1:])
+
+        return self._ask(_DIFF_TREE, f"{sha} {parent}\n".encode() + _END_OF_DIFF, read)
+
+    def blob(self, name: str) -> str:
+        """The blob ``<rev>:<path>``, or "" when it is missing or no blob."""
+        def read(out) -> bytes:
+            header = out.readline()
+            if header.endswith(b" missing\n"):
+                return b""
+            _, kind, size = header.split()  # ValueError when the output ended
+            body = out.read(int(size) + 1)
+            if len(body) != int(size) + 1:
+                raise ValueError("output ended early")
+            return body[:-1] if kind == b"blob" else b""
+
+        return self._ask(_CAT_FILE, f"{name}\n".encode(), read)
+
+    def _ask(self, args: tuple[str, ...], request: bytes, read) -> str:
+        proc = self._processes.get(args)
+        if proc is None:
+            proc = self._processes[args] = subprocess.Popen(
+                ["git", "-C", str(self.repo), *args],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=self._stderr,
+            )
+        errors = self._stderr.fileno()
+        before = os.fstat(errors).st_size
+        try:
+            # unbuffered: stdin's buffer stays empty, so closing it flushes nothing
+            os.write(proc.stdin.fileno(), request)
+            output, failure = read(proc.stdout), ""
+        except (OSError, ValueError) as exc:
+            output, failure = b"", str(exc)
+        detail = os.pread(errors, os.fstat(errors).st_size - before, before)
+        if failure or detail:
+            # its output may be out of step with its requests: the next one starts anew
+            _stop(self._processes.pop(args))
+            detail = detail.decode(errors="replace").strip()
+            raise GitError(f"git {' '.join(args)} in {self.repo} failed on "
+                           f"{request.decode().split()[0]}: {detail or failure}")
+        return output.decode("utf-8", errors="replace")
+
+    def close(self) -> None:
+        while self._processes:
+            _stop(self._processes.popitem()[1])
+        self._stderr.close()
+
+
+def _stop(proc: subprocess.Popen) -> None:
+    proc.kill()
+    proc.wait()
+    proc.stdin.close()
+    proc.stdout.close()
+
+
+def commit_diff_text(objects: GitObjects, commit: CommitRecord) -> str:
     """Full unified diff of the commit against its parent (phase 2, ``patches/``).
 
-    Plumbing reads none of the operator's diff settings (prefixes, context,
-    order file, external or textconv tools); under the default settings
-    the text equals porcelain ``git diff``.
+    Read through the mine's ``GitObjects``, so no diff starts a process of
+    its own. Plumbing reads none of the operator's diff settings (prefixes,
+    context, order file, external or textconv tools); under the default
+    settings the text equals porcelain ``git diff``.
     """
-    return run_git(repo, "diff-tree", "-p", RENAME_SIMILARITY, commit.parent_sha, commit.sha)
+    return objects.diff(commit.sha, commit.parent_sha)
 
 
 def walk_history(

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .evaluate import compare_timings
 from .harvest import (
+    GitObjects,
     HarvestConfig,
     apply_structural_filter,
     commit_diff_text,
@@ -183,57 +184,60 @@ def mine_repository(
     diff, whatever its date, so each one counts as scanned; the structural
     filter alone enforces the configured window. That keeps the scanned
     count meaningful as the funnel's denominator.
+
+    One ``GitObjects`` serves every phase-2 diff and every built commit's
+    ``CMakeLists.txt``, so the mine starts at most one ``git diff-tree``
+    and one ``git cat-file`` besides the walk's two processes. It is
+    closed, and those processes reaped, however the mine ends.
     """
     result = MineResult()
-    # Phase 2 and the store write share one diff; holding only the latest
-    # keeps memory flat over a long walk.
-    diff_text = functools.lru_cache(maxsize=1)(lambda c: commit_diff_text(clone_path, c))
-    for commit in walk_history(clone_path, harvest_config):
-        result.funnel.scanned += 1
-        decision = apply_structural_filter(commit, harvest_config)
-        if not decision.accepted:
-            result.skip(commit.sha, f"filtered: {decision.reason.value}")
-            continue
-        result.funnel.structurally_accepted += 1
+    with GitObjects(clone_path) as objects:
+        # Phase 2 and the store write share one diff; holding only the latest
+        # keeps memory flat over a long walk.
+        diff_text = functools.lru_cache(maxsize=1)(lambda c: commit_diff_text(objects, c))
+        for commit in walk_history(clone_path, harvest_config):
+            result.funnel.scanned += 1
+            decision = apply_structural_filter(commit, harvest_config)
+            if not decision.accepted:
+                result.skip(commit.sha, f"filtered: {decision.reason.value}")
+                continue
+            result.funnel.structurally_accepted += 1
 
-        if issue_fetcher is not None:
-            commit = resolve_linked_issue(commit, repo.owner, repo.name, issue_fetcher)
-        try:
-            verdict = classify_commit(commit, diff_text, backend_config, backend)
-        except (UnparseableResponseError, BackendError) as exc:
-            result.skip(commit.sha, f"classifier error: {exc}")
-            continue
-        if verdict.final != "positive":
-            result.skip(commit.sha, f"classified negative in phase {verdict.decided_in_phase}")
-            continue
-        result.funnel.classified_positive += 1
+            if issue_fetcher is not None:
+                commit = resolve_linked_issue(commit, repo.owner, repo.name, issue_fetcher)
+            try:
+                verdict = classify_commit(commit, diff_text, backend_config, backend)
+            except (UnparseableResponseError, BackendError) as exc:
+                result.skip(commit.sha, f"classifier error: {exc}")
+                continue
+            if verdict.final != "positive":
+                result.skip(commit.sha, f"classified negative in phase {verdict.decided_in_phase}")
+                continue
+            result.funnel.classified_positive += 1
 
-        try:
-            _build_measure_store(
-                repo, commit, verdict, clone_path, diff_text,
-                stat_config=stat_config, limits=limits, runtime=runtime,
-                backend=backend, backend_config=backend_config,
-                out_dir=Path(out_dir), result=result,
-            )
-        except (RuntimeUnavailableError, ContractViolation):
-            raise
-        except (PerfMineError, GitError, OSError) as exc:
-            result.skip(commit.sha, f"orchestration error: {exc}")
+            try:
+                _build_measure_store(
+                    repo, commit, verdict, objects, diff_text,
+                    stat_config=stat_config, limits=limits, runtime=runtime,
+                    backend=backend, backend_config=backend_config,
+                    out_dir=Path(out_dir), result=result,
+                )
+            except (RuntimeUnavailableError, ContractViolation):
+                raise
+            except (PerfMineError, GitError, OSError) as exc:
+                result.skip(commit.sha, f"orchestration error: {exc}")
     return result
 
 
 def _build_measure_store(
-    repo, commit, verdict, clone_path, diff_text, *, stat_config, limits, runtime,
+    repo, commit, verdict, objects, diff_text, *, stat_config, limits, runtime,
     backend, backend_config, out_dir, result,
 ):
-    try:
-        cmake_text = run_git(clone_path, "show", f"{commit.sha}:CMakeLists.txt")
-    except GitError:
-        cmake_text = ""
+    cmake_text = objects.blob(f"{commit.sha}:CMakeLists.txt")
     base_image, compiler_version = select_base_image(cmake_text)
     env = prepare_environment(
         commit, runtime,
-        source=str(clone_path), base_image=base_image,
+        source=str(objects.repo), base_image=base_image,
         cpus=limits.container_cpus, memory=limits.container_memory,
     )
     session = env.session

@@ -633,14 +633,19 @@ class _HostFsRuntimeBase:
         return tag
 
     def _seed_from_image(self, tag: str, root: str) -> dict:
+        """Fill the new session ``root`` from the image; on failure, delete ``root``."""
         image_dir = self._image_dir(tag)
-        if not self.has_image(tag):
-            raise RuntimeUnavailableError(f"no stored image tagged {tag} under {image_dir}")
-        work = os.path.join(root, "work")
-        shutil.rmtree(work, ignore_errors=True)
-        _link_tree(os.path.join(image_dir, "work"), work)
-        with open(os.path.join(image_dir, "meta.json"), encoding="utf-8") as handle:
-            return json.load(handle)
+        try:
+            if not self.has_image(tag):
+                raise RuntimeUnavailableError(f"no stored image tagged {tag} under {image_dir}")
+            work = os.path.join(root, "work")
+            shutil.rmtree(work, ignore_errors=True)
+            _link_tree(os.path.join(image_dir, "work"), work)
+            with open(os.path.join(image_dir, "meta.json"), encoding="utf-8") as handle:
+                return json.load(handle)
+        except BaseException:
+            shutil.rmtree(root, ignore_errors=True)
+            raise
 
 
 # ---------------------------------------------------------------------------

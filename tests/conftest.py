@@ -221,6 +221,20 @@ def lose_a_suite_run(monkeypatch, build_dir: str, invocation: int = 5) -> None:
     monkeypatch.setattr(FakeSession, "run_suite", run_suite)
 
 
+@pytest.fixture
+def recorded_processes(monkeypatch) -> list[subprocess.Popen]:
+    """Every process started through subprocess (``run`` included) during the test."""
+    started: list[subprocess.Popen] = []
+
+    class Recording(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recording)
+    return started
+
+
 @pytest.fixture(scope="session")
 def fixture_repo(tmp_path_factory) -> FixtureRepo:
     return build_fixture_repo(tmp_path_factory.mktemp("fixture") / "fixturerepo")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 
@@ -202,6 +203,23 @@ def test_report_written_next_to_the_store(mined_store):
     assert payload["baseline"] == "re_measured_same_session"
     assert payload["candidate_digest"] == candidate_digest(diff)
     assert payload == report.to_dict()
+
+
+def test_a_report_write_that_fails_leaves_the_last_report_as_it_was(mined_store,
+                                                                    monkeypatch):
+    diff = read_ground_truth_diff(mined_store.store_dir, mined_store.patch_id)
+    evaluate(mined_store.patch_id, diff, mined_store.store_dir, mined_store.runtime, runs=5)
+    target = report_path(mined_store.store_dir, mined_store.patch_id)
+    before = target.read_bytes()
+
+    def replace(src, dst):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match=os.strerror(errno.EIO)):
+        evaluate(mined_store.patch_id, "", mined_store.store_dir, mined_store.runtime, runs=5)
+    assert target.read_bytes() == before
+    assert not list(target.parent.glob("*.tmp"))
 
 
 # ---------------------------------------------------------------------------

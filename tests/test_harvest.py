@@ -14,6 +14,7 @@ from perfmine.harvest import (
     FileChange,
     FileClass,
     FilterDecision,
+    GitObjects,
     HarvestConfig,
     RejectReason,
     apply_structural_filter,
@@ -421,20 +422,6 @@ def test_walk_of_an_empty_repository_raises(tmp_path):
         list(walk_history(repo, CFG))
 
 
-@pytest.fixture
-def recorded_processes(monkeypatch) -> list[subprocess.Popen]:
-    """Every process started through subprocess (``run`` included) during the test."""
-    started: list[subprocess.Popen] = []
-
-    class Recording(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
-
-    monkeypatch.setattr(subprocess, "Popen", Recording)
-    return started
-
-
 def _linear_repo(path, commits: int, files: int = 1):
     path.mkdir()
     git(path, "init", "-q", "-b", "main", ".")
@@ -470,9 +457,22 @@ def test_walk_starts_the_same_few_processes_for_any_history(tmp_path, recorded_p
 
 def test_commit_diff_text(fixture_repo):
     records = {r.sha: r for r in walk_history(fixture_repo.path, CFG)}
-    diff = commit_diff_text(fixture_repo.path, records[fixture_repo.perf_sha])
+    with GitObjects(fixture_repo.path) as objects:
+        diff = commit_diff_text(objects, records[fixture_repo.perf_sha])
     assert "diff --git a/src/compute.cpp" in diff
     assert "hoisted out of the loop" in diff
+
+
+def _hostile_config(tmp_path, monkeypatch) -> None:
+    config = tmp_path / "gitconfig"
+    order = tmp_path / "order.txt"
+    order.write_text("*.hpp\n")
+    config.write_text(
+        f"[diff]\n\tnoprefix = true\n\tmnemonicPrefix = true\n\tcontext = 1\n"
+        f"\torderFile = {order}\n\talgorithm = histogram\n\trenames = copies\n"
+        "[color]\n\tui = always\n[core]\n\tquotePath = false\n"
+    )
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
 
 
 def test_commit_diff_text_ignores_the_users_diff_config(fixture_repo, tmp_path, monkeypatch):
@@ -481,18 +481,127 @@ def test_commit_diff_text_ignores_the_users_diff_config(fixture_repo, tmp_path, 
     monkeypatch.setenv("GIT_CONFIG_GLOBAL", os.devnull)
     porcelain = git(fixture_repo.path, "diff", "-M50%",
                     f"{record.parent_sha}..{record.sha}")
-    assert commit_diff_text(fixture_repo.path, record) == porcelain
-    config = tmp_path / "gitconfig"
-    order = tmp_path / "order.txt"
-    order.write_text("*.hpp\n")
-    config.write_text(
-        f"[diff]\n\tnoprefix = true\n\tmnemonicPrefix = true\n\tcontext = 1\n"
-        f"\torderFile = {order}\n\talgorithm = histogram\n[color]\n\tui = always\n"
-    )
-    monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
-    diff = commit_diff_text(fixture_repo.path, record)
+    with GitObjects(fixture_repo.path) as objects:
+        assert commit_diff_text(objects, record) == porcelain
+    _hostile_config(tmp_path, monkeypatch)
+    with GitObjects(fixture_repo.path) as objects:
+        diff = commit_diff_text(objects, record)
     assert diff.startswith("diff --git a/src/compute.cpp b/src/compute.cpp\n")
     assert diff == porcelain
+
+
+def _edge_case_history(path):
+    """A root commit, then one commit that makes every kind of change a diff can show."""
+    path.mkdir()
+    git(path, "init", "-q", "-b", "main", ".")
+    body = "".join(f"int f{i}() {{ return {i}; }}\n" for i in range(30))
+    files = {
+        "moved.cpp": body,
+        "gone.cpp": "int gone;\n",
+        "tool.sh": "#!/bin/sh\necho hi\n",
+        "becomes_file.cpp": None,  # a symlink first
+        "becomes_link.cpp": "int real;\n",
+        "blob.bin": "\0\1\2binary\0",
+        "with space.cpp": "int a;\n",
+        "caf\u00e9/\u00fcber.cpp": "// d\u00e9j\u00e0 vu\nint b;\n",
+        "a\rb.cpp": "int c;\n",
+        "crlf.cpp": "int d;\r\nint e;\r\n",
+        "no_newline.cpp": "int f;",
+        "tilde.cpp": "~\n~end\nint g;\n",
+    }
+    for name, text in files.items():
+        (path / name).parent.mkdir(exist_ok=True)
+        if text is None:
+            os.symlink("moved.cpp", path / name)
+        else:
+            (path / name).write_bytes(text.encode())
+    commit_all(path, "root", "2022-01-01T00:00:00 +0000")
+    os.rename(path / "moved.cpp", path / "renamed.cpp")
+    (path / "renamed.cpp").write_text(body.replace("return 7;", "return 70;"))
+    os.unlink(path / "gone.cpp")
+    os.chmod(path / "tool.sh", 0o755)
+    os.unlink(path / "becomes_file.cpp")
+    (path / "becomes_file.cpp").write_text("int now_a_file;\n")
+    os.unlink(path / "becomes_link.cpp")
+    os.symlink("renamed.cpp", path / "becomes_link.cpp")
+    (path / "blob.bin").write_bytes(b"\0\3\4binary\0")
+    (path / "with space.cpp").write_text("int a2;\n")
+    (path / "caf\u00e9" / "\u00fcber.cpp").write_bytes("// d\u00e9j\u00e0 vu\nint b2;\n".encode())
+    (path / "a\rb.cpp").write_text("int c2;\n")
+    (path / "crlf.cpp").write_bytes(b"int d;\r\nint e2;\r\n")
+    (path / "no_newline.cpp").write_text("int f2;")
+    (path / "tilde.cpp").write_text("~\n~end\nint g2;\n~end\n")
+    commit_all(path, "every kind of change", "2022-01-02T00:00:00 +0000")
+    return path
+
+
+@pytest.mark.parametrize("config", ["default", "hostile"])
+def test_the_readers_diffs_equal_one_shot_diff_tree(fixture_repo, tmp_path, monkeypatch,
+                                                    config):
+    edge = _edge_case_history(tmp_path / "edge")
+    if config == "hostile":
+        _hostile_config(tmp_path, monkeypatch)
+    seen = 0
+    for repo in (fixture_repo.path, edge):
+        with GitObjects(repo) as objects:
+            for record in walk_history(repo, CFG):
+                one_shot = subprocess.run(
+                    ["git", "-C", str(repo), "diff-tree", "-p", "-M50%",
+                     record.parent_sha, record.sha],
+                    capture_output=True, check=True,
+                ).stdout
+                assert commit_diff_text(objects, record).encode() == one_shot, record.message
+                seen += 1
+    assert seen == 6
+
+
+def test_the_edge_case_history_shows_every_kind_of_change(tmp_path):
+    edge = _edge_case_history(tmp_path / "edge")
+    [record] = walk_history(edge, CFG)
+    with GitObjects(edge) as objects:
+        diff = commit_diff_text(objects, record)
+        # a commit whose diff is empty still has its end found
+        assert objects.diff(record.sha, record.sha) == ""
+    for expected in ("rename from moved.cpp\n", "deleted file mode 100644\n",
+                     "old mode 100644\nnew mode 100755\n", "new file mode 120000\n",
+                     "Binary files a/blob.bin and b/blob.bin differ\n",
+                     '"a/caf\\303\\251/\\303\\274ber.cpp"', '"a/a\\rb.cpp"',
+                     "-int e;\r\n+int e2;\r\n", "\\ No newline at end of file\n",
+                     "\n ~end\n", "\n+~end\n", "a/with space.cpp"):
+        assert expected in diff
+
+
+def test_a_commit_missing_from_the_clone_is_an_error(fixture_repo):
+    record = {r.sha: r for r in walk_history(fixture_repo.path, CFG)}[fixture_repo.perf_sha]
+    with GitObjects(fixture_repo.path) as objects:
+        with pytest.raises(GitError, match="no commit"):
+            objects.diff("0" * 40, record.parent_sha)
+        with pytest.raises(GitError, match="f" * 40):
+            objects.diff(record.sha, "f" * 40)
+        assert "hoisted out of the loop" in commit_diff_text(objects, record)
+
+
+def test_a_missing_or_non_blob_object_reads_as_empty(fixture_repo):
+    with GitObjects(fixture_repo.path) as objects:
+        cmake = objects.blob(f"{fixture_repo.perf_sha}:CMakeLists.txt")
+        assert cmake == git(fixture_repo.path, "show",
+                            f"{fixture_repo.perf_sha}:CMakeLists.txt")
+        assert objects.blob(f"{fixture_repo.perf_sha}:no/such/CMakeLists.txt") == ""
+        assert objects.blob(f"{fixture_repo.perf_sha}:src") == ""  # a tree
+        assert objects.blob(f"{'0' * 40}:CMakeLists.txt") == ""
+        assert objects.blob(f"{fixture_repo.perf_sha}:CMakeLists.txt") == cmake
+
+
+def test_the_reader_starts_one_process_of_each_kind_and_reaps_both(fixture_repo,
+                                                                   recorded_processes):
+    records = list(walk_history(fixture_repo.path, CFG))
+    recorded_processes.clear()
+    with GitObjects(fixture_repo.path) as objects:
+        for record in records:
+            commit_diff_text(objects, record)
+            objects.blob(f"{record.sha}:CMakeLists.txt")
+        assert [p.args[3] for p in recorded_processes] == ["diff-tree", "cat-file"]
+    assert all(p.returncode is not None and p.stdout.closed for p in recorded_processes)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from perfmine.evaluate import (
     VERDICT_IMPROVES,
     evaluate,
 )
-from perfmine.runtime import ORIGINAL_DIR, FakeRuntime
+from perfmine.errors import RuntimeUnavailableError
+from perfmine.runtime import ORIGINAL_DIR, FakeRuntime, LocalProcessRuntime
 from perfmine.store import read_entry, read_ground_truth_diff
 
 NOBODY = 65534  # the unprivileged uid and gid an in-place write is tried under
@@ -253,3 +254,22 @@ def test_any_other_link_failure_is_raised(fake_runtime, monkeypatch):
     monkeypatch.setattr(os, "link", link)
     with pytest.raises(OSError, match=os.strerror(errno.EIO)):
         fake_runtime.open_image(tag)
+
+
+@pytest.mark.parametrize("runtime_class", [FakeRuntime, LocalProcessRuntime])
+@pytest.mark.parametrize("failure", ["no_such_tag", "link_fails"])
+def test_an_image_that_fails_to_open_leaves_no_session_behind(tmp_path, monkeypatch,
+                                                              runtime_class, failure):
+    runtime = runtime_class(tmp_path / "state")
+    tag = _image_of(runtime, {"src/a.cpp": "int a;\n", "src/b.cpp": "int b;\n"})
+    if failure == "no_such_tag":
+        tag, expected = "perfmine/none", RuntimeUnavailableError
+    else:
+        def link(src, dst, *args, **kwargs):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(os, "link", link)
+        expected = OSError
+    with pytest.raises(expected):
+        runtime.open_image(tag)
+    assert os.listdir(tmp_path / "state" / "sessions") == []

@@ -270,16 +270,17 @@ def test_mining_leaves_the_operators_clone_alone(tmp_path):
     assert not (tmp_path / "hook-ran").exists()
 
 
-def test_mining_leaves_no_child_process_behind(fixture_repo, tmp_path):
-    def reap_exited():
-        while True:
-            try:
-                if os.waitpid(-1, os.WNOHANG)[0] == 0:
-                    return
-            except ChildProcessError:
+def _reap_exited():
+    while True:
+        try:
+            if os.waitpid(-1, os.WNOHANG)[0] == 0:
                 return
+        except ChildProcessError:
+            return
 
-    reap_exited()  # whatever earlier tests left is not this mine's
+
+def test_mining_leaves_no_child_process_behind(fixture_repo, tmp_path):
+    _reap_exited()  # whatever earlier tests left is not this mine's
     runtime = FakeRuntime(state_dir=tmp_path / "out" / "fake-runtime")
     repo = local_descriptor(fixture_repo.path, "local", "fixturerepo")
     assert gate_with_runtime(repo, fixture_repo.path, runtime).passes_gate
@@ -287,6 +288,70 @@ def test_mining_leaves_no_child_process_behind(fixture_repo, tmp_path):
     assert result.funnel.stored == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class _InterruptedInPhaseTwo(StubBackend):
+    def complete(self, model, prompt, **kwargs):
+        if kwargs["context"]["phase"] == 2:
+            raise KeyboardInterrupt
+        return super().complete(model, prompt, **kwargs)
+
+
+@pytest.mark.parametrize("ending", ["runtime_unavailable", "interrupted"])
+def test_a_mine_that_raises_leaves_no_child_process_behind(fixture_repo, tmp_path, ending,
+                                                          recorded_processes):
+    _reap_exited()
+    disagree = {fixture_repo.perf_sha: {"phase1:0": "Yes", "phase1:1": "No", "phase2": "Yes"}}
+    if ending == "interrupted":
+        expected, kwargs = KeyboardInterrupt, {"backend": _InterruptedInPhaseTwo(disagree)}
+        readers = ["diff-tree"]
+    else:
+        expected, readers = RuntimeUnavailableError, ["diff-tree", "cat-file"]
+        kwargs = {"backend": StubBackend(disagree),
+                  "runtime": FakeRuntime(state_dir=tmp_path / "state", reachable=False)}
+    with pytest.raises(expected):
+        _mine_with(fixture_repo, tmp_path / "out", **kwargs)
+    assert [p.args[3] for p in recorded_processes if p.args[3] in ("diff-tree", "cat-file")] \
+        == readers
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _history_of_edits(path, commits: int):
+    path.mkdir()
+    git(path, "init", "-q", "-b", "main", ".")
+    (path / "CMakeLists.txt").write_text("cmake_minimum_required(VERSION 3.16)\n"
+                                         "project(edits CXX)\n")
+    for i in range(commits + 1):
+        (path / "kernel.cpp").write_text(f"int kernel() {{ return {i}; }}\n")
+        commit_all(path, f"edit {i}", f"2022-01-{i % 28 + 1:02d}T00:00:00 +0000")
+    return path
+
+
+def test_a_mine_starts_one_git_reader_of_each_kind_for_any_history(tmp_path,
+                                                                  recorded_processes):
+    # the two phase-1 screeners disagree on every commit, so each one's diff
+    # is read for phase 2, and each is built, so each one's CMakeLists.txt too
+    disagree = {"default": {"phase1:0": "Yes", "phase1:1": "No", "phase2": "Yes"}}
+    counts = []
+    for commits in (3, 30):
+        repo = _history_of_edits(tmp_path / f"edits{commits}", commits)
+        recorded_processes.clear()
+        result = mine_repository(
+            local_descriptor(repo, "x", f"edits{commits}"),
+            repo,
+            harvest_config=HarvestConfig(),
+            backend_config=BackendConfig(),
+            stat_config=StatConfig(),
+            limits=MiningLimits(runs=2),
+            runtime=FakeRuntime(state_dir=tmp_path / f"state{commits}"),
+            backend=StubBackend(disagree),
+            out_dir=tmp_path / f"out{commits}",
+        )
+        assert result.funnel.classified_positive == result.funnel.built == commits
+        started = [p.args[3] for p in recorded_processes]
+        counts.append((started.count("diff-tree"), started.count("cat-file")))
+    assert counts == [(1, 1), (1, 1)]
 
 
 def test_negative_classification_stops_the_funnel(fixture_repo, tmp_path):
