@@ -18,6 +18,7 @@ from typing import Protocol
 from .errors import BackendError, ConfigError
 
 ENDPOINT_ENV_VAR = "LLM_ENDPOINT"
+TEMPERATURE = 0.0  # every request perfmine sends, classification and repair alike
 
 
 class ChatBackend(Protocol):
@@ -26,7 +27,7 @@ class ChatBackend(Protocol):
         model: str,
         prompt: str,
         *,
-        temperature: float = 0.0,
+        temperature: float = TEMPERATURE,
         context: Mapping[str, object] | None = None,
     ) -> str:
         """Send one user prompt to ``model`` and return the reply text."""
@@ -59,7 +60,7 @@ class HttpChatBackend:
         model: str,
         prompt: str,
         *,
-        temperature: float = 0.0,
+        temperature: float = TEMPERATURE,
         context: Mapping[str, object] | None = None,
     ) -> str:
         import requests
@@ -119,7 +120,7 @@ class StubBackend:
         model: str,
         prompt: str,
         *,
-        temperature: float = 0.0,
+        temperature: float = TEMPERATURE,
         context: Mapping[str, object] | None = None,
     ) -> str:
         context = dict(context or {})

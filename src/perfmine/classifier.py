@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 
-from .backends import ChatBackend
+from .backends import TEMPERATURE, ChatBackend
 from .errors import ConfigError, ContractViolation, UnparseableResponseError
 from .harvest import CommitRecord
 
@@ -98,8 +98,6 @@ class ClassificationVerdict:
 class BackendConfig:
     phase1_backends: tuple[str, str] = DEFAULT_PHASE1_BACKENDS
     phase2_backend: str = DEFAULT_PHASE2_BACKEND
-    endpoint: str = ""
-    temperature: float = 0.0
     max_diff_bytes: int = DEFAULT_MAX_DIFF_BYTES
 
     def __post_init__(self) -> None:
@@ -107,8 +105,6 @@ class BackendConfig:
             raise ConfigError("phase1_backends must be an ordered pair of non-empty ids")
         if not self.phase2_backend:
             raise ConfigError("phase2_backend must be non-empty")
-        if self.temperature < 0:
-            raise ConfigError("temperature must be non-negative")
         if self.max_diff_bytes < 1:
             raise ConfigError("max_diff_bytes must be positive")
 
@@ -169,20 +165,19 @@ def _ask(
     model: str,
     prompt: str,
     *,
-    config: BackendConfig,
     context: dict,
     allowed: frozenset[VoteValue],
     reprompt_suffix: str,
 ) -> Vote:
     raw = backend.complete(
-        model, prompt, temperature=config.temperature, context=dict(context, attempt=0)
+        model, prompt, temperature=TEMPERATURE, context=dict(context, attempt=0)
     )
     value = parse_vote(raw)
     if value is None or value not in allowed:
         raw = backend.complete(
             model,
             prompt + reprompt_suffix,
-            temperature=config.temperature,
+            temperature=TEMPERATURE,
             context=dict(context, attempt=1),
         )
         value = parse_vote(raw)
@@ -210,7 +205,6 @@ def classify_phase1(
                 backend,
                 model,
                 prompt,
-                config=config,
                 context={"sha": commit.sha, "phase": 1, "slot": slot},
                 allowed=_PHASE1_ALLOWED,
                 reprompt_suffix=_REPROMPT_PHASE1,
@@ -228,7 +222,6 @@ def classify_phase2(
         backend,
         config.phase2_backend,
         prompt,
-        config=config,
         context={"sha": commit.sha, "phase": 2, "slot": 0},
         allowed=_PHASE2_ALLOWED,
         reprompt_suffix=_REPROMPT_PHASE2,

@@ -27,7 +27,7 @@ import traceback
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .backends import ENDPOINT_ENV_VAR, ChatBackend, HttpChatBackend, StubBackend
+from .backends import ENDPOINT_ENV_VAR, TEMPERATURE, ChatBackend, HttpChatBackend, StubBackend
 from .classifier import BackendConfig
 from .discovery import DiscoveryConfig, GitHubApi, RepoDescriptor, search_repositories
 from .errors import (
@@ -237,7 +237,7 @@ def _echo_config(args, discovery, harvest, backends, stats, limits) -> None:
         f"  alpha = {stats.alpha}",
         f"  phase1_backends = {', '.join(backends.phase1_backends)}",
         f"  phase2_backend = {backends.phase2_backend}",
-        f"  temperature = {backends.temperature}",
+        f"  temperature = {TEMPERATURE}",
         f"  max_diff_bytes = {backends.max_diff_bytes}",
         f"  max_repair_rounds = {limits.max_repair_rounds}",
         f"  runtime = {runtime}",
@@ -322,8 +322,11 @@ def cmd_evaluate(args) -> int:
     patch_file = Path(args.patch_file)
     if not patch_file.is_file():
         raise ConfigError(f"patch file does not exist: {patch_file}")
-    with open(patch_file, encoding="utf-8", newline="") as handle:  # keep CRLF lines
-        diff_text = handle.read()
+    try:
+        with open(patch_file, encoding="utf-8", newline="") as handle:  # keep CRLF lines
+            diff_text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"patch file is not UTF-8: {patch_file}: {exc}") from exc
     runtime = _make_runtime(args, store_dir)
     report = evaluate(args.patch_id, diff_text, store_dir, runtime, runs=args.runs)
     for evidence in report.timing:

@@ -37,6 +37,8 @@ from .harvest import run_git
 
 GITHUB_API_BASE = "https://api.github.com"
 TOKEN_ENV_VAR = "GITHUB_TOKEN"
+LANGUAGE = "C++"  # the primary language a searched repository must have
+REQUEST_TIMEOUT_S = 30.0
 _PER_PAGE = 100
 
 
@@ -93,9 +95,7 @@ def _is_hex40(value: str) -> bool:
 @dataclass(frozen=True)
 class DiscoveryConfig:
     min_stars: int = 300
-    language: str = "C++"
     page_limit: int = 10
-    request_timeout: float = 30.0
     include_forks: bool = False
 
     def __post_init__(self) -> None:
@@ -103,8 +103,6 @@ class DiscoveryConfig:
             raise ConfigError("min_stars must be non-negative")
         if self.page_limit < 1:
             raise ConfigError("page_limit must be at least 1")
-        if self.request_timeout <= 0:
-            raise ConfigError("request_timeout must be positive")
 
 
 class TransportResponse(NamedTuple):
@@ -148,8 +146,7 @@ class GitHubApi:
         self.base_url = base_url.rstrip("/")
         self._lock = threading.Lock()
 
-    def get_json(self, path: str, params: Mapping[str, object] | None = None, *,
-                 timeout: float = 30.0) -> object:
+    def get_json(self, path: str, params: Mapping[str, object] | None = None) -> object:
         url = self.base_url + path
         if params:
             url += "?" + urlencode(sorted((k, str(v)) for k, v in params.items()))
@@ -166,7 +163,7 @@ class GitHubApi:
             "Authorization": f"Bearer {self.token}",
         }
         with self._lock:
-            response = self._transport(url, headers, timeout)
+            response = self._transport(url, headers, REQUEST_TIMEOUT_S)
         self._raise_for_status(url, response)
         try:
             payload = json.loads(response.body)
@@ -243,13 +240,11 @@ def search_repositories(config: DiscoveryConfig, api: GitHubApi) -> list[RepoDes
     test gates stay unpopulated until ``gate_repository`` runs. Results
     are deduplicated by (owner, name) and sorted the same way.
     """
-    query = f"language:{config.language} stars:>={config.min_stars}"
+    query = f"language:{LANGUAGE} stars:>={config.min_stars}"
     seen: dict[tuple[str, str], RepoDescriptor] = {}
     for page in range(1, config.page_limit + 1):
         payload = api.get_json(
-            "/search/repositories",
-            {"q": query, "per_page": _PER_PAGE, "page": page},
-            timeout=config.request_timeout,
+            "/search/repositories", {"q": query, "per_page": _PER_PAGE, "page": page}
         )
         items = payload.get("items", []) if isinstance(payload, dict) else []
         for item in items:
@@ -270,7 +265,7 @@ def _descriptor_from_item(item: object, config: DiscoveryConfig) -> RepoDescript
     language = item.get("language") or ""
     if not owner or not name:
         return None
-    if stars < config.min_stars or language != config.language:
+    if stars < config.min_stars or language != LANGUAGE:
         return None
     if item.get("fork", False) and not config.include_forks:
         return None

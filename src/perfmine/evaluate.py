@@ -17,8 +17,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import EvaluationError, RuntimeUnavailableError
-from .orchestrator import DEFAULT_RUNS, RunOutcome, run_tests_repeatedly
+from .errors import ConfigError, EvaluationError, RuntimeUnavailableError
+from .orchestrator import DEFAULT_RUNS, MIN_RUNS, RunOutcome, run_tests_repeatedly
 from .runtime import ContainerRuntime, ORIGINAL_DIR, WORK_ROOT
 from .stats import StatConfig, TimingSeries, judge
 from .store import (
@@ -139,9 +139,13 @@ def evaluate(
     runtime: ContainerRuntime,
     *,
     runs: int | None = None,
-    write_report: bool = True,
 ) -> EvaluationReport:
-    """Score one candidate diff against the stored entry's container image."""
+    """Score one candidate diff against the stored entry's container image,
+    and write the report next to the store."""
+    if runs is not None and runs < MIN_RUNS:
+        raise ConfigError(
+            f"runs must be at least {MIN_RUNS} (one warm-up plus one recorded), got {runs}"
+        )
     entry = read_entry(store_dir, patch_id)
     if not runtime.has_image(entry.image):
         raise RuntimeUnavailableError(
@@ -159,8 +163,7 @@ def evaluate(
         )
     finally:
         session.close()
-    if write_report:
-        _write_report(report, store_dir)
+    _write_report(report, store_dir)
     return report
 
 

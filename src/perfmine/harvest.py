@@ -1,10 +1,13 @@
 """Commit harvesting: walk repository history and apply the structural filter.
 
-The walk reads the whole first-parent history from one ``git log`` stream
-and yields every non-merge commit with a non-empty diff, whatever its date.
-The structural filter alone decides: a commit survives iff it falls inside
-the configured time window, touches at most max_files files, and every
-touched file is C++ source that is not a test file.
+The walk reads the whole first-parent history of ``HEAD`` from one
+``git log`` stream and yields every non-merge commit with a non-empty diff,
+whatever its date. The structural filter alone decides: a commit survives
+iff it falls inside the configured time window, touches at most max_files
+files, and every touched file is C++ source that is not a test file. What
+counts as either is fixed, not configured: an extension in
+``CPP_EXTENSIONS``, and a directory or file stem that holds one of
+``TEST_PATH_MARKERS`` as a word.
 
 What a mine reads of single commits afterwards (each phase-2 diff, each
 built commit's ``CMakeLists.txt``) comes from ``GitObjects``: one
@@ -31,10 +34,12 @@ log = logging.getLogger(__name__)
 
 CHANGE_KINDS = ("added", "modified", "deleted", "renamed")
 
-DEFAULT_CPP_EXTENSIONS = frozenset(
+# what the structural filter counts as C++ source and as a test path; lower case,
+# since paths are lower-cased before they are matched
+CPP_EXTENSIONS = frozenset(
     {".cpp", ".cc", ".cxx", ".c++", ".hpp", ".hh", ".hxx", ".h", ".ipp", ".inl", ".tpp"}
 )
-DEFAULT_TEST_MARKERS = frozenset(
+TEST_PATH_MARKERS = frozenset(
     {"test", "tests", "unittest", "unittests", "benchmark", "benchmarks", "gtest"}
 )
 
@@ -111,18 +116,12 @@ class HarvestConfig:
     since: datetime = DEFAULT_SINCE
     until: datetime = DEFAULT_UNTIL
     max_files: int = 20
-    cpp_extensions: frozenset[str] = DEFAULT_CPP_EXTENSIONS
-    test_path_markers: frozenset[str] = DEFAULT_TEST_MARKERS
 
     def __post_init__(self) -> None:
         if self.since >= self.until:
             raise ValueError("since must be before until")
         if self.max_files < 1:
             raise ValueError("max_files must be >= 1")
-        object.__setattr__(self, "cpp_extensions", frozenset(e.lower() for e in self.cpp_extensions))
-        object.__setattr__(
-            self, "test_path_markers", frozenset(m.lower() for m in self.test_path_markers)
-        )
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,7 @@ def _marker_matches(marker: str, text: str) -> bool:
     return re.search(rf"(?<![a-z0-9]){re.escape(marker)}(?![a-z0-9])", text) is not None
 
 
-def classify_file(path: str, config: HarvestConfig) -> FileClass:
+def classify_file(path: str) -> FileClass:
     """Classify a repo-relative path; total: every path gets exactly one label.
 
     Test markers are checked before the extension, so tests/data.txt is a
@@ -162,12 +161,12 @@ def classify_file(path: str, config: HarvestConfig) -> FileClass:
     dot = filename.rfind(".")
     stem = filename[:dot] if dot > 0 else filename
     ext = filename[dot:] if dot > 0 else ""
-    for marker in config.test_path_markers:
+    for marker in TEST_PATH_MARKERS:
         if any(_marker_matches(marker, seg) for seg in segments[:-1]):
             return FileClass.TEST_FILE
         if _marker_matches(marker, stem):
             return FileClass.TEST_FILE
-    if ext in config.cpp_extensions:
+    if ext in CPP_EXTENSIONS:
         return FileClass.CPP_SOURCE
     return FileClass.OTHER
 
@@ -183,7 +182,7 @@ def apply_structural_filter(commit: CommitRecord, config: HarvestConfig) -> Filt
     if len(commit.changes) > config.max_files:
         return FilterDecision(False, RejectReason.TOO_MANY_FILES)
     for change in commit.changes:
-        label = classify_file(change.path, config)
+        label = classify_file(change.path)
         if label is FileClass.TEST_FILE:
             return FilterDecision(False, RejectReason.TOUCHES_TESTS)
         if label is FileClass.OTHER:
@@ -195,15 +194,16 @@ def apply_structural_filter(commit: CommitRecord, config: HarvestConfig) -> Filt
 # git plumbing
 
 
-def run_git(repo: Path | str, *args: str, check: bool = True) -> str:
+def run_git(repo: Path | str, *args: str) -> str:
     """Git's stdout decoded as UTF-8, with no newline translation.
 
-    Text mode would turn every ``\r\n`` into ``\n``, and the diff of a
-    commit that edits a CRLF file would then no longer apply to its parent.
+    A non-zero exit raises GitError. Text mode would turn every ``\r\n``
+    into ``\n``, and the diff of a commit that edits a CRLF file would then
+    no longer apply to its parent.
     """
     cmd = ["git", "-C", str(repo), *args]
     proc = subprocess.run(cmd, capture_output=True)
-    if check and proc.returncode != 0:
+    if proc.returncode != 0:
         detail = proc.stderr.decode("utf-8", errors="replace").strip()
         raise GitError(f"{' '.join(cmd)} failed ({proc.returncode}): {detail}")
     return proc.stdout.decode("utf-8", errors="replace")
@@ -222,8 +222,8 @@ _RAW_KINDS = {"A": "added", "C": "added", "D": "deleted", "R": "renamed"}  # M, 
 _NUMSTAT = re.compile(r"(\d+|-)\t(\d+|-)\t")
 
 
-def _git_log(repo: Path | str, branch: str) -> Iterator[str]:
-    """Stream the NUL-separated fields of ``git log`` over ``branch`` from one process.
+def _git_log(repo: Path | str) -> Iterator[str]:
+    """Stream the NUL-separated fields of ``git log`` over ``HEAD`` from one process.
 
     Fields are split as they arrive, so memory is bounded by one commit,
     not by the length of the history. The stream is read as bytes and
@@ -231,10 +231,10 @@ def _git_log(repo: Path | str, branch: str) -> Iterator[str]:
     in a path or a message into ``\n``, and no multibyte UTF-8 sequence
     holds a zero byte. Closing the generator early kills
     and reaps git. stderr goes to a file, so it cannot fill a pipe while
-    stdout is read. A non-zero exit (empty repository, unknown branch)
-    raises GitError.
+    stdout is read. A non-zero exit (an empty repository, say) raises
+    GitError.
     """
-    cmd = ["git", "-C", str(repo), *_LOG_ARGS, branch, "--"]
+    cmd = ["git", "-C", str(repo), *_LOG_ARGS, "HEAD", "--"]
     with tempfile.TemporaryFile() as stderr:
         # leaving the inner block closes stdout and waits for git
         with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=stderr) as proc:
@@ -410,12 +410,9 @@ def commit_diff_text(objects: GitObjects, commit: CommitRecord) -> str:
     return objects.diff(commit.sha, commit.parent_sha)
 
 
-def walk_history(
-    repo: Path | str,
-    config: HarvestConfig,
-    branch: str = "HEAD",
-) -> Iterator[CommitRecord]:
-    """Yield every first-parent, non-merge commit with a non-empty diff, oldest first.
+def walk_history(repo: Path | str, config: HarvestConfig) -> Iterator[CommitRecord]:
+    """Yield every first-parent, non-merge commit of ``HEAD`` with a non-empty diff,
+    oldest first.
 
     The date window is the structural filter's alone: the walk reads
     ``config.since`` only to check that a shallow clone reaches back to
@@ -424,7 +421,7 @@ def walk_history(
     non-empty-changes invariant and would trivially pass the file filters.
     """
     shallow = run_git(repo, "rev-parse", "--is-shallow-repository").strip() == "true"
-    for index, (parents, record) in enumerate(_parse_log(_git_log(repo, branch))):
+    for index, (parents, record) in enumerate(_parse_log(_git_log(repo))):
         # shallow boundary commits masquerade as roots, so the only reliable
         # signal is the date of the oldest commit still reachable
         if index == 0 and shallow and record.author_timestamp > config.since:

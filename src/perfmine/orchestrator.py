@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import NamedTuple
 
-from .backends import ChatBackend
+from .backends import TEMPERATURE, ChatBackend
 from .errors import BackendError, ContractViolation, RuntimeUnavailableError
 from .harvest import CommitRecord
 from .runtime import (
@@ -42,6 +42,7 @@ from .runtime import (
 log = logging.getLogger("perfmine")
 
 DEFAULT_RUNS = 31
+MIN_RUNS = 2  # one warm-up plus one recorded
 DEFAULT_MAX_REPAIR_ROUNDS = 3
 PATCHED_DIR = f"{WORK_ROOT}/patched"
 
@@ -161,13 +162,6 @@ class RunOutcome:
         }
 
 
-class PreparedEnvironment(NamedTuple):
-    session: ContainerSession
-    original_dir: str
-    patched_dir: str
-    base_image: str
-
-
 def select_base_image(cmake_text: str) -> tuple[str, str]:
     """Pick the pinned toolchain image for a project's declared C++ standard."""
     match = _CXX_STANDARD_RE.search(cmake_text)
@@ -200,9 +194,9 @@ def prepare_environment(
     base_image: str = "",
     cpus: float | None = None,
     memory: str | None = None,
-) -> PreparedEnvironment:
+) -> ContainerSession:
     """Start a session holding /work/original (parent) and /work/patched (commit),
-    both checked out from the clone at the host path ``source``.
+    both checked out from the clone at the host path ``source``, and return it.
 
     The parent check runs before any container work: a root commit has no
     "original" version to compare against.
@@ -228,7 +222,7 @@ def prepare_environment(
     except BaseException:
         session.close()
         raise
-    return PreparedEnvironment(session, ORIGINAL_DIR, PATCHED_DIR, base_image)
+    return session
 
 
 class BuildAttempt(NamedTuple):
@@ -258,7 +252,7 @@ def _model_packages(
         "nothing else. If no package would help, reply with the single word none.\n\n"
         f"Build log tail:\n---\n{tail}\n---\n"
     )
-    raw = backend.complete(model, prompt, temperature=0.0, context={"phase": "repair"})
+    raw = backend.complete(model, prompt, temperature=TEMPERATURE, context={"phase": "repair"})
     packages: list[str] = []
     for line in raw.splitlines():
         token = line.strip().strip("`").lstrip("-*• ").strip()

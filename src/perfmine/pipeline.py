@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .backends import ChatBackend
 from .classifier import BackendConfig, classify_commit
-from .discovery import HeadCheck, HeadTester, RepoDescriptor, gate_repository
+from .discovery import LANGUAGE, HeadCheck, RepoDescriptor, gate_repository
 from .errors import (
     BackendError,
     ContractViolation,
@@ -43,6 +43,7 @@ from .harvest import (
 from .orchestrator import (
     BuildPlan,
     DEFAULT_RUNS,
+    MIN_RUNS,
     PATCHED_DIR,
     RunOutcome,
     build_with_repair,
@@ -113,7 +114,7 @@ def local_descriptor(path: str | Path, owner: str, name: str) -> RepoDescriptor:
         owner=owner,
         name=name,
         stars=0,
-        primary_language="C++",
+        primary_language=LANGUAGE,
         default_branch="HEAD",
         head_sha=head_sha_of(path),
     )
@@ -159,8 +160,8 @@ class MiningLimits:
     container_memory: str | None = None
 
     def __post_init__(self) -> None:
-        if self.runs < 2:
-            raise ValueError("runs must be at least 2 (one warm-up plus one recorded)")
+        if self.runs < MIN_RUNS:
+            raise ValueError(f"runs must be at least {MIN_RUNS} (one warm-up plus one recorded)")
         if self.max_repair_rounds < 1:
             raise ValueError("max_repair_rounds must be positive")
 
@@ -235,12 +236,11 @@ def _build_measure_store(
 ):
     cmake_text = objects.blob(f"{commit.sha}:CMakeLists.txt")
     base_image, compiler_version = select_base_image(cmake_text)
-    env = prepare_environment(
+    session = prepare_environment(
         commit, runtime,
         source=str(objects.repo), base_image=base_image,
         cpus=limits.container_cpus, memory=limits.container_memory,
     )
-    session = env.session
     try:
         plan = BuildPlan(base_image=base_image, compiler_version=compiler_version)
         build_logs = {}

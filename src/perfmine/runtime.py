@@ -27,9 +27,11 @@ cmake, ctest (read through ``--output-junit``) and ``git apply`` are
 driven once, in ``_ExecSession``, over the ``exec`` and path mapping of
 each session adapter. A command that outlives ``COMMAND_TIMEOUT_S``
 fails like any other, and every process it started on the host is
-killed with it; under docker that host process is the ``docker exec``
-client, and the command inside the container keeps running.
-Implementations:
+killed with it; under docker, where that host process is the ``docker
+exec`` client, the container runs the command under ``timeout -s KILL``
+with the same limit, so it is killed there too. Only ``start_session``
+takes cpu and memory limits, which docker alone applies; a session
+opened from an image runs without them. Implementations:
 
 * ``DockerCliRuntime`` drives a real daemon through the ``docker``
   executable. A checkout is written to a host directory and copied in
@@ -189,9 +191,7 @@ class ContainerRuntime(Protocol):
         self, base_image: str, *, cpus: float | None = None, memory: str | None = None
     ) -> ContainerSession: ...
 
-    def open_image(
-        self, tag: str, *, cpus: float | None = None, memory: str | None = None
-    ) -> ContainerSession: ...
+    def open_image(self, tag: str) -> ContainerSession: ...
 
     def snapshot(self, session: ContainerSession, tag: str) -> str:
         """Store the session's ``ORIGINAL_DIR``, and nothing else, as image ``tag``.
@@ -449,10 +449,8 @@ class DockerCliRuntime:
         session.exec(["mkdir", "-p", WORK_ROOT])
         return session
 
-    def open_image(
-        self, tag: str, *, cpus: float | None = None, memory: str | None = None
-    ) -> "DockerSession":
-        return self.start_session(tag, cpus=cpus, memory=memory)
+    def open_image(self, tag: str) -> "DockerSession":
+        return self.start_session(tag)
 
     def snapshot(self, session: "DockerSession", tag: str) -> str:
         inspect = [self.docker_bin, "image", "inspect", "--format", "{{.Id}}", tag]
@@ -483,11 +481,12 @@ class DockerSession(_ExecSession):
         self.session_id = container_id
 
     def exec(self, argv: Sequence[str], input_text: str | None = None) -> RunnerResult:
+        # killing the docker exec client on the host would leave the command
+        # running in the container, so the container kills it at the same limit
         full = [self._runtime.docker_bin, "exec"]
         if input_text is not None:
             full.append("-i")
-        full.append(self.session_id)
-        full += list(argv)
+        full += [self.session_id, "timeout", "-s", "KILL", f"{COMMAND_TIMEOUT_S:g}", *argv]
         return self._runtime._run(full, input_text, COMMAND_TIMEOUT_S)
 
     def exec_path(self, path: str) -> str:
@@ -672,9 +671,7 @@ class LocalProcessRuntime(_HostFsRuntimeBase):
         root = self._new_session_root()
         return LocalSession(root, f"local-{os.path.basename(root)}", base_image)
 
-    def open_image(
-        self, tag: str, *, cpus: float | None = None, memory: str | None = None
-    ) -> "LocalSession":
+    def open_image(self, tag: str) -> "LocalSession":
         root = self._new_session_root()
         meta = self._seed_from_image(tag, root)
         return LocalSession(root, f"local-{os.path.basename(root)}", meta.get("base_image", ""))
@@ -781,9 +778,7 @@ class FakeRuntime(_HostFsRuntimeBase):
         root = self._new_session_root()
         return FakeSession(self, root, f"fake-{os.path.basename(root)}", base_image)
 
-    def open_image(
-        self, tag: str, *, cpus: float | None = None, memory: str | None = None
-    ) -> "FakeSession":
+    def open_image(self, tag: str) -> "FakeSession":
         session = self.start_session(tag)
         meta = self._seed_from_image(tag, session.root)
         session.base_image = meta.get("base_image", tag)

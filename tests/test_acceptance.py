@@ -379,17 +379,17 @@ def test_acceptance_10_real_container_runtime(tmp_path):
     )
     base_image, _ = select_base_image((repo_dir / "CMakeLists.txt").read_text())
     runtime = DockerCliRuntime()
-    env = prepare_environment(commit, runtime, source=str(repo_dir), base_image=base_image)
+    session = prepare_environment(commit, runtime, source=str(repo_dir), base_image=base_image)
     try:
         plan = BuildPlan(base_image=base_image, compiler_version="")
         for version_dir in (ORIGINAL_DIR, PATCHED_DIR):
-            attempt = build_with_repair(env.session, version_dir, plan, max_rounds=1)
+            attempt = build_with_repair(session, version_dir, plan, max_rounds=1)
             plan = attempt.plan
             assert attempt.build_ok, attempt.log[-2000:]
-        original = run_tests_repeatedly(env.session, ORIGINAL_DIR, runs=31, version="original")
-        patched = run_tests_repeatedly(env.session, PATCHED_DIR, runs=31, version="patched")
+        original = run_tests_repeatedly(session, ORIGINAL_DIR, runs=31, version="original")
+        patched = run_tests_repeatedly(session, PATCHED_DIR, runs=31, version="patched")
     finally:
-        env.session.close()
+        session.close()
     assert original.qualified and patched.qualified
     [evidence] = compare_timings(original, patched, StatConfig())
     assert evidence.result.relative_improvement == pytest.approx(0.2, abs=0.1)

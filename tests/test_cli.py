@@ -408,6 +408,28 @@ def test_evaluate_missing_patch_file_exits_64(cli_store, tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("runs, patch_bytes", [
+    ("0", b""), ("-3", b""), ("1", b""),  # too few runs to record one
+    (None, b"--- a/src/compute.cpp\n+++ b/src/compute.cpp\n@@ -1 +1 @@\n-\xff\n+x\n"),
+], ids=["runs-0", "runs-negative", "runs-1", "patch-not-utf8"])
+def test_evaluate_refuses_bad_input_with_one_line_before_any_session(
+        cli_store, tmp_path, capsys, runs, patch_bytes):
+    patch = tmp_path / "candidate.patch"
+    patch.write_bytes(patch_bytes)
+    sessions = cli_store.out_dir / "fake-runtime" / "sessions"
+    capsys.readouterr()
+    code, stdout = run_cli(
+        "evaluate", "--store", str(cli_store.out_dir),
+        "--patch-id", cli_store.patch_id,
+        "--patch-file", str(patch),
+        "--fake-runtime", *(["--runs", runs] if runs else []),
+    )
+    assert (code, stdout) == (EXIT_USAGE, "")
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+    assert list(sessions.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # inspect
 

@@ -196,8 +196,6 @@ def test_config_validation():
         DiscoveryConfig(min_stars=-1)
     with pytest.raises(ConfigError):
         DiscoveryConfig(page_limit=0)
-    with pytest.raises(ConfigError):
-        DiscoveryConfig(request_timeout=0)
 
 
 def test_descriptor_validation():

@@ -70,7 +70,6 @@ def test_ground_truth_diff_improves(mined_store):
     diff = read_ground_truth_diff(mined_store.store_dir, mined_store.patch_id)
     report = evaluate(
         mined_store.patch_id, diff, mined_store.store_dir, mined_store.runtime,
-        write_report=False,
     )
     assert report.verdict == VERDICT_IMPROVES
     assert report.applied_ok and report.build_ok and report.all_tests_pass
@@ -89,15 +88,13 @@ def test_store_inside_a_git_work_tree_still_applies_the_candidate(fixture_repo, 
     git(tmp_path, "init", "-q", "-b", "main", ".")
     mined = mine_fixture(fixture_repo, tmp_path / "nested" / "store", runs=5)
     diff = read_ground_truth_diff(mined.store_dir, mined.patch_id)
-    report = evaluate(mined.patch_id, diff, mined.store_dir, mined.runtime,
-                      write_report=False)
+    report = evaluate(mined.patch_id, diff, mined.store_dir, mined.runtime)
     assert report.verdict == VERDICT_IMPROVES
 
 
 def test_empty_diff_is_functional_only(mined_store):
     report = evaluate(
         mined_store.patch_id, "", mined_store.store_dir, mined_store.runtime,
-        write_report=False,
     )
     assert report.verdict == VERDICT_FUNCTIONAL_ONLY
     assert report.applied_ok and report.build_ok and report.all_tests_pass
@@ -110,7 +107,7 @@ def test_empty_diff_is_functional_only(mined_store):
 def test_conflicting_diff_is_broken(mined_store):
     report = evaluate(
         mined_store.patch_id, CONFLICTING_DIFF, mined_store.store_dir,
-        mined_store.runtime, write_report=False,
+        mined_store.runtime,
     )
     assert report.verdict == VERDICT_BROKEN
     assert not report.applied_ok
@@ -123,7 +120,6 @@ def test_candidate_with_failing_test_is_broken(mined_store):
     diff = _failing_candidate_diff(mined_store)
     report = evaluate(
         mined_store.patch_id, diff, mined_store.store_dir, mined_store.runtime,
-        write_report=False,
     )
     assert report.verdict == VERDICT_BROKEN
     assert report.applied_ok and report.build_ok
@@ -135,7 +131,6 @@ def test_candidate_whose_run_reports_no_tests_is_broken(mined_store, monkeypatch
     diff = read_ground_truth_diff(mined_store.store_dir, mined_store.patch_id)
     report = evaluate(
         mined_store.patch_id, diff, mined_store.store_dir, mined_store.runtime,
-        write_report=False,
     )
     assert report.verdict == VERDICT_BROKEN
     assert report.applied_ok and report.build_ok
@@ -146,8 +141,7 @@ def test_original_whose_run_reports_no_tests_is_refused(mined_store, monkeypatch
     lose_a_suite_run(monkeypatch, "/work/original-build")
     diff = read_ground_truth_diff(mined_store.store_dir, mined_store.patch_id)
     with pytest.raises(EvaluationError, match="not consistently successful"):
-        evaluate(mined_store.patch_id, diff, mined_store.store_dir, mined_store.runtime,
-                 write_report=False)
+        evaluate(mined_store.patch_id, diff, mined_store.store_dir, mined_store.runtime)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +160,7 @@ def test_original_and_candidate_share_one_session(mined_store, monkeypatch):
 
     monkeypatch.setattr(runtime, "_new_session_root", recording_new_root)
     report = evaluate(
-        mined_store.patch_id, "", mined_store.store_dir, runtime, write_report=False,
+        mined_store.patch_id, "", mined_store.store_dir, runtime,
     )
     [root] = created
     assert report.session_id.endswith(os.path.basename(root))
@@ -176,7 +170,7 @@ def test_original_and_candidate_share_one_session(mined_store, monkeypatch):
 def test_runs_override_controls_sample_size(mined_store):
     report = evaluate(
         mined_store.patch_id, "", mined_store.store_dir, mined_store.runtime,
-        runs=5, write_report=False,
+        runs=5,
     )
     assert report.runs == 5
     [evidence] = report.timing
@@ -187,7 +181,6 @@ def test_runs_override_controls_sample_size(mined_store):
 def test_default_runs_come_from_the_entry(mined_store):
     report = evaluate(
         mined_store.patch_id, "", mined_store.store_dir, mined_store.runtime,
-        write_report=False,
     )
     entry = read_entry(mined_store.store_dir, mined_store.patch_id)
     assert report.runs == entry.runs[0].runs_requested == 31
@@ -277,8 +270,7 @@ def _evaluate_raw_entry(mined_store, payload):
     patch_copy = mined_store.store_dir / "patches" / f"{patch_id}.patch"
     shutil.copy(patch_src, patch_copy)
     try:
-        return evaluate(patch_id, "", mined_store.store_dir, mined_store.runtime,
-                        write_report=False)
+        return evaluate(patch_id, "", mined_store.store_dir, mined_store.runtime)
     finally:
         target.unlink(missing_ok=True)
         patch_copy.unlink(missing_ok=True)

@@ -116,6 +116,27 @@ def _docker_session(tmp_path):
     return DockerCliRuntime(runner=runner).start_session("gcc:13"), container
 
 
+def test_docker_runs_each_command_under_a_kill_at_the_limit_in_the_container(monkeypatch):
+    # the host kills only the docker exec client; the container must kill the command
+    monkeypatch.setattr(runtime_module, "COMMAND_TIMEOUT_S", 90.0)
+    calls = []
+
+    def runner(argv, input_text=None, timeout=0.0):
+        calls.append((list(argv), timeout))
+        return RunnerResult(0, "cid\n" if argv[1] == "run" else "", "")
+
+    session = DockerCliRuntime(runner=runner).start_session("gcc:13")
+    session.exec(["ctest", "--test-dir", BUILD])
+    session.exec(["git", "apply", "-"], "diff")
+    assert calls[1:] == [
+        (["docker", "exec", "cid", "timeout", "-s", "KILL", "90", "mkdir", "-p", "/work"], 90.0),
+        (["docker", "exec", "cid", "timeout", "-s", "KILL", "90", "ctest", "--test-dir", BUILD],
+         90.0),
+        (["docker", "exec", "-i", "cid", "timeout", "-s", "KILL", "90", "git", "apply", "-"],
+         90.0),
+    ]
+
+
 def _plant(root: str, path: str, content: str) -> None:
     """Write a file where a session whose ``/`` is the host directory ``root`` sees ``path``."""
     os.makedirs(os.path.dirname(root + path), exist_ok=True)

@@ -73,22 +73,15 @@ def _mod(path) -> FileChange:
     ],
 )
 def test_classify_file(path, expected):
-    assert classify_file(path, CFG) is expected
-
-
-def test_classify_file_custom_config():
-    cfg = HarvestConfig(cpp_extensions=frozenset({".cpp"}), test_path_markers=frozenset({"spec"}))
-    assert classify_file("src/a.hpp", cfg) is FileClass.OTHER
-    assert classify_file("spec/a.cpp", cfg) is FileClass.TEST_FILE
-    assert classify_file("tests/a.cpp", cfg) is FileClass.CPP_SOURCE
+    assert classify_file(path) is expected
 
 
 @given(st.text(min_size=1, max_size=60))
 def test_classify_file_total_partition(path):
-    labels = [classify_file(path, CFG)]
+    labels = [classify_file(path)]
     assert labels[0] in (FileClass.CPP_SOURCE, FileClass.TEST_FILE, FileClass.OTHER)
     # pure: same input, same answer
-    assert classify_file(path, CFG) is labels[0]
+    assert classify_file(path) is labels[0]
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +145,9 @@ def test_reason_soundness_recheck():
         elif decision.reason is RejectReason.TOO_MANY_FILES:
             assert len(commit.changes) > CFG.max_files
         elif decision.reason is RejectReason.TOUCHES_TESTS:
-            assert any(classify_file(c.path, CFG) is FileClass.TEST_FILE for c in commit.changes)
+            assert any(classify_file(c.path) is FileClass.TEST_FILE for c in commit.changes)
         elif decision.reason is RejectReason.NON_CPP_FILE:
-            assert any(classify_file(c.path, CFG) is FileClass.OTHER for c in commit.changes)
+            assert any(classify_file(c.path) is FileClass.OTHER for c in commit.changes)
 
 
 @given(

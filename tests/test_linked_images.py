@@ -215,7 +215,7 @@ def test_evaluating_every_candidate_kind_leaves_the_image_as_it_was(mined_store)
     }
     for kind, (diff, verdict) in candidates.items():
         report = evaluate(mined_store.patch_id, diff, mined_store.store_dir,
-                          mined_store.runtime, runs=8, write_report=False)
+                          mined_store.runtime, runs=8)
         assert report.verdict == verdict, kind
         assert _image_state(image) == before, kind
 
@@ -241,7 +241,7 @@ def test_where_a_file_cannot_be_linked_it_is_copied(mined_store, monkeypatch, co
         session.close()
     diff = read_ground_truth_diff(mined_store.store_dir, mined_store.patch_id)
     report = evaluate(mined_store.patch_id, diff, mined_store.store_dir, mined_store.runtime,
-                      runs=8, write_report=False)
+                      runs=8)
     assert report.verdict == VERDICT_IMPROVES
 
 

@@ -1,7 +1,7 @@
 """End-to-end run on the host toolchain: real cmake, real ctest, real time.
 
 These tests compile and repeatedly execute a small C++ project, so they
-are marked slow and skipped where cmake or ctest is missing.
+are skipped where cmake or ctest is missing.
 """
 
 from __future__ import annotations
@@ -30,13 +30,10 @@ from perfmine.pipeline import gate_with_runtime, local_descriptor
 from perfmine.runtime import LocalProcessRuntime
 from perfmine.stats import StatConfig
 
-pytestmark = [
-    pytest.mark.slow,
-    pytest.mark.skipif(
-        shutil.which("cmake") is None or shutil.which("ctest") is None,
-        reason="cmake/ctest not installed",
-    ),
-]
+pytestmark = pytest.mark.skipif(
+    shutil.which("cmake") is None or shutil.which("ctest") is None,
+    reason="cmake/ctest not installed",
+)
 
 RUNS = 9  # 8 recorded samples per version
 
@@ -97,15 +94,15 @@ def test_real_build_measure_and_snapshot(timing_repo, tmp_path):
         changes=(FileChange(path="main.cpp", change_kind="modified"),),
     )
     runtime = LocalProcessRuntime(state_dir=tmp_path / "state")
-    env = prepare_environment(commit, runtime, source=str(root), base_image="host")
+    session = prepare_environment(commit, runtime, source=str(root), base_image="host")
     try:
         plan = BuildPlan(base_image="host", compiler_version="")
         for version_dir in (ORIGINAL_DIR, PATCHED_DIR):
-            attempt = build_with_repair(env.session, version_dir, plan, max_rounds=1)
+            attempt = build_with_repair(session, version_dir, plan, max_rounds=1)
             plan = attempt.plan
             assert attempt.build_ok, attempt.log[-2000:]
-        original = run_tests_repeatedly(env.session, ORIGINAL_DIR, runs=RUNS, version="original")
-        patched = run_tests_repeatedly(env.session, PATCHED_DIR, runs=RUNS, version="patched")
+        original = run_tests_repeatedly(session, ORIGINAL_DIR, runs=RUNS, version="original")
+        patched = run_tests_repeatedly(session, PATCHED_DIR, runs=RUNS, version="patched")
         assert original.qualified and patched.qualified
         assert original.runs_recorded == RUNS - 1
         assert patched.runs_recorded == RUNS - 1
@@ -117,10 +114,10 @@ def test_real_build_measure_and_snapshot(timing_repo, tmp_path):
         assert evidence.result.p_value < 0.05
         assert evidence.result.significant
 
-        tag = snapshot_image(env.session, "local__timedrepo__real", runtime,
+        tag = snapshot_image(session, "local__timedrepo__real", runtime,
                              [original, patched])
     finally:
-        env.session.close()
+        session.close()
 
     assert runtime.has_image(tag)
     reopened = runtime.open_image(tag)

@@ -100,10 +100,9 @@ def test_repair_table_is_read_once_and_copied_out(monkeypatch):
 
 def test_prepare_environment_clones_both_versions(fake_runtime, fixture_repo):
     commit = make_commit(fixture_repo.perf_sha, fixture_repo.perf_parent_sha)
-    env = prepare_environment(
+    ses = prepare_environment(
         commit, fake_runtime, source=str(fixture_repo.path), base_image="gcc:12"
     )
-    ses = env.session
     assert ses.read_file(f"{ORIGINAL_DIR}/.perfmine-sha").strip() == fixture_repo.perf_parent_sha
     assert ses.read_file(f"{PATCHED_DIR}/.perfmine-sha").strip() == fixture_repo.perf_sha
     # the two trees really differ at the perf change
@@ -345,11 +344,10 @@ def test_model_package_parsing_rejects_junk():
 
 
 def prepared_session(fake_runtime, fixture_repo, sha, parent):
-    env = prepare_environment(
+    return prepare_environment(
         make_commit(sha, parent), fake_runtime,
         source=str(fixture_repo.path), base_image="gcc:12",
     )
-    return env.session
 
 
 def build_both(session):
@@ -410,12 +408,12 @@ def test_flaky_failure_disqualifies(fake_runtime, tmp_path):
     )
     child = fixtures.commit_all(repo, "speed", "2022-06-01T00:00:00 +0000")
 
-    env = prepare_environment(
+    session = prepare_environment(
         make_commit(child, base), fake_runtime,
         source=str(repo), base_image="gcc:12",
     )
-    build_both(env.session)
-    outcome = run_tests_repeatedly(env.session, ORIGINAL_DIR, runs=31, version="original")
+    build_both(session)
+    outcome = run_tests_repeatedly(session, ORIGINAL_DIR, runs=31, version="original")
     assert not outcome.qualified
     assert outcome.runs_recorded == 30
     # run 17 overall = recorded index 15 (warm-up consumed run 1)
@@ -458,12 +456,12 @@ def test_warmup_failure_disqualifies(fake_runtime, tmp_path):
     (repo / "a.cpp").write_text("// fake-timing: coldstart base_ms=40 step_ms=0.01\nint b;\n")
     child = fixtures.commit_all(repo, "speed", "2022-06-01T00:00:00 +0000")
 
-    env = prepare_environment(
+    session = prepare_environment(
         make_commit(child, base), fake_runtime,
         source=str(repo), base_image="gcc:12",
     )
-    build_both(env.session)
-    outcome = run_tests_repeatedly(env.session, ORIGINAL_DIR, runs=5, version="original")
+    build_both(session)
+    outcome = run_tests_repeatedly(session, ORIGINAL_DIR, runs=5, version="original")
     assert outcome.warmup_failed
     assert not outcome.qualified
     assert all(all(t.passed) for t in outcome.tests)  # recorded runs were green
@@ -781,8 +779,8 @@ def test_docker_snapshot_keeps_only_the_original_tree():
     commands = [argv[1:] for argv in calls]
     assert commands == [
         ["image", "inspect", "--format", "{{.Id}}", "perfmine/x"],
-        ["exec", "cid", "find", "/work", "-mindepth", "1", "-maxdepth", "1",
-         "!", "-path", ORIGINAL_DIR, "-exec", "rm", "-rf", "{}", "+"],
+        ["exec", "cid", "timeout", "-s", "KILL", "3600", "find", "/work", "-mindepth", "1",
+         "-maxdepth", "1", "!", "-path", ORIGINAL_DIR, "-exec", "rm", "-rf", "{}", "+"],
         ["commit", "cid", "perfmine/x"],
     ]
 
@@ -823,8 +821,8 @@ def test_docker_apply_stops_the_repository_search_at_the_tree():
     session, calls = _recording_docker()
     assert session.apply_patch("/work/candidate", "--- a/x\n+++ b/x\n").ok
     [argv] = calls  # the diff goes in on stdin, with no file written first
-    assert argv[:4] == ["docker", "exec", "-i", "cid"]
-    assert argv[4:] == ["env", "GIT_CEILING_DIRECTORIES=/work", "git", "-C", "/work/candidate",
+    assert argv[:8] == ["docker", "exec", "-i", "cid", "timeout", "-s", "KILL", "3600"]
+    assert argv[8:] == ["env", "GIT_CEILING_DIRECTORIES=/work", "git", "-C", "/work/candidate",
                         "apply", "--whitespace=nowarn", "-"]
 
 
