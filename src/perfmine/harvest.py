@@ -10,7 +10,8 @@ counts as either is fixed, not configured: an extension in
 ``TEST_PATH_MARKERS`` as a word.
 
 What a mine reads of single commits afterwards (each phase-2 diff, each
-built commit's ``CMakeLists.txt``) comes from ``GitObjects``: one
+built commit's ``CMakeLists.txt`` and the trees of its parent and
+itself) comes from ``GitObjects``: one
 ``git diff-tree --stdin`` and one ``git cat-file --batch`` per mine,
 however many commits it reads.
 """
@@ -308,10 +309,10 @@ _CAT_FILE = ("cat-file", "--batch")
 
 
 class GitObjects:
-    """Diffs and blobs of one clone, each served by one long-lived git process.
+    """Diffs and objects of one clone, each served by one long-lived git process.
 
-    ``diff`` asks one ``git diff-tree --stdin`` and ``blob`` one ``git
-    cat-file --batch``. Each process starts on its first request and
+    ``diff`` asks one ``git diff-tree --stdin``, and ``read`` and ``blob``
+    one ``git cat-file --batch``. Each process starts on its first request and
     serves every later one, so a mine starts at most one of each, however
     many commits it reads. Use it as a context manager: ``close`` kills and
     reaps both on every exit path; they only read, so nothing is lost.
@@ -346,23 +347,40 @@ class GitObjects:
                 raise ValueError(f"no commit {sha}")
             return b"".join(lines[1:])
 
-        return self._ask(_DIFF_TREE, f"{sha} {parent}\n".encode() + _END_OF_DIFF, read)
+        request = f"{sha} {parent}\n".encode() + _END_OF_DIFF
+        return self._ask(_DIFF_TREE, request, read).decode("utf-8", errors="replace")
+
+    def read(self, name: str) -> tuple[str, bytes]:
+        """The kind (``blob``, ``tree``, ...) and the bytes of the object ``name``.
+
+        Raises GitError when there is no such object.
+        """
+        found = self._cat(name)
+        if found is None:
+            raise GitError(f"git {' '.join(_CAT_FILE)} in {self.repo}: no object {name}")
+        return found
 
     def blob(self, name: str) -> str:
         """The blob ``<rev>:<path>``, or "" when it is missing or no blob."""
-        def read(out) -> bytes:
+        found = self._cat(name)
+        if found is None or found[0] != "blob":
+            return ""
+        return found[1].decode("utf-8", errors="replace")
+
+    def _cat(self, name: str) -> tuple[str, bytes] | None:
+        def read(out) -> tuple[str, bytes] | None:
             header = out.readline()
             if header.endswith(b" missing\n"):
-                return b""
+                return None
             _, kind, size = header.split()  # ValueError when the output ended
             body = out.read(int(size) + 1)
             if len(body) != int(size) + 1:
                 raise ValueError("output ended early")
-            return body[:-1] if kind == b"blob" else b""
+            return kind.decode(), body[:-1]
 
         return self._ask(_CAT_FILE, f"{name}\n".encode(), read)
 
-    def _ask(self, args: tuple[str, ...], request: bytes, read) -> str:
+    def _ask(self, args: tuple[str, ...], request: bytes, read):
         proc = self._processes.get(args)
         if proc is None:
             proc = self._processes[args] = subprocess.Popen(
@@ -384,7 +402,7 @@ class GitObjects:
             detail = detail.decode(errors="replace").strip()
             raise GitError(f"git {' '.join(args)} in {self.repo} failed on "
                            f"{request.decode().split()[0]}: {detail or failure}")
-        return output.decode("utf-8", errors="replace")
+        return output
 
     def close(self) -> None:
         while self._processes:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .backends import TEMPERATURE, ChatBackend
 from .errors import BackendError, ContractViolation, RuntimeUnavailableError
-from .harvest import CommitRecord
+from .harvest import CommitRecord, GitObjects
 from .runtime import (
     BuildResult,
     ContainerRuntime,
@@ -190,13 +190,13 @@ def prepare_environment(
     commit: CommitRecord,
     runtime: ContainerRuntime,
     *,
-    source: str,
+    objects: GitObjects,
     base_image: str = "",
     cpus: float | None = None,
     memory: str | None = None,
 ) -> ContainerSession:
     """Start a session holding /work/original (parent) and /work/patched (commit),
-    both checked out from the clone at the host path ``source``, and return it.
+    both written from the clone that ``objects`` reads, and return it.
 
     The parent check runs before any container work: a root commit has no
     "original" version to compare against.
@@ -212,7 +212,7 @@ def prepare_environment(
     session = runtime.start_session(base_image, cpus=cpus, memory=memory)
     try:
         trees = {ORIGINAL_DIR: commit.parent_sha, PATCHED_DIR: commit.sha}
-        session.check_out(source, trees)
+        session.check_out(objects, trees)
         for directory, sha in trees.items():
             recorded = session.read_file(f"{directory}/{SHA_MARKER}").strip()
             if recorded != sha:

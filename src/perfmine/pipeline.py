@@ -136,7 +136,8 @@ def gate_with_runtime(
         session = runtime.start_session(base_image, cpus=cpus, memory=memory)
         try:
             head_dir = "/work/head"
-            session.check_out(str(tree), {head_dir: head_sha_of(tree)})
+            with GitObjects(tree) as objects:
+                session.check_out(objects, {head_dir: head_sha_of(tree)})
             build = session.configure_and_build(head_dir, f"{head_dir}-build", ())
             if not build.ok:
                 return HeadCheck(has_tests=False, tests_pass=False)
@@ -187,8 +188,8 @@ def mine_repository(
     count meaningful as the funnel's denominator.
 
     One ``GitObjects`` serves every phase-2 diff and every built commit's
-    ``CMakeLists.txt``, so the mine starts at most one ``git diff-tree``
-    and one ``git cat-file`` besides the walk's two processes. It is
+    ``CMakeLists.txt`` and two trees, so the mine starts at most one ``git
+    diff-tree`` and one ``git cat-file`` besides the walk's two processes. It is
     closed, and those processes reaped, however the mine ends.
     """
     result = MineResult()
@@ -238,7 +239,7 @@ def _build_measure_store(
     base_image, compiler_version = select_base_image(cmake_text)
     session = prepare_environment(
         commit, runtime,
-        source=str(objects.repo), base_image=base_image,
+        objects=objects, base_image=base_image,
         cpus=limits.container_cpus, memory=limits.container_memory,
     )
     try:

@@ -6,14 +6,21 @@ reopen images) and ``ContainerSession`` (check out trees, build, test,
 patch, read/write files). Paths inside a session are POSIX strings under
 ``/work`` regardless of implementation.
 
-Trees are always checked out on the host, where the mined clone is,
-straight from its objects: a tree holds one commit's files and a
-``SHA_MARKER`` file naming it, and no ``.git``, so neither sessions nor
-their images carry an object store. The trees of one ``check_out`` are
-written by one git process each, all running at once. Such a tree may
-sit inside another git work tree, so ``git apply`` stops its search for
-a repository at the tree's parent; otherwise it would take the
-enclosing repository for the tree's own and apply nothing.
+Trees are always written on the host, where the mined clone is, by
+``trees.TreeWriter`` from the objects that the mine's ``GitObjects``
+reads, with no git process of their own: a tree holds exactly the
+commit's files and a ``SHA_MARKER`` file naming it, and no ``.git``, so
+neither sessions nor their images carry an object store. Its regular
+files are read-only hard links into a blob store, so a blob shared by
+two trees, or by a tree and an image, is on disk once. The fake and
+local runtimes keep the store in ``<state_dir>/blobs``; a session
+sweeps the store files it linked when it closes, and a snapshot those
+of an image it replaces, so a blob stays while some image or live
+session links it. Docker keeps a store per checkout in its staging
+directory. Such a tree may sit inside another git work tree, so ``git
+apply`` stops its search for a repository at the tree's parent;
+otherwise it would take the enclosing repository for the tree's own and
+apply nothing.
 
 An image holds ``ORIGINAL_DIR`` (the parent's tree and its marker) and
 nothing else from ``/work``: no other tree, no build directory, no log.
@@ -34,31 +41,34 @@ takes cpu and memory limits, which docker alone applies; a session
 opened from an image runs without them. Implementations:
 
 * ``DockerCliRuntime`` drives a real daemon through the ``docker``
-  executable. A checkout is written to a host directory and copied in
-  with one ``docker cp``. The process runner is injectable so unit tests
-  can replay canned transcripts without a daemon.
+  executable. A checkout is written to a host directory and copied in,
+  read-only modes included, with one ``docker cp``. The process runner
+  is injectable so unit tests can replay canned transcripts without a
+  daemon.
 * ``LocalProcessRuntime`` runs cmake and ctest directly on the host with
   a directory standing in for the container. Package installation is
   unsupported by design.
-* ``FakeRuntime`` is a deterministic in-process double. Checkouts and
-  patches are real git operations, but builds always succeed and test
-  timings come from declarations planted in the source tree (see
-  ``fake-timing`` below), so a fixture repository fully scripts its own
-  measurements.
+* ``FakeRuntime`` is a deterministic in-process double. Checkouts are
+  real trees and patches real ``git apply`` runs, but builds always
+  succeed and test timings come from declarations planted in the source
+  tree (see ``fake-timing`` below), so a fixture repository fully
+  scripts its own measurements.
 
 The local and fake runtimes keep each session in a directory of its own
 and delete it when the session closes. A snapshot moves the session's
 ``ORIGINAL_DIR`` into the image with one rename and so ends the session:
 every later call but ``close()`` raises ``ContractViolation``, and
 ``close()`` deletes the rest of ``/work``. The snapshot then clears the
-write bits of every file in the image, and a session opened from it
-gets the image's directories anew and its files as hard links, so
-images outlive every session opened from them. ``copy_tree`` links the
-same way. A file in a session is therefore changed by replacing it, as
-``git apply`` does, never by writing into it: a build that writes in
-place into a source file fails with ``EACCES``. Mode bits do not stop
-a process running as root, so that guard holds only for unprivileged
-runs.
+write bits of every file in the image that still has one (the marker,
+and any file a session wrote), and a session opened from it gets the
+image's directories anew and its files as hard links, so images outlive
+every session opened from them. ``copy_tree`` links the same way. A
+file in a session, checked out or linked, is therefore changed by
+replacing it, as ``git apply`` does, never by writing into it: a build
+that writes in place into a source file fails with ``EACCES``. Mode
+bits do not stop a process running as root, so that guard holds only
+for unprivileged runs; under root an in-place write changes every tree
+and image that shares the file.
 
 Fake timing declarations are comment lines inside any source file:
 
@@ -77,7 +87,6 @@ time themselves consistently.
 from __future__ import annotations
 
 import contextlib
-import errno
 import json
 import os
 import posixpath
@@ -94,27 +103,17 @@ from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
 from typing import NamedTuple, Protocol
 
-from .errors import ContractViolation, GitError, RuntimeUnavailableError
+from .errors import ContractViolation, RuntimeUnavailableError
+from .harvest import GitObjects
+from .trees import SHA_MARKER, TreeWriter, delete_tree, link_or_copy
 
 WORK_ROOT = "/work"
 ORIGINAL_DIR = f"{WORK_ROOT}/original"  # the one tree an image keeps
-SHA_MARKER = ".perfmine-sha"
 FAKE_TIMING_RE = re.compile(
     r"//\s*fake-timing:\s*(?P<name>\S+)\s+base_ms=(?P<base>[0-9.]+)"
     r"\s+step_ms=(?P<step>[0-9.]+)(?:\s+fail_run=(?P<fail>\d+))?"
 )
 _IMAGE_TAG_SAFE = re.compile(r"[^A-Za-z0-9_.-]")
-
-
-def _checkout_argv(repo: str, dest: str, sha: str) -> list[str]:
-    """One git process that writes commit ``sha`` of ``repo`` into ``dest``.
-
-    A pathspec checkout moves no HEAD or ref, and the caller points
-    ``GIT_INDEX_FILE`` at a fresh file, so the repository is untouched.
-    Hooks are off, as a clone never ran the source's hooks either.
-    """
-    return ["git", "-C", repo, "-c", "core.hooksPath=/dev/null", f"--work-tree={dest}",
-            "checkout", "--quiet", sha, "--", ":/"]
 
 
 class BuildResult(NamedTuple):
@@ -140,9 +139,14 @@ class SuiteRun(NamedTuple):
 class ContainerSession(Protocol):
     session_id: str
 
-    def check_out(self, source: str, trees: Mapping[str, str]) -> None:
-        """Write each ``dest: sha`` tree of the repository at the host path
-        ``source``, with a ``SHA_MARKER`` file and no ``.git``."""
+    def check_out(self, objects: GitObjects, trees: Mapping[str, str]) -> None:
+        """Write each ``dest: commit id`` tree exactly as ``objects`` reads it,
+        with a ``SHA_MARKER`` file and no ``.git``.
+
+        Its regular files are read-only; on the host runtimes they are hard
+        links into the runtime's blob store, so change one by replacing it.
+        The markers are written last, and only when every tree was written.
+        """
         ...
 
     def copy_tree(self, src: str, dest: str) -> None:
@@ -207,7 +211,7 @@ class ContainerRuntime(Protocol):
 
 
 # ---------------------------------------------------------------------------
-# Processes and checkouts, shared by every runtime
+# Processes and links, shared by every runtime
 
 
 class RunnerResult(NamedTuple):
@@ -247,77 +251,33 @@ def _subprocess_runner(
     return RunnerResult(proc.returncode, stdout, stderr)
 
 
-def _check_out_on_host(source: str, trees: Mapping[str, str], scratch: str) -> None:
-    """Write each ``host directory: sha`` tree of the repository at ``source``.
-
-    One git process per tree, all started before any is waited on; each
-    has its own index file in ``scratch`` and only reads the repository's
-    objects. Every path must be absolute, since git resolves
-    ``--work-tree`` and ``GIT_INDEX_FILE`` after its ``-C``.
-    """
-    jobs = []
-    for n, (dest, sha) in enumerate(trees.items()):
-        os.makedirs(dest, exist_ok=True)
-        jobs.append((sha, dest, os.path.join(scratch, f"checkout-{n}.index")))
-    procs: list[subprocess.Popen] = []
-    try:
-        for sha, dest, index in jobs:
-            procs.append(subprocess.Popen(
-                _checkout_argv(source, dest, sha), stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE, text=True, errors="replace",
-                env={**os.environ, "GIT_INDEX_FILE": index},
-            ))
-    finally:
-        errors = [proc.communicate()[1] for proc in procs]
-        for _, _, index in jobs:
-            if os.path.exists(index):
-                os.remove(index)
-    for (sha, _, _), proc, stderr in zip(jobs, procs, errors):
-        if proc.returncode != 0:
-            raise GitError(f"checkout of {sha} from {source} failed: {stderr.strip()}")
-    for sha, dest, _ in jobs:
-        _write_text(os.path.join(dest, SHA_MARKER), sha + "\n")
-
-
 def _write_text(path: str, content: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(content)
-
-
-# os.link failures that a plain copy of the file gets round: another file
-# system, a file system without hard links, or a file at its link limit
-_COPY_INSTEAD_OF_LINK = frozenset({errno.EXDEV, errno.EPERM, errno.EMLINK, errno.ENOTSUP})
-
-
-def _link_or_copy(src: str, dst: str) -> None:
-    try:
-        os.link(src, dst)
-    except OSError as exc:
-        if exc.errno not in _COPY_INSTEAD_OF_LINK:
-            raise
-        shutil.copy2(src, dst)
 
 
 def _link_tree(src: str, dst: str) -> None:
     """Make ``dst`` a tree of new directories, with ``src``'s symlinks
     recreated as symlinks and its regular files hard-linked (or copied,
     where a link cannot be made)."""
-    shutil.copytree(src, dst, symlinks=True, copy_function=_link_or_copy)
+    shutil.copytree(src, dst, symlinks=True, copy_function=link_or_copy)
 
 
 def _make_files_read_only(top: str) -> None:
-    """Clear the write bits of every regular file under ``top``.
+    """Clear the write bits of every regular file under ``top`` that has one.
 
     Symlinks are never followed: one in a mined tree may point at a file
     outside it. Directories keep their modes, so the tree can be deleted.
+    A file already read-only, as a linked blob is, is left alone.
     """
     with os.scandir(top) as entries:
         for entry in entries:
             if entry.is_dir(follow_symlinks=False):
                 _make_files_read_only(entry.path)
             elif entry.is_file(follow_symlinks=False):
-                mode = entry.stat(follow_symlinks=False).st_mode
-                os.chmod(entry.path, stat.S_IMODE(mode) & ~0o222)
+                mode = stat.S_IMODE(entry.stat(follow_symlinks=False).st_mode)
+                if mode & 0o222:
+                    os.chmod(entry.path, mode & ~0o222)
 
 
 # ---------------------------------------------------------------------------
@@ -492,17 +452,18 @@ class DockerSession(_ExecSession):
     def exec_path(self, path: str) -> str:
         return path
 
-    def check_out(self, source: str, trees: Mapping[str, str]) -> None:
+    def check_out(self, objects: GitObjects, trees: Mapping[str, str]) -> None:
         # the clone is on the host, where the container cannot see it: write
-        # the trees there, then copy them all in with one docker cp
+        # the trees there, then copy them all in with one docker cp; the blob
+        # store goes when the staging directory does
         with tempfile.TemporaryDirectory(prefix="perfmine-checkout-") as staging:
-            _check_out_on_host(
-                source, {os.path.join(staging, d.lstrip("/")): sha for d, sha in trees.items()},
-                staging,
+            root = os.path.join(staging, "root")
+            TreeWriter(os.path.join(staging, "blobs")).write(
+                objects, {os.path.join(root, d.lstrip("/")): sha for d, sha in trees.items()},
             )
-            os.chmod(staging, 0o755)  # its mode may be carried onto the container's /
+            os.chmod(root, 0o755)  # its mode may be carried onto the container's /
             result = self._runtime._run(
-                [self._runtime.docker_bin, "cp", f"{staging}/.", f"{self.session_id}:/"],
+                [self._runtime.docker_bin, "cp", f"{root}/.", f"{self.session_id}:/"],
                 None, COMMAND_TIMEOUT_S,
             )
         if result.returncode != 0:
@@ -552,11 +513,12 @@ class _HostFsSession(_ExecSession):
     process that runs many sessions would keep resizing that table.
     """
 
-    def __init__(self, root: str, session_id: str, base_image: str) -> None:
+    def __init__(self, root: str, session_id: str, base_image: str, blobs: str) -> None:
         self.root = os.path.abspath(root)
         self.session_id = session_id
         self.base_image = base_image
         self.snapshotted = False  # set by the snapshot, which takes the original away
+        self._trees = TreeWriter(blobs)
         os.makedirs(os.path.join(self.root, "work"), exist_ok=True)
 
     def host_path(self, path: str) -> str:
@@ -573,9 +535,8 @@ class _HostFsSession(_ExecSession):
     def exec(self, argv: Sequence[str], input_text: str | None = None) -> RunnerResult:
         return _subprocess_runner(argv, input_text, COMMAND_TIMEOUT_S)
 
-    def check_out(self, source: str, trees: Mapping[str, str]) -> None:
-        _check_out_on_host(source, {self.host_path(d): sha for d, sha in trees.items()},
-                           self.root)
+    def check_out(self, objects: GitObjects, trees: Mapping[str, str]) -> None:
+        self._trees.write(objects, {self.host_path(d): sha for d, sha in trees.items()})
 
     def copy_tree(self, src: str, dest: str) -> None:
         _link_tree(self.host_path(src), self.host_path(dest))
@@ -589,13 +550,15 @@ class _HostFsSession(_ExecSession):
 
     def close(self) -> None:
         shutil.rmtree(self.root, ignore_errors=True)
+        self._trees.sweep()
 
 
 class _HostFsRuntimeBase:
-    """Image store shared by the local and fake runtimes: plain directories."""
+    """Image and blob store shared by the local and fake runtimes: plain directories."""
 
     def __init__(self, state_dir: str | Path) -> None:
         self.state_dir = Path(state_dir)
+        self.blobs_dir = os.path.join(self.state_dir, "blobs")
         self._session_counter = 0
 
     def _new_session_root(self) -> str:
@@ -628,7 +591,7 @@ class _HostFsRuntimeBase:
         if os.path.exists(image_dir):
             os.rename(image_dir, superseded)
         os.rename(staged, image_dir)
-        shutil.rmtree(superseded, ignore_errors=True)
+        delete_tree(superseded, self.blobs_dir)
         return tag
 
     def _seed_from_image(self, tag: str, root: str) -> dict:
@@ -669,12 +632,13 @@ class LocalProcessRuntime(_HostFsRuntimeBase):
         self, base_image: str, *, cpus: float | None = None, memory: str | None = None
     ) -> "LocalSession":
         root = self._new_session_root()
-        return LocalSession(root, f"local-{os.path.basename(root)}", base_image)
+        return LocalSession(root, f"local-{os.path.basename(root)}", base_image, self.blobs_dir)
 
     def open_image(self, tag: str) -> "LocalSession":
         root = self._new_session_root()
         meta = self._seed_from_image(tag, root)
-        return LocalSession(root, f"local-{os.path.basename(root)}", meta.get("base_image", ""))
+        return LocalSession(root, f"local-{os.path.basename(root)}", meta.get("base_image", ""),
+                            self.blobs_dir)
 
     def snapshot(self, session: "LocalSession", tag: str) -> str:
         return self._store_snapshot(session, tag, {"base_image": session.base_image})
@@ -799,7 +763,7 @@ class FakeRuntime(_HostFsRuntimeBase):
 class FakeSession(_HostFsSession):
     def __init__(self, runtime: FakeRuntime, root: str, session_id: str,
                  base_image: str) -> None:
-        super().__init__(root, session_id, base_image)
+        super().__init__(root, session_id, base_image, runtime.blobs_dir)
         self._runtime = runtime
         self.installed_packages: list[str] = []
         # build dir -> (source dir, declarations read when it was built)

@@ -28,6 +28,7 @@ from perfmine.cli import EXIT_BROKEN, EXIT_FUNCTIONAL_ONLY, EXIT_OK, main
 from perfmine.harvest import (
     CommitRecord,
     FileChange,
+    GitObjects,
     HarvestConfig,
     apply_structural_filter,
     walk_history,
@@ -335,7 +336,8 @@ def test_acceptance_09_warmup_discard_law(runs, fixture_repo, tmp_path):
     runtime = FakeRuntime(state_dir=tmp_path / "state")
     session = runtime.start_session("gcc:12")
     try:
-        session.check_out(str(fixture_repo.path), {"/work/original": fixture_repo.perf_sha})
+        with GitObjects(fixture_repo.path) as objects:
+            session.check_out(objects, {"/work/original": fixture_repo.perf_sha})
         build = session.configure_and_build("/work/original", "/work/original-build", ())
         assert build.ok
         outcome = run_tests_repeatedly(session, "/work/original", runs=runs, version="original")
@@ -379,7 +381,8 @@ def test_acceptance_10_real_container_runtime(tmp_path):
     )
     base_image, _ = select_base_image((repo_dir / "CMakeLists.txt").read_text())
     runtime = DockerCliRuntime()
-    session = prepare_environment(commit, runtime, source=str(repo_dir), base_image=base_image)
+    with GitObjects(repo_dir) as objects:
+        session = prepare_environment(commit, runtime, objects=objects, base_image=base_image)
     try:
         plan = BuildPlan(base_image=base_image, compiler_version="")
         for version_dir in (ORIGINAL_DIR, PATCHED_DIR):

@@ -15,7 +15,7 @@ import pytest
 from conftest import commit_all, git
 
 from perfmine.discovery import HeadTestsState
-from perfmine.harvest import CommitRecord, FileChange
+from perfmine.harvest import CommitRecord, FileChange, GitObjects
 from perfmine.orchestrator import (
     BuildPlan,
     ORIGINAL_DIR,
@@ -94,7 +94,8 @@ def test_real_build_measure_and_snapshot(timing_repo, tmp_path):
         changes=(FileChange(path="main.cpp", change_kind="modified"),),
     )
     runtime = LocalProcessRuntime(state_dir=tmp_path / "state")
-    session = prepare_environment(commit, runtime, source=str(root), base_image="host")
+    with GitObjects(root) as objects:
+        session = prepare_environment(commit, runtime, objects=objects, base_image="host")
     try:
         plan = BuildPlan(base_image="host", compiler_version="")
         for version_dir in (ORIGINAL_DIR, PATCHED_DIR):

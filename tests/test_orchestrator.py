@@ -12,7 +12,7 @@ import pytest
 
 from perfmine.backends import StubBackend
 from perfmine.errors import ContractViolation, GitError, RuntimeUnavailableError
-from perfmine.harvest import CommitRecord, FileChange
+from perfmine.harvest import CommitRecord, FileChange, GitObjects
 from perfmine.orchestrator import (
     BuildPlan,
     ORIGINAL_DIR,
@@ -100,9 +100,8 @@ def test_repair_table_is_read_once_and_copied_out(monkeypatch):
 
 def test_prepare_environment_clones_both_versions(fake_runtime, fixture_repo):
     commit = make_commit(fixture_repo.perf_sha, fixture_repo.perf_parent_sha)
-    ses = prepare_environment(
-        commit, fake_runtime, source=str(fixture_repo.path), base_image="gcc:12"
-    )
+    with GitObjects(fixture_repo.path) as objects:
+        ses = prepare_environment(commit, fake_runtime, objects=objects, base_image="gcc:12")
     assert ses.read_file(f"{ORIGINAL_DIR}/.perfmine-sha").strip() == fixture_repo.perf_parent_sha
     assert ses.read_file(f"{PATCHED_DIR}/.perfmine-sha").strip() == fixture_repo.perf_sha
     # the two trees really differ at the perf change
@@ -134,88 +133,65 @@ def test_check_out_writes_each_commit_tree_exactly(fake_runtime, tmp_path):
     index = (repo / ".git" / "index").read_bytes()
 
     session = fake_runtime.start_session("gcc:12")
-    session.check_out(str(repo), {"/work/first": first, "/work/second": second})
+    with GitObjects(repo) as objects:
+        session.check_out(objects, {"/work/first": first, "/work/second": second})
     for dest, sha in (("/work/first", first), ("/work/second", second)):
         expected = {SHA_MARKER: ("100644", sha + "\n"), **fixtures.commit_files(repo, sha)}
         assert fixtures.files_under(session.host_path(dest)) == expected
     assert "tests/t.cpp" in fixtures.files_under(session.host_path("/work/first"))
-    assert os.listdir(session.root) == ["work"]  # the temporary indexes are gone
+    assert os.listdir(session.root) == ["work"]
     session.close()
     assert (repo / ".git" / "index").read_bytes() == index
     assert fixtures.git(repo, "rev-parse", "HEAD").strip() == second
     assert fixtures.git(repo, "status", "--porcelain") == ""
 
 
-@pytest.fixture()
-def git_processes(monkeypatch):
-    """Record every ``subprocess.Popen`` made from now on, and each ``wait``."""
-    record = {"started": [], "events": []}
-
-    class RecordingPopen(subprocess.Popen):
-        def __init__(self, argv, *args, **kwargs):
-            super().__init__(argv, *args, **kwargs)
-            record["started"].append(self)
-            record["events"].append(("start", argv[-3]))
-
-        def wait(self, timeout=None):
-            record["events"].append(("wait", self.args[-3]))
-            return super().wait(timeout)
-
-    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
-    return record
-
-
-def test_check_out_starts_every_tree_before_waiting_on_any(fake_runtime, fixture_repo,
-                                                           git_processes):
+def test_check_out_reads_every_tree_through_one_cat_file_and_starts_no_checkout(
+        fake_runtime, fixture_repo, recorded_processes):
     session = fake_runtime.start_session("gcc:12")
     parent, sha = fixture_repo.perf_parent_sha, fixture_repo.perf_sha
-    session.check_out(str(fixture_repo.path), {ORIGINAL_DIR: parent, PATCHED_DIR: sha})
-    events = git_processes["events"]
-    assert events[:2] == [("start", parent), ("start", sha)]
-    assert sorted(events[2:]) == [("wait", parent), ("wait", sha)]
+    with GitObjects(fixture_repo.path) as objects:
+        session.check_out(objects, {ORIGINAL_DIR: parent, PATCHED_DIR: sha})
+        assert [p.args[3] for p in recorded_processes] == ["cat-file"]
+    assert all(p.returncode is not None for p in recorded_processes)
     assert session.read_file(f"{PATCHED_DIR}/{SHA_MARKER}") == sha + "\n"
     session.close()
 
 
-def test_a_failed_checkout_names_its_sha_and_reaps_every_process(fake_runtime, fixture_repo,
-                                                                 git_processes):
+def test_a_missing_commit_names_its_sha_and_leaves_no_marker_process_or_session(
+        fake_runtime, fixture_repo, recorded_processes):
     bad = "0123456789" * 4
     session = fake_runtime.start_session("gcc:12")
-    with pytest.raises(GitError, match=bad):
-        session.check_out(str(fixture_repo.path),
-                          {ORIGINAL_DIR: fixture_repo.perf_parent_sha, PATCHED_DIR: bad})
-    assert len(git_processes["started"]) == 2
-    assert all(proc.returncode is not None for proc in git_processes["started"])
-    assert os.listdir(session.root) == ["work"]  # no checkout-*.index left
-    assert not session.path_exists(f"{ORIGINAL_DIR}/{SHA_MARKER}")  # no marker either
-    session.close()
+    with GitObjects(fixture_repo.path) as objects:
+        with pytest.raises(GitError, match=bad):
+            session.check_out(objects, {ORIGINAL_DIR: fixture_repo.perf_parent_sha,
+                                        PATCHED_DIR: bad})
+        assert os.listdir(session.root) == ["work"]
+        assert not session.path_exists(f"{ORIGINAL_DIR}/{SHA_MARKER}")  # no marker either
+        session.close()
 
-    with pytest.raises(GitError, match=bad):
-        prepare_environment(make_commit(bad, fixture_repo.perf_parent_sha), fake_runtime,
-                            source=str(fixture_repo.path))
+        with pytest.raises(GitError, match=bad):
+            prepare_environment(make_commit(bad, fixture_repo.perf_parent_sha), fake_runtime,
+                                objects=objects)
+        # the reader serves on after a missing object
+        assert objects.read(f"{fixture_repo.perf_sha}^{{tree}}")[0] == "tree"
     assert os.listdir(os.path.join(fake_runtime.state_dir, "sessions")) == []
+    assert os.listdir(fake_runtime.blobs_dir) == []
+    assert [p.args[3] for p in recorded_processes] == ["cat-file"]
+    assert all(p.returncode is not None for p in recorded_processes)
 
 
-def test_a_checkout_that_cannot_start_still_reaps_the_one_that_did(fake_runtime, fixture_repo,
-                                                                   monkeypatch):
-    started = []
+def test_a_reader_that_cannot_start_leaves_no_marker_or_session(fake_runtime, fixture_repo,
+                                                                monkeypatch):
+    def cannot_start(*args, **kwargs):
+        raise OSError("no more processes")
 
-    class SecondStartFails(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            if started:
-                raise OSError("no more processes")
-            super().__init__(*args, **kwargs)
-            started.append(self)
-
-    monkeypatch.setattr(subprocess, "Popen", SecondStartFails)
-    session = fake_runtime.start_session("gcc:12")
-    with pytest.raises(OSError, match="no more processes"):
-        session.check_out(str(fixture_repo.path), {ORIGINAL_DIR: fixture_repo.perf_parent_sha,
-                                                   PATCHED_DIR: fixture_repo.perf_sha})
-    [first] = started
-    assert first.returncode is not None
-    assert os.listdir(session.root) == ["work"]
-    session.close()
+    monkeypatch.setattr(subprocess, "Popen", cannot_start)
+    commit = make_commit(fixture_repo.perf_sha, fixture_repo.perf_parent_sha)
+    with GitObjects(fixture_repo.path) as objects:
+        with pytest.raises(OSError, match="no more processes"):
+            prepare_environment(commit, fake_runtime, objects=objects)
+    assert os.listdir(os.path.join(fake_runtime.state_dir, "sessions")) == []
 
 
 def test_prepare_environment_rejects_parentless_commit(fixture_repo, tmp_path):
@@ -230,16 +206,16 @@ def test_prepare_environment_rejects_parentless_commit(fixture_repo, tmp_path):
         def available(self):
             raise AssertionError("runtime touched for a parentless commit")
 
-    with pytest.raises(ContractViolation):
-        prepare_environment(commit, ExplodingRuntime(),
-                            source=str(fixture_repo.path))
+    with pytest.raises(ContractViolation), GitObjects(fixture_repo.path) as objects:
+        prepare_environment(commit, ExplodingRuntime(), objects=objects)
 
 
 def test_prepare_environment_unreachable_runtime_names_endpoint(tmp_path, fixture_repo):
     runtime = FakeRuntime(tmp_path / "state", reachable=False)
     commit = make_commit(fixture_repo.perf_sha, fixture_repo.perf_parent_sha)
-    with pytest.raises(RuntimeUnavailableError) as exc_info:
-        prepare_environment(commit, runtime, source=str(fixture_repo.path))
+    with pytest.raises(RuntimeUnavailableError) as exc_info, \
+            GitObjects(fixture_repo.path) as objects:
+        prepare_environment(commit, runtime, objects=objects)
     assert "fake runtime state" in str(exc_info.value)
 
 
@@ -344,10 +320,10 @@ def test_model_package_parsing_rejects_junk():
 
 
 def prepared_session(fake_runtime, fixture_repo, sha, parent):
-    return prepare_environment(
-        make_commit(sha, parent), fake_runtime,
-        source=str(fixture_repo.path), base_image="gcc:12",
-    )
+    with GitObjects(fixture_repo.path) as objects:
+        return prepare_environment(
+            make_commit(sha, parent), fake_runtime, objects=objects, base_image="gcc:12",
+        )
 
 
 def build_both(session):
@@ -408,10 +384,10 @@ def test_flaky_failure_disqualifies(fake_runtime, tmp_path):
     )
     child = fixtures.commit_all(repo, "speed", "2022-06-01T00:00:00 +0000")
 
-    session = prepare_environment(
-        make_commit(child, base), fake_runtime,
-        source=str(repo), base_image="gcc:12",
-    )
+    with GitObjects(repo) as objects:
+        session = prepare_environment(
+            make_commit(child, base), fake_runtime, objects=objects, base_image="gcc:12",
+        )
     build_both(session)
     outcome = run_tests_repeatedly(session, ORIGINAL_DIR, runs=31, version="original")
     assert not outcome.qualified
@@ -456,10 +432,10 @@ def test_warmup_failure_disqualifies(fake_runtime, tmp_path):
     (repo / "a.cpp").write_text("// fake-timing: coldstart base_ms=40 step_ms=0.01\nint b;\n")
     child = fixtures.commit_all(repo, "speed", "2022-06-01T00:00:00 +0000")
 
-    session = prepare_environment(
-        make_commit(child, base), fake_runtime,
-        source=str(repo), base_image="gcc:12",
-    )
+    with GitObjects(repo) as objects:
+        session = prepare_environment(
+            make_commit(child, base), fake_runtime, objects=objects, base_image="gcc:12",
+        )
     build_both(session)
     outcome = run_tests_repeatedly(session, ORIGINAL_DIR, runs=5, version="original")
     assert outcome.warmup_failed
@@ -543,21 +519,21 @@ def test_a_snapshotted_session_refuses_every_call_but_close(fake_runtime, fixtur
     work = os.path.join(session.root, "work")
     left = ["original-build", "patched", "patched-build"]
     assert sorted(os.listdir(work)) == left
+    objects = GitObjects(fixture_repo.path)
     calls = {
         "read_file": lambda: session.read_file(f"{ORIGINAL_DIR}/{SHA_MARKER}"),
         "path_exists": lambda: session.path_exists(ORIGINAL_DIR),
         "copy_tree": lambda: session.copy_tree(ORIGINAL_DIR, "/work/candidate"),
-        "check_out": lambda: session.check_out(
-            str(fixture_repo.path), {"/work/again": fixture_repo.perf_sha}
-        ),
+        "check_out": lambda: session.check_out(objects, {"/work/again": fixture_repo.perf_sha}),
         "configure_and_build": lambda: session.configure_and_build(
             ORIGINAL_DIR, f"{ORIGINAL_DIR}-build", ()
         ),
         "apply_patch": lambda: session.apply_patch(ORIGINAL_DIR, "--- a/x\n+++ b/x\n"),
     }
-    for call in calls.values():
-        with pytest.raises(ContractViolation, match="snapshotted"):
-            call()
+    with objects:
+        for call in calls.values():
+            with pytest.raises(ContractViolation, match="snapshotted"):
+                call()
     with pytest.raises(ContractViolation):
         fake_runtime.snapshot(session, "perfmine/spent-again")
     assert sorted(os.listdir(work)) == left  # no call re-created the original
@@ -751,7 +727,8 @@ def test_docker_check_out_copies_host_trees_in_with_one_cp(fixture_repo,
 
     session, calls, container, staging = docker_over_a_directory
     trees = {ORIGINAL_DIR: fixture_repo.perf_parent_sha, PATCHED_DIR: fixture_repo.perf_sha}
-    session.check_out(str(fixture_repo.path), trees)
+    with GitObjects(fixture_repo.path) as objects:
+        session.check_out(objects, trees)
     assert [argv[1] for argv in calls] == ["cp"]  # nothing runs in the container
     for dest, sha in trees.items():
         expected = {SHA_MARKER: ("100644", sha + "\n"),
@@ -766,8 +743,9 @@ def test_docker_check_out_failure_copies_nothing_and_leaves_no_staging(
     session, calls, container, staging = docker_over_a_directory
     bad = "0123456789" * 4
     with pytest.raises(GitError, match=bad):
-        session.check_out(str(fixture_repo.path),
-                          {ORIGINAL_DIR: fixture_repo.perf_parent_sha, PATCHED_DIR: bad})
+        with GitObjects(fixture_repo.path) as objects:
+            session.check_out(objects, {ORIGINAL_DIR: fixture_repo.perf_parent_sha,
+                                        PATCHED_DIR: bad})
     assert calls == []
     assert not container.exists()
     assert os.listdir(staging) == []

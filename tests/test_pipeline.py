@@ -331,7 +331,8 @@ def _history_of_edits(path, commits: int):
 def test_a_mine_starts_one_git_reader_of_each_kind_for_any_history(tmp_path,
                                                                   recorded_processes):
     # the two phase-1 screeners disagree on every commit, so each one's diff
-    # is read for phase 2, and each is built, so each one's CMakeLists.txt too
+    # is read for phase 2, and each is built, so each one's CMakeLists.txt and
+    # both its trees too
     disagree = {"default": {"phase1:0": "Yes", "phase1:1": "No", "phase2": "Yes"}}
     counts = []
     for commits in (3, 30):
@@ -350,8 +351,9 @@ def test_a_mine_starts_one_git_reader_of_each_kind_for_any_history(tmp_path,
         )
         assert result.funnel.classified_positive == result.funnel.built == commits
         started = [p.args[3] for p in recorded_processes]
-        counts.append((started.count("diff-tree"), started.count("cat-file")))
-    assert counts == [(1, 1), (1, 1)]
+        checkouts = sum("checkout" in p.args for p in recorded_processes)
+        counts.append((started.count("diff-tree"), started.count("cat-file"), checkouts))
+    assert counts == [(1, 1, 0), (1, 1, 0)]
 
 
 def test_negative_classification_stops_the_funnel(fixture_repo, tmp_path):
