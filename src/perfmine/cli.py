@@ -43,7 +43,7 @@ from .errors import (
     TransportError,
 )
 from .evaluate import VERDICT_BROKEN, VERDICT_FUNCTIONAL_ONLY, VERDICT_IMPROVES, evaluate
-from .harvest import HarvestConfig, run_git
+from .harvest import GitObjects, HarvestConfig, run_git
 from .orchestrator import DEFAULT_MAX_REPAIR_ROUNDS, DEFAULT_RUNS
 from .pipeline import (
     FunnelCounts,
@@ -276,23 +276,30 @@ def cmd_mine(args) -> int:
 
     total = FunnelCounts()
     combined = MineResult()
-    for repo, clone in targets:
-        gated = gate_with_runtime(
-            repo, clone, runtime,
-            cpus=limits.container_cpus, memory=limits.container_memory,
-        )
-        if not gated.passes_gate:
-            print(f"skipping {gated.full_name}: head does not build and pass its tests")
-            continue
-        result = mine_repository(
-            gated, clone,
-            harvest_config=harvest, backend_config=backends, stat_config=stats,
-            limits=limits, runtime=runtime, backend=backend,
-            out_dir=out_dir, issue_fetcher=issue_fetcher,
-        )
-        total = total.merged(result.funnel)
-        combined.stored_patch_ids.extend(result.stored_patch_ids)
-        combined.skipped.extend(result.skipped)
+    try:
+        for repo, clone in targets:
+            # one reader per clone serves the gate and the mine
+            with GitObjects(clone) as objects:
+                gated = gate_with_runtime(
+                    repo, clone, runtime, objects=objects,
+                    cpus=limits.container_cpus, memory=limits.container_memory,
+                )
+                if not gated.passes_gate:
+                    print(f"skipping {gated.full_name}: head does not build and pass its tests")
+                    continue
+                result = mine_repository(
+                    gated, clone,
+                    harvest_config=harvest, backend_config=backends, stat_config=stats,
+                    limits=limits, runtime=runtime, backend=backend, objects=objects,
+                    out_dir=out_dir, issue_fetcher=issue_fetcher,
+                )
+            total = total.merged(result.funnel)
+            combined.stored_patch_ids.extend(result.stored_patch_ids)
+            combined.skipped.extend(result.skipped)
+    finally:
+        # what the sessions kept for each other, spare trees and store files,
+        # stays for the whole mine and goes once here
+        runtime.close()
 
     for sha, reason in combined.skipped:
         print(f"skipped {sha[:10]}: {reason}")

@@ -143,24 +143,6 @@ class RunOutcome:
             and all(all(test.passed) for test in self.tests)
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "build_ok": self.build_ok,
-            "runs_requested": self.runs_requested,
-            "runs_recorded": self.runs_recorded,
-            "warmup_failed": self.warmup_failed,
-            "suite_wall_times_ms": list(self.suite_wall_times_ms),
-            "tests": [
-                {
-                    "name": t.name,
-                    "passed": list(t.passed),
-                    "wall_times_ms": list(t.wall_times_ms),
-                }
-                for t in self.tests
-            ],
-        }
-
 
 def select_base_image(cmake_text: str) -> tuple[str, str]:
     """Pick the pinned toolchain image for a project's declared C++ standard."""
@@ -329,7 +311,8 @@ def run_tests_repeatedly(
         raise ValueError("runs must be positive")
     build_dir = f"{version_dir}-build"
     suite_times: list[float] = []
-    per_test: dict[str, TestRuns] = {}  # in the order the tests first appear
+    # name -> (passed, wall times), in the order the tests first appear
+    per_test: dict[str, tuple[list[bool], list[float]]] = {}
     warmup_failed = False
     recorded = 0
     for index in range(runs):
@@ -340,13 +323,11 @@ def run_tests_repeatedly(
         recorded += 1
         suite_times.append(suite.wall_time_ms)
         for run in suite.results:
-            prev = per_test.get(run.name, TestRuns(run.name, (), ()))
-            per_test[run.name] = TestRuns(
-                run.name,
-                prev.passed + (run.passed,),
-                prev.wall_times_ms + (run.wall_time_ms,),
-            )
-    tests = tuple(per_test.values())
+            passed, times = per_test.setdefault(run.name, ([], []))
+            passed.append(run.passed)
+            times.append(run.wall_time_ms)
+    tests = tuple(TestRuns(name, tuple(passed), tuple(times))
+                  for name, (passed, times) in per_test.items())
     if any(len(test.passed) != recorded for test in tests):
         tests, suite_times = (), []
     return RunOutcome(

@@ -13,7 +13,6 @@ configuration, credential, or runtime-reachability problems abort a run.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import os
 from dataclasses import dataclass, field
@@ -125,10 +124,15 @@ def gate_with_runtime(
     worktree: str | Path,
     runtime: ContainerRuntime,
     *,
+    objects: GitObjects,
     cpus: float | None = None,
     memory: str | None = None,
 ) -> RepoDescriptor:
-    """Gate a repository by building and running its head inside the runtime."""
+    """Gate a repository by building and running its head inside the runtime.
+
+    The head's tree is read through ``objects``, the reader of ``worktree``'s
+    clone that the mine goes on to use.
+    """
 
     def tester(tree: Path) -> HeadCheck:
         cmake_text = (tree / "CMakeLists.txt").read_text(encoding="utf-8")
@@ -136,8 +140,8 @@ def gate_with_runtime(
         session = runtime.start_session(base_image, cpus=cpus, memory=memory)
         try:
             head_dir = "/work/head"
-            with GitObjects(tree) as objects:
-                session.check_out(objects, {head_dir: head_sha_of(tree)})
+            # gate_repository has checked a descriptor's head against the worktree
+            session.check_out(objects, {head_dir: repo.head_sha or head_sha_of(tree)})
             build = session.configure_and_build(head_dir, f"{head_dir}-build", ())
             if not build.ok:
                 return HeadCheck(has_tests=False, tests_pass=False)
@@ -177,6 +181,7 @@ def mine_repository(
     limits: MiningLimits,
     runtime: ContainerRuntime,
     backend: ChatBackend,
+    objects: GitObjects,
     out_dir: str | Path,
     issue_fetcher=None,
 ) -> MineResult:
@@ -187,47 +192,46 @@ def mine_repository(
     filter alone enforces the configured window. That keeps the scanned
     count meaningful as the funnel's denominator.
 
-    One ``GitObjects`` serves every phase-2 diff and every built commit's
-    ``CMakeLists.txt`` and two trees, so the mine starts at most one ``git
-    diff-tree`` and one ``git cat-file`` besides the walk's two processes. It is
-    closed, and those processes reaped, however the mine ends.
+    ``objects``, the reader of ``clone_path``, serves every phase-2 diff and
+    every built commit's ``CMakeLists.txt`` and two trees, so the mine starts
+    at most one ``git diff-tree`` and one ``git cat-file`` besides the walk's
+    two processes. Its owner closes it, and so reaps those processes.
     """
     result = MineResult()
-    with GitObjects(clone_path) as objects:
-        # Phase 2 and the store write share one diff; holding only the latest
-        # keeps memory flat over a long walk.
-        diff_text = functools.lru_cache(maxsize=1)(lambda c: commit_diff_text(objects, c))
-        for commit in walk_history(clone_path, harvest_config):
-            result.funnel.scanned += 1
-            decision = apply_structural_filter(commit, harvest_config)
-            if not decision.accepted:
-                result.skip(commit.sha, f"filtered: {decision.reason.value}")
-                continue
-            result.funnel.structurally_accepted += 1
+    # Phase 2 and the store write share one diff; holding only the latest
+    # keeps memory flat over a long walk.
+    diff_text = functools.lru_cache(maxsize=1)(lambda c: commit_diff_text(objects, c))
+    for commit in walk_history(clone_path, harvest_config):
+        result.funnel.scanned += 1
+        decision = apply_structural_filter(commit, harvest_config)
+        if not decision.accepted:
+            result.skip(commit.sha, f"filtered: {decision.reason.value}")
+            continue
+        result.funnel.structurally_accepted += 1
 
-            if issue_fetcher is not None:
-                commit = resolve_linked_issue(commit, repo.owner, repo.name, issue_fetcher)
-            try:
-                verdict = classify_commit(commit, diff_text, backend_config, backend)
-            except (UnparseableResponseError, BackendError) as exc:
-                result.skip(commit.sha, f"classifier error: {exc}")
-                continue
-            if verdict.final != "positive":
-                result.skip(commit.sha, f"classified negative in phase {verdict.decided_in_phase}")
-                continue
-            result.funnel.classified_positive += 1
+        if issue_fetcher is not None:
+            commit = resolve_linked_issue(commit, repo.owner, repo.name, issue_fetcher)
+        try:
+            verdict = classify_commit(commit, diff_text, backend_config, backend)
+        except (UnparseableResponseError, BackendError) as exc:
+            result.skip(commit.sha, f"classifier error: {exc}")
+            continue
+        if verdict.final != "positive":
+            result.skip(commit.sha, f"classified negative in phase {verdict.decided_in_phase}")
+            continue
+        result.funnel.classified_positive += 1
 
-            try:
-                _build_measure_store(
-                    repo, commit, verdict, objects, diff_text,
-                    stat_config=stat_config, limits=limits, runtime=runtime,
-                    backend=backend, backend_config=backend_config,
-                    out_dir=Path(out_dir), result=result,
-                )
-            except (RuntimeUnavailableError, ContractViolation):
-                raise
-            except (PerfMineError, GitError, OSError) as exc:
-                result.skip(commit.sha, f"orchestration error: {exc}")
+        try:
+            _build_measure_store(
+                repo, commit, verdict, objects, diff_text,
+                stat_config=stat_config, limits=limits, runtime=runtime,
+                backend=backend, backend_config=backend_config,
+                out_dir=Path(out_dir), result=result,
+            )
+        except (RuntimeUnavailableError, ContractViolation):
+            raise
+        except (PerfMineError, GitError, OSError) as exc:
+            result.skip(commit.sha, f"orchestration error: {exc}")
     return result
 
 
@@ -279,7 +283,7 @@ def _build_measure_store(
             return
 
         patch_id = make_patch_id(repo.owner, repo.name, commit.sha)
-        _persist_logs(out_dir, patch_id, build_logs, outcomes)
+        _persist_logs(out_dir, patch_id, build_logs)
         image = snapshot_image(session, patch_id, runtime, list(outcomes.values()))
 
         entry = BenchmarkEntry(
@@ -309,20 +313,16 @@ def _summarize(outcome: RunOutcome) -> RunSummary:
     )
 
 
-def _persist_logs(out_dir: Path, patch_id: str, build_logs: dict, outcomes: dict):
-    """Write both build logs and every run's record to ``<out_dir>/logs/<patch_id>/``.
+def _persist_logs(out_dir: Path, patch_id: str, build_logs: dict):
+    """Write both build logs to ``<out_dir>/logs/<patch_id>/``.
 
-    This is their only copy: the image holds the original tree alone.
+    This is their only copy: the image holds the original tree alone. Every
+    timing the claim rests on is in the manifest.
     """
     # str paths, as in runtime._HostFsSession: a Path would intern the patch id
     host_dir = os.path.join(out_dir, "logs", patch_id)
     os.makedirs(host_dir, exist_ok=True)
-    runs_payload = json.dumps(
-        {version: outcome.to_dict() for version, outcome in outcomes.items()},
-        indent=2, sort_keys=True,
-    )
-    files = {f"build-{version}.log": text for version, text in build_logs.items()}
-    files["runs.json"] = runs_payload
-    for name, text in files.items():
-        with open(os.path.join(host_dir, name), "w", encoding="utf-8") as handle:
+    for version, text in build_logs.items():
+        with open(os.path.join(host_dir, f"build-{version}.log"), "w",
+                  encoding="utf-8") as handle:
             handle.write(text)

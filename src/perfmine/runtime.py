@@ -11,13 +11,13 @@ Trees are always written on the host, where the mined clone is, by
 reads, with no git process of their own: a tree holds exactly the
 commit's files and a ``SHA_MARKER`` file naming it, and no ``.git``, so
 neither sessions nor their images carry an object store. Its regular
-files are read-only hard links into a blob store, so a blob shared by
-two trees, or by a tree and an image, is on disk once. The fake and
-local runtimes keep the store in ``<state_dir>/blobs``; a session
-sweeps the store files it linked when it closes, and a snapshot those
-of an image it replaces, so a blob stays while some image or live
-session links it. Docker keeps a store per checkout in its staging
-directory. Such a tree may sit inside another git work tree, so ``git
+files and its marker are read-only hard links into a blob store, so a
+blob shared by two trees, or by a tree and an image, is on disk once.
+The fake and local runtimes keep the store in ``<state_dir>/blobs`` for
+the runtime's whole life: ``close()``, which ``mine`` calls once when it
+ends, deletes each store file that nothing links any more. Docker keeps
+a store per checkout in its staging directory. Such a tree may sit
+inside another git work tree, so ``git
 apply`` stops its search for a repository at the tree's parent;
 otherwise it would take the enclosing repository for the tree's own and
 apply nothing.
@@ -54,15 +54,25 @@ opened from an image runs without them. Implementations:
   tree (see ``fake-timing`` below), so a fixture repository fully
   scripts its own measurements.
 
-The local and fake runtimes keep each session in a directory of its own
-and delete it when the session closes. A snapshot moves the session's
-``ORIGINAL_DIR`` into the image with one rename and so ends the session:
-every later call but ``close()`` raises ``ContractViolation``, and
-``close()`` deletes the rest of ``/work``. The snapshot then clears the
-write bits of every file in the image that still has one (the marker,
-and any file a session wrote), and a session opened from it gets the
-image's directories anew and its files as hard links, so images outlive
-every session opened from them. ``copy_tree`` links the same way. A
+The local and fake runtimes give each session a directory of its own,
+its ``/work``, and delete it when the session closes. Closing first
+moves the trees the session checked out to ``<state_dir>/spares`` by
+rename, in place of the spares kept before; a later ``check_out``
+renames a spare into place, one of the same commit first, and the tree
+writer syncs it, so a tree that the last session held needs only the
+files that differ. Only ``check_out`` takes a spare: ``start_session``
+and ``open_image`` begin with an empty ``/work``. ``close()`` on the
+runtime deletes the spares.
+
+A snapshot ends the session: every later call but ``close()`` raises
+``ContractViolation``. It clears the write bits of every file of
+``ORIGINAL_DIR`` that still has one (only a file a session wrote: the
+checked-out files and the marker are store files), moves the other
+trees to the spares, deletes the rest of ``/work``, writes
+``meta.json`` and renames the session's directory to the image, so an
+image is ``meta.json`` and ``original/``. A session opened from it gets
+the image's directories anew and its files as hard links, so images
+outlive every session opened from them. ``copy_tree`` links the same way. A
 file in a session, checked out or linked, is therefore changed by
 replacing it, as ``git apply`` does, never by writing into it: a build
 that writes in place into a source file fails with ``EACCES``. Mode
@@ -105,7 +115,7 @@ from typing import NamedTuple, Protocol
 
 from .errors import ContractViolation, RuntimeUnavailableError
 from .harvest import GitObjects
-from .trees import SHA_MARKER, TreeWriter, delete_tree, link_or_copy
+from .trees import SHA_MARKER, TreeWriter, link_or_copy, remove_entry, sweep_store
 
 WORK_ROOT = "/work"
 ORIGINAL_DIR = f"{WORK_ROOT}/original"  # the one tree an image keeps
@@ -114,6 +124,7 @@ FAKE_TIMING_RE = re.compile(
     r"\s+step_ms=(?P<step>[0-9.]+)(?:\s+fail_run=(?P<fail>\d+))?"
 )
 _IMAGE_TAG_SAFE = re.compile(r"[^A-Za-z0-9_.-]")
+_IMAGE_META = "meta.json"  # an image's file beside its original tree
 
 
 class BuildResult(NamedTuple):
@@ -140,8 +151,8 @@ class ContainerSession(Protocol):
     session_id: str
 
     def check_out(self, objects: GitObjects, trees: Mapping[str, str]) -> None:
-        """Write each ``dest: commit id`` tree exactly as ``objects`` reads it,
-        with a ``SHA_MARKER`` file and no ``.git``.
+        """Make each ``dest: commit id`` hold exactly the tree ``objects`` reads,
+        whatever it held before, with a ``SHA_MARKER`` file and no ``.git``.
 
         Its regular files are read-only; on the host runtimes they are hard
         links into the runtime's blob store, so change one by replacing it.
@@ -209,6 +220,12 @@ class ContainerRuntime(Protocol):
 
     def has_image(self, tag: str) -> bool: ...
 
+    def close(self) -> None:
+        """Delete what the runtime keeps from one session for the next: spare
+        trees, and each blob store file that nothing links any more. The
+        runtime stays usable; ``mine`` calls this once, when it ends."""
+        ...
+
 
 # ---------------------------------------------------------------------------
 # Processes and links, shared by every runtime
@@ -256,11 +273,11 @@ def _write_text(path: str, content: str) -> None:
         handle.write(content)
 
 
-def _link_tree(src: str, dst: str) -> None:
+def _link_tree(src: str, dst: str, **copytree_args) -> None:
     """Make ``dst`` a tree of new directories, with ``src``'s symlinks
     recreated as symlinks and its regular files hard-linked (or copied,
     where a link cannot be made)."""
-    shutil.copytree(src, dst, symlinks=True, copy_function=link_or_copy)
+    shutil.copytree(src, dst, symlinks=True, copy_function=link_or_copy, **copytree_args)
 
 
 def _make_files_read_only(top: str) -> None:
@@ -432,6 +449,9 @@ class DockerCliRuntime:
         result = self._run([self.docker_bin, "image", "inspect", tag], None, 60.0)
         return result.returncode == 0
 
+    def close(self) -> None:
+        """Nothing to delete: each checkout's blob store went with its staging directory."""
+
 
 class DockerSession(_ExecSession):
     """A running container; its paths are the container's own."""
@@ -504,7 +524,7 @@ class DockerSession(_ExecSession):
 
 
 class _HostFsSession(_ExecSession):
-    """Session whose /work paths map onto a directory on the host.
+    """Session whose ``/work`` is a directory on the host, its ``root``.
 
     The root and every path below it are plain absolute ``str``. ``pathlib``
     interns every component of every path it builds, and each name that is
@@ -513,22 +533,24 @@ class _HostFsSession(_ExecSession):
     process that runs many sessions would keep resizing that table.
     """
 
-    def __init__(self, root: str, session_id: str, base_image: str, blobs: str) -> None:
+    def __init__(self, runtime: "_HostFsRuntimeBase", root: str, session_id: str,
+                 base_image: str) -> None:
         self.root = os.path.abspath(root)
         self.session_id = session_id
         self.base_image = base_image
-        self.snapshotted = False  # set by the snapshot, which takes the original away
-        self._trees = TreeWriter(blobs)
-        os.makedirs(os.path.join(self.root, "work"), exist_ok=True)
+        self.snapshotted = False  # set by the snapshot, which takes the root away
+        self._runtime = runtime
+        self._checked_out: dict[str, str] = {}  # host directory -> commit id
 
     def host_path(self, path: str) -> str:
         if self.snapshotted:
             raise ContractViolation(
                 f"session {self.session_id} was snapshotted; only close() is defined"
             )
-        if not path.startswith("/"):
-            raise ValueError(f"session paths must be absolute POSIX paths: {path!r}")
-        return os.path.join(self.root, path.lstrip("/"))
+        if path != WORK_ROOT and not path.startswith(WORK_ROOT + "/"):
+            raise ValueError(f"session paths must be absolute POSIX paths under {WORK_ROOT}: "
+                             f"{path!r}")
+        return self.root + path[len(WORK_ROOT):]
 
     exec_path = host_path
 
@@ -536,7 +558,10 @@ class _HostFsSession(_ExecSession):
         return _subprocess_runner(argv, input_text, COMMAND_TIMEOUT_S)
 
     def check_out(self, objects: GitObjects, trees: Mapping[str, str]) -> None:
-        self._trees.write(objects, {self.host_path(d): sha for d, sha in trees.items()})
+        paths = {self.host_path(d): sha for d, sha in trees.items()}
+        self._checked_out.update(paths)
+        self._runtime._take_spares(paths)
+        self._runtime._trees.write(objects, paths)
 
     def copy_tree(self, src: str, dest: str) -> None:
         _link_tree(self.host_path(src), self.host_path(dest))
@@ -549,17 +574,30 @@ class _HostFsSession(_ExecSession):
         return os.path.exists(self.host_path(path))
 
     def close(self) -> None:
-        shutil.rmtree(self.root, ignore_errors=True)
-        self._trees.sweep()
+        try:
+            if not self.snapshotted:
+                self._runtime._keep_spares(self)
+        finally:
+            shutil.rmtree(self.root, ignore_errors=True)
 
 
 class _HostFsRuntimeBase:
-    """Image and blob store shared by the local and fake runtimes: plain directories."""
+    """Images, spare trees and the blob store of the local and fake runtimes:
+    plain directories under ``state_dir``."""
 
     def __init__(self, state_dir: str | Path) -> None:
         self.state_dir = Path(state_dir)
         self.blobs_dir = os.path.join(self.state_dir, "blobs")
+        self._trees = TreeWriter(self.blobs_dir)
+        self._spares: list[tuple[str, str]] = []  # (directory, commit id it was checked out at)
         self._session_counter = 0
+
+    def close(self) -> None:
+        """Delete the spare trees, then each store file that nothing links any more."""
+        spares, self._spares = self._spares, []
+        for spare, _ in spares:
+            shutil.rmtree(spare, ignore_errors=True)
+        sweep_store(self.blobs_dir)
 
     def _new_session_root(self) -> str:
         self._session_counter += 1
@@ -568,30 +606,68 @@ class _HostFsRuntimeBase:
         os.makedirs(root)
         return root
 
+    def _take_spares(self, trees: Mapping[str, str]) -> None:
+        """Rename a spare tree to each of ``trees`` that does not exist yet,
+        preferring one checked out at the same commit."""
+        missing = {dest: sha for dest, sha in trees.items() if not os.path.lexists(dest)}
+        for same_commit in (True, False):
+            for dest, sha in list(missing.items()):
+                spare = next((s for s in self._spares if s[1] == sha or not same_commit), None)
+                if spare is not None:
+                    self._spares.remove(spare)
+                    os.makedirs(os.path.dirname(dest), exist_ok=True)
+                    os.rename(spare[0], dest)
+                    del missing[dest]
+
+    def _keep_spares(self, session: _HostFsSession) -> None:
+        """Move the trees the session checked out aside, as the spares of the
+        next ``check_out``, in place of the spares kept before."""
+        kept = []
+        for tree, sha in session._checked_out.items():
+            try:
+                if not stat.S_ISDIR(os.lstat(tree).st_mode):
+                    continue
+            except FileNotFoundError:
+                continue
+            spare = os.path.join(self.state_dir, "spares",
+                                 f"{os.path.basename(session.root)}-{len(kept)}")
+            os.makedirs(os.path.dirname(spare), exist_ok=True)
+            os.rename(tree, spare)
+            kept.append((spare, sha))
+        session._checked_out.clear()
+        if kept:
+            for old, _ in self._spares:
+                shutil.rmtree(old, ignore_errors=True)
+            self._spares = kept
+
     def _image_dir(self, tag: str) -> str:
         return os.path.join(self.state_dir, "images", _IMAGE_TAG_SAFE.sub("_", tag))
 
     def has_image(self, tag: str) -> bool:
-        return os.path.isfile(os.path.join(self._image_dir(tag), "meta.json"))
+        return os.path.isfile(os.path.join(self._image_dir(tag), _IMAGE_META))
 
     def _store_snapshot(self, session: _HostFsSession, tag: str, meta: dict) -> str:
         original = session.host_path(ORIGINAL_DIR)  # refuses a session already snapshotted
-        # the image is assembled inside the session root, which close() deletes,
-        # and moved into images/ only when complete; sessions/ and images/ share
-        # the state directory, so every move is a rename
-        staged = os.path.join(session.root, "image")
-        os.makedirs(os.path.join(staged, "work"))
-        os.rename(original, os.path.join(staged, "work", "original"))
+        _make_files_read_only(original)
         session.snapshotted = True
-        _make_files_read_only(os.path.join(staged, "work"))
-        _write_text(os.path.join(staged, "meta.json"), json.dumps({"tag": tag, **meta}, indent=2))
+        # the other trees become spares, and the rest of the root goes; the
+        # root, holding the original and meta.json, is then renamed into
+        # images/, which shares the state directory with sessions/
+        session._checked_out.pop(original, None)
+        self._keep_spares(session)
+        with os.scandir(session.root) as entries:
+            for entry in entries:
+                if entry.path != original:
+                    remove_entry(entry)
+        _write_text(os.path.join(session.root, _IMAGE_META),
+                    json.dumps({"tag": tag, **meta}, indent=2))
         image_dir = self._image_dir(tag)
         os.makedirs(os.path.dirname(image_dir), exist_ok=True)
-        superseded = os.path.join(session.root, "superseded")
+        superseded = f"{session.root}-superseded"
         if os.path.exists(image_dir):
             os.rename(image_dir, superseded)
-        os.rename(staged, image_dir)
-        delete_tree(superseded, self.blobs_dir)
+        os.rename(session.root, image_dir)
+        shutil.rmtree(superseded, ignore_errors=True)
         return tag
 
     def _seed_from_image(self, tag: str, root: str) -> dict:
@@ -600,10 +676,9 @@ class _HostFsRuntimeBase:
         try:
             if not self.has_image(tag):
                 raise RuntimeUnavailableError(f"no stored image tagged {tag} under {image_dir}")
-            work = os.path.join(root, "work")
-            shutil.rmtree(work, ignore_errors=True)
-            _link_tree(os.path.join(image_dir, "work"), work)
-            with open(os.path.join(image_dir, "meta.json"), encoding="utf-8") as handle:
+            _link_tree(image_dir, root, dirs_exist_ok=True,
+                       ignore=lambda d, names: [_IMAGE_META] if d == image_dir else [])
+            with open(os.path.join(image_dir, _IMAGE_META), encoding="utf-8") as handle:
                 return json.load(handle)
         except BaseException:
             shutil.rmtree(root, ignore_errors=True)
@@ -632,13 +707,13 @@ class LocalProcessRuntime(_HostFsRuntimeBase):
         self, base_image: str, *, cpus: float | None = None, memory: str | None = None
     ) -> "LocalSession":
         root = self._new_session_root()
-        return LocalSession(root, f"local-{os.path.basename(root)}", base_image, self.blobs_dir)
+        return LocalSession(self, root, f"local-{os.path.basename(root)}", base_image)
 
     def open_image(self, tag: str) -> "LocalSession":
         root = self._new_session_root()
         meta = self._seed_from_image(tag, root)
-        return LocalSession(root, f"local-{os.path.basename(root)}", meta.get("base_image", ""),
-                            self.blobs_dir)
+        return LocalSession(self, root, f"local-{os.path.basename(root)}",
+                            meta.get("base_image", ""))
 
     def snapshot(self, session: "LocalSession", tag: str) -> str:
         return self._store_snapshot(session, tag, {"base_image": session.base_image})
@@ -763,8 +838,7 @@ class FakeRuntime(_HostFsRuntimeBase):
 class FakeSession(_HostFsSession):
     def __init__(self, runtime: FakeRuntime, root: str, session_id: str,
                  base_image: str) -> None:
-        super().__init__(root, session_id, base_image, runtime.blobs_dir)
-        self._runtime = runtime
+        super().__init__(runtime, root, session_id, base_image)
         self.installed_packages: list[str] = []
         # build dir -> (source dir, declarations read when it was built)
         self._builds: dict[str, tuple[str, list[FakeTimingDecl]]] = {}
@@ -779,7 +853,6 @@ class FakeSession(_HostFsSession):
         if pending:
             # scripted failures are consumed one per attempt; builds succeed after
             return pending.pop(0)
-        os.makedirs(self.host_path(build_dir), exist_ok=True)
         self._builds[build_dir] = (source_dir, scan_fake_timings(self.host_path(source_dir)))
         return BuildResult(True, f"fake build of {source_dir} ok")
 

@@ -1,4 +1,4 @@
-"""Commit trees written from a clone's objects, as hard links into a blob store.
+"""Commit trees synced in place from a clone's objects, as hard links into a blob store.
 
 A tree is read through the mine's ``GitObjects`` (``git cat-file --batch``):
 ``<sha>^{tree}`` first, then each subtree by id. It is written exactly as
@@ -10,17 +10,25 @@ as ``git checkout`` leaves it. An entry named ``.``, ``..`` or ``.git``
 outside the tree or into a ``.git``; it raises ``GitError`` naming its
 path.
 
+A write makes each destination directory hold exactly the commit's tree,
+whatever it held before: each directory is scanned once, an entry that
+already matches is kept, one that differs is replaced and one the tree
+lacks is deleted, never following a symlink. A new empty directory is
+the case with nothing to keep, so a spare tree of a nearby commit needs
+only the files that differ. The tree objects read by one write are kept
+for the next, and nothing more.
+
 Every regular file is a hard link into a blob store: a directory of
 read-only files (0444, or 0555 when executable, less the umask), one per
-blob id and exec bit, named ``<id>`` or ``<id>.x``. A blob's bytes are
-read only when the store lacks it. A store file is written under a
+blob id and exec bit, named ``<id>`` or ``<id>.x``. A file is kept when it
+is the store file itself, the same inode. A tree's ``SHA_MARKER`` is a
+store file too, ``<sha>.marker``, which no blob id can be. A blob's bytes
+are read only when the store lacks it. A store file is written under a
 temporary name and renamed, so none is ever seen incomplete. Where a
 link cannot be made the file is copied.
 
-A store file stays while some tree links it. A ``TreeWriter`` remembers
-every store file it linked, and its ``sweep`` deletes each one that
-nothing else links any more; ``delete_tree`` does the same for the files
-of a tree it deletes.
+The store is never swept by a write: a store file stays until
+``sweep_store`` finds that nothing else links it.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import re
 import shutil
 import stat
 import uuid
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 
 from .errors import GitError
 from .harvest import GitObjects
@@ -46,6 +54,8 @@ _DIRECTORY, _SYMLINK, _GITLINK = 0o040000, 0o120000, 0o160000
 # system, a file system without hard links, or a file at its link limit
 _COPY_INSTEAD_OF_LINK = frozenset({errno.EXDEV, errno.EPERM, errno.EMLINK, errno.ENOTSUP})
 
+_Entries = list[tuple[int, bytes, str]]
+
 
 def link_or_copy(src: str, dst: str) -> None:
     try:
@@ -57,78 +67,121 @@ def link_or_copy(src: str, dst: str) -> None:
 
 
 class TreeWriter:
-    """Writes commit trees, each regular file a link into the store ``directory``."""
+    """Syncs commit trees, each regular file a link into the store ``directory``."""
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
-        self._linked: set[str] = set()
+        self._entries: dict[str, _Entries] = {}  # the trees read by the last write
 
     def write(self, objects: GitObjects, trees: Mapping[str, str]) -> None:
-        """Write each ``host directory: commit id`` tree, then every tree's
-        ``SHA_MARKER``, so a marker is there only when every tree is whole."""
-        os.makedirs(self.directory, exist_ok=True)
-        for dest, sha in trees.items():
+        """Make each ``host directory: commit id`` hold exactly that commit's tree.
+
+        Every tree's ``SHA_MARKER`` is removed first, before anything can
+        fail, and linked last, so a marker is there only when every tree is
+        whole.
+        """
+        for dest in trees:
+            os.makedirs(dest, exist_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(os.path.join(dest, SHA_MARKER))
+        for sha in trees.values():
             if not _FULL_ID.fullmatch(sha):
                 raise GitError(f"cannot check out {sha!r}: not a full commit id")
-            os.makedirs(dest, exist_ok=True)
-            self._write_tree(objects, sha, dest)
+        os.makedirs(self.directory, exist_ok=True)
+        last, self._entries = self._entries, {}
         for dest, sha in trees.items():
-            with open(os.path.join(dest, SHA_MARKER), "w", encoding="utf-8") as handle:
-                handle.write(sha + "\n")
+            self._sync(objects, sha, dest, last)
+        for dest, sha in trees.items():
+            marker, _ = self._stored(f"{sha}.marker", lambda: f"{sha}\n".encode(), 0o444)
+            link_or_copy(marker, os.path.join(dest, SHA_MARKER))
 
-    def _write_tree(self, objects: GitObjects, sha: str, dest: str) -> None:
-        pending = [(f"{sha}^{{tree}}", dest, "")]
+    def _sync(self, objects: GitObjects, sha: str, top: str,
+              last: Mapping[str, _Entries]) -> None:
+        # (tree to read, or None for an empty one; directory; its path in the
+        # tree; whether the directory was just made, so holds nothing)
+        pending: list[tuple[str | None, str, str, bool]] = [(f"{sha}^{{tree}}", top, "", False)]
         while pending:
-            name, directory, where = pending.pop()
-            for mode, entry, oid in _tree_entries(objects, name, len(sha) // 2):
-                path = where + os.fsdecode(entry)
-                if entry in (b"", b".", b"..") or entry.lower() == b".git" or b"/" in entry:
+            name, directory, where, fresh = pending.pop()
+            present: dict[str, os.DirEntry] = {}
+            if not fresh:
+                with os.scandir(directory) as scan:
+                    present = {entry.name: entry for entry in scan}
+            for mode, raw, oid in self._tree(objects, name, len(sha) // 2, last) if name else ():
+                entry = os.fsdecode(raw)
+                path = where + entry
+                if raw in (b"", b".", b"..") or raw.lower() == b".git" or b"/" in raw:
                     raise GitError(f"commit {sha} holds a tree entry named {path!r}; "
                                    "it would be written outside its tree or into a .git")
-                target = os.path.join(directory, os.fsdecode(entry))
-                if mode == _DIRECTORY:
-                    os.mkdir(target)
-                    pending.append((oid, target, path + "/"))
-                elif mode == _GITLINK:
-                    os.mkdir(target)
+                target = os.path.join(directory, entry)
+                have = present.pop(entry, None)
+                if mode in (_DIRECTORY, _GITLINK):
+                    made = have is None or not have.is_dir(follow_symlinks=False)
+                    if made:
+                        remove_entry(have)
+                        os.mkdir(target)
+                    # a submodule's directory is left empty
+                    pending.append((oid if mode == _DIRECTORY else None, target, path + "/", made))
                 elif mode == _SYMLINK:
                     link = _read_blob(objects, oid)
                     if b"\0" in link:
                         raise GitError(f"commit {sha} holds a symlink {path!r} with a NUL byte")
+                    if have is not None and have.is_symlink() \
+                            and os.fsencode(os.readlink(have.path)) == link:
+                        continue
+                    remove_entry(have)
                     os.symlink(os.fsdecode(link), target)
                 elif stat.S_ISREG(mode):
-                    self._link(objects, oid, bool(mode & 0o100), target)
+                    executable = bool(mode & 0o100)
+                    stored, inode = self._stored(oid + (".x" if executable else ""),
+                                                 lambda: _read_blob(objects, oid),
+                                                 0o555 if executable else 0o444)
+                    if have is not None and have.inode() == inode \
+                            and have.is_file(follow_symlinks=False):
+                        continue
+                    remove_entry(have)
+                    link_or_copy(stored, target)
                 else:
                     raise GitError(f"commit {sha} holds {path!r} with unknown mode {mode:o}")
+            for extra in present.values():
+                remove_entry(extra)
 
-    def _link(self, objects: GitObjects, oid: str, executable: bool, target: str) -> None:
-        stored = os.path.join(self.directory, oid + (".x" if executable else ""))
+    def _tree(self, objects: GitObjects, name: str, id_bytes: int,
+              last: Mapping[str, _Entries]) -> _Entries:
+        entries = self._entries.get(name)
+        if entries is None:
+            entries = last.get(name)
+            if entries is None:
+                entries = _tree_entries(objects, name, id_bytes)
+            self._entries[name] = entries
+        return entries
+
+    def _stored(self, name: str, data: Callable[[], bytes], mode: int) -> tuple[str, int]:
+        """The path and inode of the store file ``name``, written from ``data()``
+        when the store lacks it."""
+        stored = os.path.join(self.directory, name)
         try:
-            link_or_copy(stored, target)
+            return stored, os.stat(stored).st_ino
         except FileNotFoundError:
-            _store(stored, _read_blob(objects, oid), 0o555 if executable else 0o444)
-            link_or_copy(stored, target)
-        self._linked.add(stored)
-
-    def sweep(self) -> None:
-        """Delete each store file this writer linked that no tree links any more."""
-        for stored in self._linked:
-            with contextlib.suppress(FileNotFoundError):
-                if os.stat(stored).st_nlink == 1:
-                    os.unlink(stored)
-        self._linked.clear()
+            _store(stored, data(), mode)
+            return stored, os.stat(stored).st_ino
 
 
-def delete_tree(top: str, store: str) -> None:
-    """Delete the tree ``top``, and each file of ``store`` that nothing links after it."""
-    inodes = {os.lstat(os.path.join(d, name)).st_ino
-              for d, _, names in os.walk(top) for name in names}
-    shutil.rmtree(top, ignore_errors=True)
-    with contextlib.suppress(FileNotFoundError), os.scandir(store) as stored:
+def sweep_store(directory: str) -> None:
+    """Delete each file of the store ``directory`` that nothing else links."""
+    with contextlib.suppress(FileNotFoundError), os.scandir(directory) as stored:
         for entry in stored:
-            st = entry.stat(follow_symlinks=False)
-            if st.st_ino in inodes and st.st_nlink == 1:
+            if entry.stat(follow_symlinks=False).st_nlink == 1:
                 os.unlink(entry.path)
+
+
+def remove_entry(entry: os.DirEntry | None) -> None:
+    """Delete ``entry`` (nothing when it is None); a symlink is never followed."""
+    if entry is None:
+        return
+    if entry.is_dir(follow_symlinks=False):
+        shutil.rmtree(entry.path)
+    else:
+        os.unlink(entry.path)
 
 
 def _store(stored: str, data: bytes, mode: int) -> None:
@@ -144,7 +197,7 @@ def _store(stored: str, data: bytes, mode: int) -> None:
         raise
 
 
-def _tree_entries(objects: GitObjects, name: str, id_bytes: int) -> list[tuple[int, bytes, str]]:
+def _tree_entries(objects: GitObjects, name: str, id_bytes: int) -> _Entries:
     """The ``(mode, name, object id)`` of every entry of the tree ``name``."""
     kind, data = objects.read(name)
     if kind != "tree":

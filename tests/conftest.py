@@ -259,7 +259,7 @@ def mine_fixture(fixture: FixtureRepo, out_dir: Path, *, runs: int = 31) -> Mine
     """Run the complete mining flow over the fixture repository."""
     from perfmine.backends import StubBackend
     from perfmine.classifier import BackendConfig
-    from perfmine.harvest import HarvestConfig
+    from perfmine.harvest import GitObjects, HarvestConfig
     from perfmine.pipeline import (
         MiningLimits,
         gate_with_runtime,
@@ -271,19 +271,22 @@ def mine_fixture(fixture: FixtureRepo, out_dir: Path, *, runs: int = 31) -> Mine
 
     runtime = FakeRuntime(state_dir=out_dir / "fake-runtime")
     repo = local_descriptor(fixture.path, "local", "fixturerepo")
-    gated = gate_with_runtime(repo, fixture.path, runtime)
-    assert gated.passes_gate, "fixture head must build and pass its tests"
-    result = mine_repository(
-        gated,
-        fixture.path,
-        harvest_config=HarvestConfig(),
-        backend_config=BackendConfig(),
-        stat_config=StatConfig(),
-        limits=MiningLimits(runs=runs),
-        runtime=runtime,
-        backend=StubBackend({fixture.perf_sha: "Yes"}),
-        out_dir=out_dir,
-    )
+    with GitObjects(fixture.path) as objects:
+        gated = gate_with_runtime(repo, fixture.path, runtime, objects=objects)
+        assert gated.passes_gate, "fixture head must build and pass its tests"
+        result = mine_repository(
+            gated,
+            fixture.path,
+            harvest_config=HarvestConfig(),
+            backend_config=BackendConfig(),
+            stat_config=StatConfig(),
+            limits=MiningLimits(runs=runs),
+            runtime=runtime,
+            backend=StubBackend({fixture.perf_sha: "Yes"}),
+            objects=objects,
+            out_dir=out_dir,
+        )
+    runtime.close()  # as the mine command does when it ends
     return MinedStore(
         store_dir=out_dir, runtime=runtime, repo=gated, result=result, fixture=fixture
     )

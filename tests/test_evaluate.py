@@ -240,7 +240,7 @@ def test_preexisting_candidate_dir_is_rejected(mined_store):
     image_dir = mined_store.runtime._image_dir(tag)
     shutil.copytree(mined_store.runtime._image_dir(entry.image), image_dir)
     try:
-        os.makedirs(os.path.join(image_dir, "work", "candidate"))
+        os.makedirs(os.path.join(image_dir, "candidate"))
         poisoned = json.loads(
             (mined_store.store_dir / "entries" / f"{mined_store.patch_id}.json").read_text(
                 encoding="utf-8"

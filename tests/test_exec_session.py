@@ -91,10 +91,11 @@ def stub_toolchain(tmp_path, monkeypatch):
     return log
 
 
-def _logged_argv(log, root: str) -> list[list[str]]:
-    """The stubs' argv, with the host directory standing for ``/`` taken off."""
+def _logged_argv(log, work: str) -> list[list[str]]:
+    """The stubs' argv, with the host directory standing for ``/work`` put back as ``/work``."""
     with open(log, encoding="utf-8") as handle:
-        return [[arg.removeprefix(root) for arg in json.loads(line)] for line in handle]
+        return [["/work" + arg.removeprefix(work) if arg.startswith(work) else arg
+                 for arg in json.loads(line)] for line in handle]
 
 
 def _local_session(tmp_path):
@@ -113,7 +114,7 @@ def _docker_session(tmp_path):
         proc = subprocess.run(command, input=input_text, capture_output=True, text=True)
         return RunnerResult(proc.returncode, proc.stdout, proc.stderr)
 
-    return DockerCliRuntime(runner=runner).start_session("gcc:13"), container
+    return DockerCliRuntime(runner=runner).start_session("gcc:13"), container + "/work"
 
 
 def test_docker_runs_each_command_under_a_kill_at_the_limit_in_the_container(monkeypatch):
@@ -137,26 +138,28 @@ def test_docker_runs_each_command_under_a_kill_at_the_limit_in_the_container(mon
     ]
 
 
-def _plant(root: str, path: str, content: str) -> None:
-    """Write a file where a session whose ``/`` is the host directory ``root`` sees ``path``."""
-    os.makedirs(os.path.dirname(root + path), exist_ok=True)
-    with open(root + path, "w", encoding="utf-8") as handle:
+def _plant(work: str, path: str, content: str) -> None:
+    """Write a file where a session whose ``/work`` is the host directory ``work``
+    sees ``path``."""
+    host = work + path.removeprefix("/work")
+    os.makedirs(os.path.dirname(host), exist_ok=True)
+    with open(host, "w", encoding="utf-8") as handle:
         handle.write(content)
 
 
 @pytest.mark.parametrize("adapter", [_local_session, _docker_session], ids=["local", "docker"])
 def test_both_adapters_issue_the_same_commands_and_read_the_same_report(
         adapter, tmp_path, stub_toolchain):
-    session, root = adapter(tmp_path)
-    _plant(root, f"{SOURCE}/CMakeLists.txt", "project(stub)\n")
+    session, work = adapter(tmp_path)
+    _plant(work, f"{SOURCE}/CMakeLists.txt", "project(stub)\n")
     assert session.configure_and_build(SOURCE, BUILD, ("-DFAST=ON",)).ok
     assert session.list_tests(BUILD) == ["my test", "broken"]
     suite = session.run_suite(BUILD)
     assert suite.results == EXPECTED_RESULTS
-    assert _logged_argv(stub_toolchain, root) == EXPECTED_ARGV
+    assert _logged_argv(stub_toolchain, work) == EXPECTED_ARGV
 
     # a run whose ctest writes no report reads no report, not the last one
-    _plant(root, f"{BUILD}/crash", "")
+    _plant(work, f"{BUILD}/crash", "")
     assert session.run_suite(BUILD).results == ()
     session.close()
 
@@ -216,10 +219,10 @@ def test_an_interrupted_command_takes_its_whole_process_group_with_it(tmp_path):
 
 def test_a_hung_ctest_fails_its_version_on_the_host(tmp_path, stub_toolchain, monkeypatch):
     monkeypatch.setattr(runtime_module, "COMMAND_TIMEOUT_S", 0.5)
-    session, root = _local_session(tmp_path)
-    _plant(root, f"{SOURCE}/CMakeLists.txt", "project(stub)\n")
+    session, work = _local_session(tmp_path)
+    _plant(work, f"{SOURCE}/CMakeLists.txt", "project(stub)\n")
     assert session.configure_and_build(SOURCE, BUILD, ()).ok
-    _plant(root, f"{BUILD}/hang", "")
+    _plant(work, f"{BUILD}/hang", "")
     started = time.monotonic()
     assert session.run_suite(BUILD).results == ()
     assert time.monotonic() - started < 5

@@ -113,7 +113,7 @@ def _writes_in_place(path: str) -> bool:
 def test_every_file_of_a_stored_image_is_read_only(mined_store):
     entry = read_entry(mined_store.store_dir, mined_store.patch_id)
     modes = _regular_modes(_image_state(mined_store.runtime._image_dir(entry.image)))
-    assert "work/original/src/compute.cpp" in modes
+    assert "original/src/compute.cpp" in modes
     assert {path for path, mode in modes.items() if mode & 0o222} == {"meta.json"}
 
 
@@ -128,7 +128,7 @@ def test_a_snapshot_keeps_exec_bits_and_follows_no_symlink(fake_runtime, tmp_pat
     os.symlink(outside, session.host_path(f"{ORIGINAL_DIR}/outside"))
     tag = fake_runtime.snapshot(session, "perfmine/symlinked")
     session.close()
-    work = os.path.join(fake_runtime._image_dir(tag), "work", "original")
+    work = os.path.join(fake_runtime._image_dir(tag), "original")
     assert stat.S_IMODE(os.stat(os.path.join(work, "run.sh")).st_mode) == 0o555
     assert stat.S_IMODE(os.stat(os.path.join(work, "src", "a.cpp")).st_mode) == 0o444
     assert os.readlink(os.path.join(work, "outside")) == str(outside)
@@ -138,9 +138,9 @@ def test_a_snapshot_keeps_exec_bits_and_follows_no_symlink(fake_runtime, tmp_pat
 def test_re_snapshotting_a_tag_replaces_its_read_only_image(fake_runtime):
     tag = _image_of(fake_runtime, {"src/a.cpp": "first\n"})
     image = fake_runtime._image_dir(tag)
-    assert not _writes_in_place(os.path.join(image, "work", "original", "src", "a.cpp"))
+    assert not _writes_in_place(os.path.join(image, "original", "src", "a.cpp"))
     _image_of(fake_runtime, {"src/b.cpp": "second\n"})
-    assert sorted(os.listdir(os.path.join(image, "work", "original", "src"))) == ["b.cpp"]
+    assert sorted(os.listdir(os.path.join(image, "original", "src"))) == ["b.cpp"]
     assert os.listdir(os.path.join(fake_runtime.state_dir, "images")) == ["perfmine_linked"]
 
 
@@ -151,7 +151,7 @@ def test_re_snapshotting_a_tag_replaces_its_read_only_image(fake_runtime):
 def test_a_session_and_its_copy_share_the_image_files(mined_store):
     entry = read_entry(mined_store.store_dir, mined_store.patch_id)
     image_file = os.path.join(mined_store.runtime._image_dir(entry.image),
-                              "work", "original", "src", "compute.cpp")
+                              "original", "src", "compute.cpp")
     session = mined_store.runtime.open_image(entry.image)
     try:
         session.copy_tree(ORIGINAL_DIR, CANDIDATE_DIR)
@@ -196,7 +196,7 @@ def test_evaluating_every_candidate_kind_leaves_the_image_as_it_was(mined_store)
     before = _image_state(image)
     assert {p for p, mode in _regular_modes(before).items() if mode & 0o222} == {"meta.json"}
     path = "src/compute.cpp"
-    with open(os.path.join(image, "work", "original", path), encoding="utf-8") as handle:
+    with open(os.path.join(image, "original", path), encoding="utf-8") as handle:
         source = handle.read()
     decl = "base_ms=150 step_ms=0.01"
     assert decl in source
@@ -231,7 +231,7 @@ def test_where_a_file_cannot_be_linked_it_is_copied(mined_store, monkeypatch, co
     monkeypatch.setattr(os, "link", link)
     entry = read_entry(mined_store.store_dir, mined_store.patch_id)
     image_file = os.path.join(mined_store.runtime._image_dir(entry.image),
-                              "work", "original", "src", "compute.cpp")
+                              "original", "src", "compute.cpp")
     session = mined_store.runtime.open_image(entry.image)
     try:
         copy = session.host_path(f"{ORIGINAL_DIR}/src/compute.cpp")

@@ -79,7 +79,9 @@ def timing_repo(tmp_path_factory):
 def test_gate_builds_and_runs_head_on_the_host(timing_repo, tmp_path):
     root, _, _ = timing_repo
     runtime = LocalProcessRuntime(state_dir=tmp_path / "state")
-    gated = gate_with_runtime(local_descriptor(root, "local", "timedrepo"), root, runtime)
+    with GitObjects(root) as objects:
+        gated = gate_with_runtime(local_descriptor(root, "local", "timedrepo"), root, runtime,
+                                  objects=objects)
     assert gated.passes_gate
     assert gated.head_tests_pass is HeadTestsState.PASS
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import subprocess
@@ -139,7 +138,7 @@ def test_check_out_writes_each_commit_tree_exactly(fake_runtime, tmp_path):
         expected = {SHA_MARKER: ("100644", sha + "\n"), **fixtures.commit_files(repo, sha)}
         assert fixtures.files_under(session.host_path(dest)) == expected
     assert "tests/t.cpp" in fixtures.files_under(session.host_path("/work/first"))
-    assert os.listdir(session.root) == ["work"]
+    assert sorted(os.listdir(session.root)) == ["first", "second"]
     session.close()
     assert (repo / ".git" / "index").read_bytes() == index
     assert fixtures.git(repo, "rev-parse", "HEAD").strip() == second
@@ -166,7 +165,7 @@ def test_a_missing_commit_names_its_sha_and_leaves_no_marker_process_or_session(
         with pytest.raises(GitError, match=bad):
             session.check_out(objects, {ORIGINAL_DIR: fixture_repo.perf_parent_sha,
                                         PATCHED_DIR: bad})
-        assert os.listdir(session.root) == ["work"]
+        assert sorted(os.listdir(session.root)) == ["original", "patched"]
         assert not session.path_exists(f"{ORIGINAL_DIR}/{SHA_MARKER}")  # no marker either
         session.close()
 
@@ -176,6 +175,8 @@ def test_a_missing_commit_names_its_sha_and_leaves_no_marker_process_or_session(
         # the reader serves on after a missing object
         assert objects.read(f"{fixture_repo.perf_sha}^{{tree}}")[0] == "tree"
     assert os.listdir(os.path.join(fake_runtime.state_dir, "sessions")) == []
+    fake_runtime.close()
+    assert os.listdir(os.path.join(fake_runtime.state_dir, "spares")) == []
     assert os.listdir(fake_runtime.blobs_dir) == []
     assert [p.args[3] for p in recorded_processes] == ["cat-file"]
     assert all(p.returncode is not None for p in recorded_processes)
@@ -419,6 +420,47 @@ def test_recorded_runs_that_disagree_on_their_tests_disqualify(ragged):
     assert outcome.runs_recorded == 3
 
 
+def _outcome_by_tuples(session, runs: int) -> RunOutcome:
+    """The reference: ``run_tests_repeatedly`` as it grew each test's tuples run by run."""
+    suite_times, per_test, warmup_failed, recorded = [], {}, False, 0
+    for index in range(runs):
+        suite = session.run_suite(f"{ORIGINAL_DIR}-build")
+        if index == 0:
+            warmup_failed = any(not r.passed for r in suite.results)
+            continue
+        recorded += 1
+        suite_times.append(suite.wall_time_ms)
+        for run in suite.results:
+            prev = per_test.get(run.name, TestRuns(run.name, (), ()))
+            per_test[run.name] = TestRuns(run.name, prev.passed + (run.passed,),
+                                          prev.wall_times_ms + (run.wall_time_ms,))
+    tests = tuple(per_test.values())
+    if any(len(test.passed) != recorded for test in tests):
+        tests, suite_times = (), []
+    return RunOutcome(version="original", build_ok=True, tests=tests, runs_requested=runs,
+                      runs_recorded=recorded, suite_wall_times_ms=tuple(suite_times),
+                      warmup_failed=warmup_failed)
+
+
+def _suite(k: int, failed: str = "", missing: str = "") -> SuiteRun:
+    results = tuple(TestRun(name, name != failed, base + k)
+                    for name, base in (("t", 10.0), ("u", 5.0), ("v", 7.5)) if name != missing)
+    return SuiteRun(results, sum(r.wall_time_ms for r in results))
+
+
+@pytest.mark.parametrize("suites", [
+    [_suite(k) for k in range(31)],  # normal runs
+    [_suite(0, failed="u")] + [_suite(k) for k in range(1, 8)],  # a failed warm-up
+    [_suite(k, missing="v" if k == 4 else "") for k in range(8)],  # v missing from one run
+    [_suite(k, failed="t" if k == 3 else "") for k in range(8)],  # a failed recorded run
+], ids=["normal", "failed_warmup", "test_missing_from_one_run", "failed_recorded_run"])
+def test_run_tests_repeatedly_equals_the_tuple_by_tuple_reference(suites):
+    got = run_tests_repeatedly(_ScriptedSuites(*suites), ORIGINAL_DIR, runs=len(suites),
+                               version="original")
+    assert got == _outcome_by_tuples(_ScriptedSuites(*suites), len(suites))
+    assert all(type(t.passed) is tuple and type(t.wall_times_ms) is tuple for t in got.tests)
+
+
 def test_warmup_failure_disqualifies(fake_runtime, tmp_path):
     import conftest as fixtures
 
@@ -515,10 +557,10 @@ def test_a_snapshotted_session_refuses_every_call_but_close(fake_runtime, fixtur
     )
     build_both(session)
     tag = fake_runtime.snapshot(session, "perfmine/spent")
-    # the snapshot took the original; the rest waits for close()
-    work = os.path.join(session.root, "work")
-    left = ["original-build", "patched", "patched-build"]
-    assert sorted(os.listdir(work)) == left
+    # the snapshot took the session's root, which now holds the image
+    image = fake_runtime._image_dir(tag)
+    assert not os.path.exists(session.root)
+    assert sorted(os.listdir(image)) == ["meta.json", "original"]
     objects = GitObjects(fixture_repo.path)
     calls = {
         "read_file": lambda: session.read_file(f"{ORIGINAL_DIR}/{SHA_MARKER}"),
@@ -536,7 +578,9 @@ def test_a_snapshotted_session_refuses_every_call_but_close(fake_runtime, fixtur
                 call()
     with pytest.raises(ContractViolation):
         fake_runtime.snapshot(session, "perfmine/spent-again")
-    assert sorted(os.listdir(work)) == left  # no call re-created the original
+    # no call re-created the root or changed the image
+    assert not os.path.exists(session.root)
+    assert sorted(os.listdir(image)) == ["meta.json", "original"]
     assert not fake_runtime.has_image("perfmine/spent-again")
     session.close()
     assert not os.path.exists(session.root)
@@ -558,8 +602,7 @@ def test_snapshot_replay_reproduces_records(mined_store):
     # the image holds the original alone; the stored patch remakes the
     # patched version, which then times exactly as it did when mined
     entry = read_entry(mined_store.store_dir, mined_store.patch_id)
-    logs = mined_store.store_dir / "logs" / mined_store.patch_id
-    mined = json.loads((logs / "runs.json").read_text(encoding="utf-8"))["patched"]
+    mined = next(run for run in entry.runs if run.version == "patched")
     replayed = mined_store.runtime.open_image(entry.image)
     try:
         replayed.copy_tree(ORIGINAL_DIR, PATCHED_DIR)
@@ -567,11 +610,15 @@ def test_snapshot_replay_reproduces_records(mined_store):
         assert replayed.apply_patch(PATCHED_DIR, diff).ok
         attempt = build_with_repair(replayed, PATCHED_DIR, entry.build_plan, repair_table=[])
         assert attempt.build_ok
-        second = run_tests_repeatedly(replayed, PATCHED_DIR, runs=mined["runs_requested"],
+        second = run_tests_repeatedly(replayed, PATCHED_DIR, runs=mined.runs_requested,
                                       version="patched")
     finally:
         replayed.close()
-    assert second.to_dict() == mined
+    assert second.qualified
+    assert (second.runs_recorded, second.suite_wall_times_ms) == (mined.runs_recorded,
+                                                                  mined.suite_wall_times_ms)
+    assert {t.name: t.wall_times_ms for t in second.tests} == {
+        t.series.test_name: t.series.post_ms for t in entry.timing}
 
 
 # ---------------------------------------------------------------------------

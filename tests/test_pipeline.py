@@ -22,7 +22,7 @@ from perfmine.backends import StubBackend
 from perfmine.classifier import BackendConfig
 from perfmine.discovery import HeadTestsState
 from perfmine.errors import RuntimeUnavailableError
-from perfmine.harvest import HarvestConfig
+from perfmine.harvest import GitObjects, HarvestConfig
 from perfmine.pipeline import (
     FunnelCounts,
     MiningLimits,
@@ -106,13 +106,10 @@ def test_ground_truth_patch_written(mined_store):
 
 
 def test_logs_mirrored_to_host(mined_store):
+    # the build logs alone: every timing the claim rests on is in the manifest
     log_dir = mined_store.store_dir / "logs" / mined_store.patch_id
-    assert (log_dir / "build-original.log").is_file()
-    assert (log_dir / "build-patched.log").is_file()
-    runs = json.loads((log_dir / "runs.json").read_text(encoding="utf-8"))
-    assert set(runs) == {"original", "patched"}
-    assert runs["original"]["runs_recorded"] == 30
-    assert runs["patched"]["warmup_failed"] is False
+    assert sorted(os.listdir(log_dir)) == ["build-original.log", "build-patched.log"]
+    assert "fake build of /work/original ok" in (log_dir / "build-original.log").read_text()
 
 
 def test_images_hold_no_git_directory(mined_store):
@@ -127,12 +124,11 @@ def test_an_image_holds_only_the_original_tree(mined_store):
     # build directory outlives the session
     fixture = mined_store.fixture
     entry = read_entry(mined_store.store_dir, mined_store.patch_id)
-    work = os.path.join(mined_store.runtime._image_dir(entry.image), "work")
-    expected = {"original/.perfmine-sha": ("100644", fixture.perf_parent_sha + "\n")}
-    for path, blob in commit_files(fixture.path, fixture.perf_parent_sha).items():
-        expected[f"original/{path}"] = blob
-    assert files_under(work) == expected
-    assert os.listdir(work) == ["original"]
+    image = mined_store.runtime._image_dir(entry.image)
+    expected = {".perfmine-sha": ("100644", fixture.perf_parent_sha + "\n"),
+                **commit_files(fixture.path, fixture.perf_parent_sha)}
+    assert files_under(os.path.join(image, "original")) == expected
+    assert sorted(os.listdir(image)) == ["meta.json", "original"]
 
 
 def test_image_snapshot_is_reopenable(mined_store):
@@ -153,6 +149,11 @@ def test_image_snapshot_is_reopenable(mined_store):
 # gating
 
 
+def _gate(repo, path, runtime):
+    with GitObjects(path) as objects:
+        return gate_with_runtime(repo, path, runtime, objects=objects)
+
+
 def test_gate_passes_on_the_fixture(mined_store):
     assert mined_store.repo.head_tests_pass is HeadTestsState.PASS
     assert mined_store.repo.has_root_cmake
@@ -166,7 +167,7 @@ def test_gate_rejects_repo_without_cmake(tmp_path):
     (repo / "main.cpp").write_text("int main() { return 0; }\n")
     commit_all(repo, "no build system", "2023-01-01T00:00:00 +0000")
     runtime = FakeRuntime(state_dir=tmp_path / "state")
-    gated = gate_with_runtime(local_descriptor(repo, "x", "nocmake"), repo, runtime)
+    gated = _gate(local_descriptor(repo, "x", "nocmake"), repo, runtime)
     assert not gated.passes_gate
     assert not gated.has_root_cmake
     assert gated.head_tests_pass is HeadTestsState.UNTESTED
@@ -182,7 +183,7 @@ def test_gate_rejects_repo_without_tests(tmp_path):
     (repo / "main.cpp").write_text("int main() { return 0; }\n")
     commit_all(repo, "library only", "2023-01-01T00:00:00 +0000")
     runtime = FakeRuntime(state_dir=tmp_path / "state")
-    gated = gate_with_runtime(local_descriptor(repo, "x", "notests"), repo, runtime)
+    gated = _gate(local_descriptor(repo, "x", "notests"), repo, runtime)
     assert not gated.passes_gate
     assert gated.has_root_cmake
     assert not gated.has_cmake_tests
@@ -192,7 +193,7 @@ def test_gate_with_unreachable_runtime_raises(fixture_repo, tmp_path):
     runtime = FakeRuntime(state_dir=tmp_path / "state", reachable=False)
     repo = local_descriptor(fixture_repo.path, "local", "fixturerepo")
     with pytest.raises(RuntimeUnavailableError):
-        gate_with_runtime(repo, fixture_repo.path, runtime)
+        _gate(repo, fixture_repo.path, runtime)
 
 
 def test_gate_without_docker_executable_raises(fixture_repo):
@@ -202,7 +203,7 @@ def test_gate_without_docker_executable_raises(fixture_repo):
     runtime = DockerCliRuntime(runner=runner, docker_bin="no-such-docker")
     repo = local_descriptor(fixture_repo.path, "local", "fixturerepo")
     with pytest.raises(RuntimeUnavailableError, match="no-such-docker"):
-        gate_with_runtime(repo, fixture_repo.path, runtime)
+        _gate(repo, fixture_repo.path, runtime)
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +213,19 @@ def test_gate_without_docker_executable_raises(fixture_repo):
 def _mine_with(fixture, out_dir, *, runtime=None, backend=None, runs=31):
     runtime = runtime or FakeRuntime(state_dir=out_dir / "fake-runtime")
     repo = local_descriptor(fixture.path, "local", "fixturerepo")
-    result = mine_repository(
-        repo,
-        fixture.path,
-        harvest_config=HarvestConfig(),
-        backend_config=BackendConfig(),
-        stat_config=StatConfig(),
-        limits=MiningLimits(runs=runs),
-        runtime=runtime,
-        backend=backend or StubBackend({fixture.perf_sha: "Yes"}),
-        out_dir=out_dir,
-    )
+    with GitObjects(fixture.path) as objects:
+        result = mine_repository(
+            repo,
+            fixture.path,
+            harvest_config=HarvestConfig(),
+            backend_config=BackendConfig(),
+            stat_config=StatConfig(),
+            limits=MiningLimits(runs=runs),
+            runtime=runtime,
+            backend=backend or StubBackend({fixture.perf_sha: "Yes"}),
+            objects=objects,
+            out_dir=out_dir,
+        )
     return result, runtime
 
 
@@ -258,7 +261,7 @@ def test_mining_leaves_the_operators_clone_alone(tmp_path):
     }
     runtime = FakeRuntime(state_dir=tmp_path / "out" / "fake-runtime")
     repo = local_descriptor(fixture.path, "local", "fixturerepo")
-    assert gate_with_runtime(repo, fixture.path, runtime).passes_gate
+    assert _gate(repo, fixture.path, runtime).passes_gate
     result, _ = _mine_with(fixture, tmp_path / "out", runtime=runtime)
     assert result.funnel.stored == 1
     assert {
@@ -283,7 +286,7 @@ def test_mining_leaves_no_child_process_behind(fixture_repo, tmp_path):
     _reap_exited()  # whatever earlier tests left is not this mine's
     runtime = FakeRuntime(state_dir=tmp_path / "out" / "fake-runtime")
     repo = local_descriptor(fixture_repo.path, "local", "fixturerepo")
-    assert gate_with_runtime(repo, fixture_repo.path, runtime).passes_gate
+    assert _gate(repo, fixture_repo.path, runtime).passes_gate
     result, _ = _mine_with(fixture_repo, tmp_path / "out", runtime=runtime)
     assert result.funnel.stored == 1
     with pytest.raises(ChildProcessError):
@@ -323,37 +326,33 @@ def _history_of_edits(path, commits: int):
     (path / "CMakeLists.txt").write_text("cmake_minimum_required(VERSION 3.16)\n"
                                          "project(edits CXX)\n")
     for i in range(commits + 1):
-        (path / "kernel.cpp").write_text(f"int kernel() {{ return {i}; }}\n")
+        (path / "kernel.cpp").write_text("// fake-timing: kernel base_ms=100 step_ms=0.01\n"
+                                         f"int kernel() {{ return {i}; }}\n")
         commit_all(path, f"edit {i}", f"2022-01-{i % 28 + 1:02d}T00:00:00 +0000")
     return path
 
 
-def test_a_mine_starts_one_git_reader_of_each_kind_for_any_history(tmp_path,
+def test_a_mine_starts_one_git_reader_of_each_kind_for_any_history(tmp_path, capsys,
                                                                   recorded_processes):
     # the two phase-1 screeners disagree on every commit, so each one's diff
     # is read for phase 2, and each is built, so each one's CMakeLists.txt and
-    # both its trees too
-    disagree = {"default": {"phase1:0": "Yes", "phase1:1": "No", "phase2": "Yes"}}
-    counts = []
+    # both its trees too; the gate reads the head's tree through the same reader
+    from perfmine import cli
+
+    replies = tmp_path / "replies.json"
+    replies.write_text(json.dumps(
+        {"default": {"phase1:0": "Yes", "phase1:1": "No", "phase2": "Yes"}}))
+    started = []
     for commits in (3, 30):
         repo = _history_of_edits(tmp_path / f"edits{commits}", commits)
         recorded_processes.clear()
-        result = mine_repository(
-            local_descriptor(repo, "x", f"edits{commits}"),
-            repo,
-            harvest_config=HarvestConfig(),
-            backend_config=BackendConfig(),
-            stat_config=StatConfig(),
-            limits=MiningLimits(runs=2),
-            runtime=FakeRuntime(state_dir=tmp_path / f"state{commits}"),
-            backend=StubBackend(disagree),
-            out_dir=tmp_path / f"out{commits}",
-        )
-        assert result.funnel.classified_positive == result.funnel.built == commits
-        started = [p.args[3] for p in recorded_processes]
-        checkouts = sum("checkout" in p.args for p in recorded_processes)
-        counts.append((started.count("diff-tree"), started.count("cat-file"), checkouts))
-    assert counts == [(1, 1, 0), (1, 1, 0)]
+        assert cli.main(["mine", "--local-repo", str(repo), "--out", str(tmp_path / f"out{commits}"),
+                         "--fake-runtime", "--stub-backends", str(replies), "--runs", "2"]) == 0
+        assert f"classified_positive={commits} built={commits}" in capsys.readouterr().out
+        started.append(sorted(p.args[3] for p in recorded_processes))
+    # the descriptor's head, the gate's check of it against the worktree, the
+    # walk's shallow check and its log, and the two readers
+    assert started == [["cat-file", "diff-tree", "log", "rev-parse", "rev-parse", "rev-parse"]] * 2
 
 
 def test_negative_classification_stops_the_funnel(fixture_repo, tmp_path):
@@ -452,17 +451,19 @@ def test_empty_repository_yields_zero_funnel(tmp_path):
         "enable_testing()\nadd_test(NAME t COMMAND true)\n"
     )
     commit_all(repo, "skeleton", "2023-01-01T00:00:00 +0000")
-    result = mine_repository(
-        local_descriptor(repo, "x", "empty"),
-        repo,
-        harvest_config=HarvestConfig(),
-        backend_config=BackendConfig(),
-        stat_config=StatConfig(),
-        limits=MiningLimits(runs=5),
-        runtime=FakeRuntime(state_dir=tmp_path / "state"),
-        backend=StubBackend({"default": "No"}),
-        out_dir=tmp_path / "out",
-    )
+    with GitObjects(repo) as objects:
+        result = mine_repository(
+            local_descriptor(repo, "x", "empty"),
+            repo,
+            harvest_config=HarvestConfig(),
+            backend_config=BackendConfig(),
+            stat_config=StatConfig(),
+            limits=MiningLimits(runs=5),
+            runtime=FakeRuntime(state_dir=tmp_path / "state"),
+            backend=StubBackend({"default": "No"}),
+            objects=objects,
+            out_dir=tmp_path / "out",
+        )
     # the only commit is the root commit, which has no parent to compare with
     assert result.funnel == FunnelCounts()
 

@@ -145,6 +145,7 @@ def test_trees_equal_what_git_checkout_writes(fake_runtime, tmp_path, no_git_con
     assert inode["twice/one.cpp"] == inode["twice/two.cpp"]
     assert inode["modes/plain"] != inode["modes/exec"]
     session.close()
+    fake_runtime.close()
     assert os.listdir(fake_runtime.blobs_dir) == []
 
 
@@ -174,12 +175,13 @@ def test_trees_ignore_the_operators_line_ending_settings(tmp_path, monkeypatch):
         session.close()
 
     out = tmp_path / "out"
-    result = mine_repository(
-        local_descriptor(repo, "local", "crlf"), repo,
-        harvest_config=HarvestConfig(), backend_config=BackendConfig(),
-        stat_config=StatConfig(), limits=MiningLimits(runs=5), runtime=runtime,
-        backend=StubBackend({"default": "Yes"}), out_dir=out,
-    )
+    with GitObjects(repo) as objects:
+        result = mine_repository(
+            local_descriptor(repo, "local", "crlf"), repo,
+            harvest_config=HarvestConfig(), backend_config=BackendConfig(),
+            stat_config=StatConfig(), limits=MiningLimits(runs=5), runtime=runtime,
+            backend=StubBackend({"default": "Yes"}), objects=objects, out_dir=out,
+        )
     [patch_id] = result.stored_patch_ids
     patch = read_ground_truth_diff(out, patch_id)
     reopened = runtime.open_image(read_entry(out, patch_id).image)
@@ -217,18 +219,22 @@ def test_a_hostile_tree_entry_is_refused_by_name(fake_runtime, tmp_path, name, n
     sha = fixtures.git(repo, "commit-tree", root, "-m", "hostile").strip()
     path = f"sub/{name}" if nested else name
 
-    session = fake_runtime.start_session("gcc:12")
-    with GitObjects(repo) as objects, pytest.raises(GitError, match=re.escape(repr(path))):
-        session.check_out(objects, {"/work/tree": sha})
-    assert not session.path_exists(f"/work/tree/{SHA_MARKER}")
-    state = os.path.dirname(os.path.dirname(session.root))
-    written = [os.path.relpath(os.path.join(d, f), state)
-               for d, _, files in os.walk(state) for f in files]
-    assert all(p.startswith(os.path.join("sessions", os.path.basename(session.root), "work",
-                                         "tree", "")) or p.startswith("blobs" + os.sep)
-               for p in written), written
-    assert not (tmp_path / "escaped").exists() and not (repo / ".git" / name).is_file()
-    session.close()
+    state = fake_runtime.state_dir
+    for spare in (False, True):  # the second check-out syncs the tree the first one left
+        session = fake_runtime.start_session("gcc:12")
+        with GitObjects(repo) as objects, pytest.raises(GitError, match=re.escape(repr(path))):
+            session.check_out(objects, {"/work/tree": sha})
+        assert not session.path_exists(f"/work/tree/{SHA_MARKER}")
+        if spare:  # the session took it
+            assert os.listdir(os.path.join(state, "spares")) == []
+        written = [os.path.relpath(os.path.join(d, f), state)
+                   for d, _, files in os.walk(state) for f in files]
+        assert all(p.startswith(os.path.join("sessions", os.path.basename(session.root),
+                                             "tree", "")) or p.startswith("blobs" + os.sep)
+                   for p in written), written
+        assert not (tmp_path / "escaped").exists() and not (repo / ".git" / name).is_file()
+        session.close()
+    fake_runtime.close()
     assert os.listdir(fake_runtime.blobs_dir) == []
 
 
@@ -241,10 +247,9 @@ def _linked_by_store(runtime) -> set[int]:
 
 
 def _image_files(runtime, tag: str) -> set[int]:
-    """The inodes of the files of image ``tag``'s tree, but its marker."""
-    image = os.path.join(runtime._image_dir(tag), "work", "original")
-    return {os.stat(os.path.join(d, f)).st_ino
-            for d, _, files in os.walk(image) for f in files if f != SHA_MARKER}
+    """The inodes of the files of image ``tag``'s tree, its marker too."""
+    image = os.path.join(runtime._image_dir(tag), "original")
+    return {os.stat(os.path.join(d, f)).st_ino for d, _, files in os.walk(image) for f in files}
 
 
 def _history_with_one_commit_stored_and_one_not(path):
@@ -264,19 +269,27 @@ def _history_with_one_commit_stored_and_one_not(path):
 def test_the_blob_store_keeps_only_what_an_image_links(tmp_path, recorded_processes):
     repo = _history_with_one_commit_stored_and_one_not(tmp_path / "repo")
     runtime = FakeRuntime(tmp_path / "state")
-    gated = gate_with_runtime(local_descriptor(repo, "local", "repo"), repo, runtime)
-    assert gated.passes_gate
-    assert os.listdir(runtime.blobs_dir) == []
-    result = mine_repository(
-        gated, repo, harvest_config=HarvestConfig(), backend_config=BackendConfig(),
-        stat_config=StatConfig(), limits=MiningLimits(runs=5), runtime=runtime,
-        backend=StubBackend({"default": "Yes"}), out_dir=tmp_path / "out",
-    )
+    with GitObjects(repo) as objects:
+        gated = gate_with_runtime(local_descriptor(repo, "local", "repo"), repo, runtime,
+                                  objects=objects)
+        assert gated.passes_gate
+        # the head's store files stay for the mine, whose trees share most of them
+        head = fixtures.git(repo, "rev-parse", "HEAD").strip()
+        assert sorted(os.listdir(runtime.blobs_dir)) == sorted(
+            [f"{head}.marker"] + fixtures.git(repo, "ls-tree", "-r", "--format=%(objectname)",
+                                              head).split())
+        result = mine_repository(
+            gated, repo, harvest_config=HarvestConfig(), backend_config=BackendConfig(),
+            stat_config=StatConfig(), limits=MiningLimits(runs=5), runtime=runtime,
+            backend=StubBackend({"default": "Yes"}), objects=objects, out_dir=tmp_path / "out",
+        )
     assert (result.funnel.built, result.funnel.stored) == (2, 1)
     assert "checkout" not in {arg for p in recorded_processes for arg in p.args}
     tag = read_entry(tmp_path / "out", result.stored_patch_ids[0]).image
-    assert _linked_by_store(runtime) == _image_files(runtime, tag)
     assert os.listdir(os.path.join(runtime.state_dir, "sessions")) == []
+    runtime.close()
+    assert os.listdir(os.path.join(runtime.state_dir, "spares")) == []
+    assert _linked_by_store(runtime) == _image_files(runtime, tag)
 
 
 def test_replacing_an_image_drops_the_blobs_only_it_linked(fake_runtime, fixture_repo):
@@ -289,6 +302,7 @@ def test_replacing_an_image_drops_the_blobs_only_it_linked(fake_runtime, fixture
     replacement = fake_runtime.open_image(tag)
     assert "hoisted out of the loop" in replacement.read_file(f"{ORIGINAL_DIR}/src/compute.cpp")
     replacement.close()
+    fake_runtime.close()
     assert _linked_by_store(fake_runtime) == _image_files(fake_runtime, tag)
 
 
@@ -339,8 +353,9 @@ def test_a_mining_sessions_source_files_are_read_only(fake_runtime, fixture_repo
         session.close()
 
 
-def test_a_snapshot_of_a_checked_out_tree_changes_only_the_marker(fake_runtime, fixture_repo,
-                                                                   monkeypatch):
+def test_a_snapshot_of_a_checked_out_tree_changes_no_mode(fake_runtime, fixture_repo,
+                                                           monkeypatch):
+    # the marker is a read-only store file like every other file of the tree
     commit = _commit(fixture_repo.path, fixture_repo.perf_sha)
     with GitObjects(fixture_repo.path) as objects:
         session = prepare_environment(commit, fake_runtime, objects=objects)
@@ -350,6 +365,81 @@ def test_a_snapshot_of_a_checked_out_tree_changes_only_the_marker(fake_runtime, 
         os.path.basename(path)) or real(path, mode, **kw))
     tag = fake_runtime.snapshot(session, "perfmine/marked")
     session.close()
-    assert changed == [SHA_MARKER]
-    marker = os.path.join(fake_runtime._image_dir(tag), "work", "original", SHA_MARKER)
+    assert changed == []
+    marker = os.path.join(fake_runtime._image_dir(tag), "original", SHA_MARKER)
     assert not os.stat(marker).st_mode & 0o222
+    assert not _writes_in_place(marker)
+
+
+def _two_commits_for_a_spare(path):
+    """Commit A, then B, which edits, adds and deletes a file."""
+    path.mkdir()
+    fixtures.git(path, "init", "-q", "-b", "main", ".")
+    files = {"src/a.cpp": "int a;\n", "src/b.cpp": "int b;\n", "include/a.hpp": "int a();\n",
+             "lib/c.cpp": "int c;\n", "README": "readme\n"}
+    for name, body in files.items():
+        (path / name).parent.mkdir(parents=True, exist_ok=True)
+        (path / name).write_text(body)
+    first = fixtures.commit_all(path, "A", "2022-01-01T00:00:00 +0000")
+    (path / "src" / "b.cpp").write_text("int b2;\n")
+    (path / "lib" / "new.cpp").write_text("int n;\n")
+    (path / "README").unlink()
+    second = fixtures.commit_all(path, "B", "2022-01-02T00:00:00 +0000")
+    return first, second
+
+
+def test_a_check_out_syncs_a_spare_tree_with_planted_junk_to_exactly_its_commit(
+        fake_runtime, tmp_path, no_git_config):
+    repo = tmp_path / "spare"
+    first, second = _two_commits_for_a_spare(repo)
+    outside = tmp_path / "outside"
+    (outside / "src").mkdir(parents=True)
+    (outside / "src" / "a.cpp").write_text("not a tree file\n")
+    (outside / "a.cpp").write_text("not a tree file\n")
+    before_outside = _snapshot(str(outside))
+
+    with GitObjects(repo) as objects:
+        session = fake_runtime.start_session("gcc:12")
+        session.check_out(objects, {"/work/tree": first})
+        tree = session.host_path("/work/tree")
+        with open(os.path.join(tree, "extra.txt"), "w") as handle:  # an extra file
+            handle.write("extra\n")
+        os.makedirs(os.path.join(tree, "junk", "deeper"))  # an extra directory
+        with open(os.path.join(tree, "junk", "deeper", "x.txt"), "w") as handle:
+            handle.write("x\n")
+        os.unlink(os.path.join(tree, "lib", "c.cpp"))  # a writable copy with other bytes
+        with open(os.path.join(tree, "lib", "c.cpp"), "w") as handle:
+            handle.write("int changed;\n")
+        for name in os.listdir(os.path.join(tree, "include")):  # a directory become a file
+            os.unlink(os.path.join(tree, "include", name))
+        os.rmdir(os.path.join(tree, "include"))
+        with open(os.path.join(tree, "include"), "w") as handle:
+            handle.write("a file\n")
+        for name in os.listdir(os.path.join(tree, "src")):  # src a symlink out of the tree
+            os.unlink(os.path.join(tree, "src", name))
+        os.rmdir(os.path.join(tree, "src"))
+        os.symlink(outside, os.path.join(tree, "src"))
+        planted = os.stat(tree).st_ino
+        session.close()
+
+        session = fake_runtime.start_session("gcc:12")
+        session.check_out(objects, {"/work/tree": second})
+    tree = session.host_path("/work/tree")
+    assert os.stat(tree).st_ino == planted  # the spare itself, synced in place
+    assert _snapshot(tree) == _committed(repo, second)
+    assert session.read_file(f"/work/tree/{SHA_MARKER}") == second + "\n"
+    assert not os.stat(os.path.join(tree, SHA_MARKER)).st_mode & 0o222
+    blobs = {os.stat(os.path.join(fake_runtime.blobs_dir, name)).st_ino
+             for name in os.listdir(fake_runtime.blobs_dir)}
+    assert all(os.stat(os.path.join(d, f)).st_ino in blobs
+               for d, _, files in os.walk(tree) for f in files)
+    assert _snapshot(str(outside)) == before_outside
+    state = fake_runtime.state_dir
+    written = {os.path.relpath(os.path.join(d, f), state)
+               for d, _, files in os.walk(state) for f in files}
+    assert all(p.startswith((os.path.join("sessions", os.path.basename(session.root), "tree", ""),
+                             "blobs" + os.sep)) for p in written), written
+    session.close()
+    fake_runtime.close()
+    assert os.listdir(os.path.join(state, "spares")) == []
+    assert os.listdir(fake_runtime.blobs_dir) == []
