@@ -20,10 +20,12 @@ Exit codes follow sysexits conventions where they apply:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
 import traceback
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -254,7 +256,8 @@ def cmd_mine(args) -> int:
     runtime = _make_runtime(args, out_dir)
     backend = _make_backend(args)
 
-    targets: list[tuple[RepoDescriptor, Path]] = []
+    # each clone, and how to describe it once its head is known
+    targets: list[tuple[Path, functools.partial[RepoDescriptor]]] = []
     issue_fetcher = None
     if args.local_repo:
         path = Path(args.local_repo)
@@ -262,7 +265,7 @@ def cmd_mine(args) -> int:
             raise ConfigError(f"--local-repo is not a git checkout: {path}")
         owner = args.owner or "local"
         name = args.name or path.resolve().name
-        targets.append((local_descriptor(path, owner, name), path))
+        targets.append((path, functools.partial(local_descriptor, owner=owner, name=name)))
     else:
         api = GitHubApi(cache_dir=args.cache_dir)
         issue_fetcher = _issue_fetcher(api)
@@ -272,16 +275,16 @@ def cmd_mine(args) -> int:
             dest = clones / f"{repo.owner}__{repo.name}"
             if not dest.exists():
                 run_git(clones, "clone", f"https://github.com/{repo.full_name}.git", str(dest))
-            targets.append((repo, dest))
+            targets.append((dest, functools.partial(replace, repo)))
 
     total = FunnelCounts()
     combined = MineResult()
     try:
-        for repo, clone in targets:
-            # one reader per clone serves the gate and the mine
+        for clone, describe in targets:
+            # one reader per clone resolves the head, and serves the gate and the mine
             with GitObjects(clone) as objects:
                 gated = gate_with_runtime(
-                    repo, clone, runtime, objects=objects,
+                    describe(head_sha=objects.resolve("HEAD")), runtime, objects=objects,
                     cpus=limits.container_cpus, memory=limits.container_memory,
                 )
                 if not gated.passes_gate:

@@ -28,12 +28,10 @@ from .errors import (
     AuthError,
     ConfigError,
     ContractViolation,
-    GitError,
     RateLimitError,
     RuntimeUnavailableError,
     TransportError,
 )
-from .harvest import run_git
 
 GITHUB_API_BASE = "https://api.github.com"
 TOKEN_ENV_VAR = "GITHUB_TOKEN"
@@ -279,44 +277,33 @@ def _descriptor_from_item(item: object, config: DiscoveryConfig) -> RepoDescript
 
 
 class HeadCheck(NamedTuple):
-    """What one configure-build-test pass learned about a worktree."""
+    """What one configure-build-test pass learned about a head."""
 
     has_tests: bool
     tests_pass: bool
 
 
-HeadTester = Callable[[Path], HeadCheck]
-
-
 def gate_repository(
-    repo: RepoDescriptor, worktree: str | Path, tester: HeadTester
+    repo: RepoDescriptor, root_cmake: str | None, tester: Callable[[str], HeadCheck]
 ) -> RepoDescriptor:
-    """Populate the CMake and test gates from a checked-out worktree.
+    """Populate the CMake and test gates of ``repo``'s head.
 
-    ``tester`` configures the project, enumerates its registered tests,
-    and runs them once; an exception it raises is recorded as a failing
-    head rather than propagated, because a repository that cannot build
-    is simply not a candidate. The exceptions are an unreachable runtime
-    and a broken call contract: they say nothing about the repository,
-    and every later repository would fail the same way.
+    ``root_cmake`` is the text of the head's root ``CMakeLists.txt``, None
+    when the head has none; without one ``tester`` is not called. With one,
+    ``tester``, called with that text, configures the project, enumerates
+    its registered tests, and runs them once; an exception it raises is
+    recorded as a failing head rather than propagated, because a
+    repository that cannot build is simply not a candidate. The exceptions
+    are an unreachable runtime and a broken call contract: they say
+    nothing about the repository, and every later repository would fail
+    the same way.
     """
-    worktree = Path(worktree)
-    if not worktree.is_dir():
-        raise GitError(f"worktree does not exist: {worktree}")
-    if repo.head_sha and (worktree / ".git").exists():
-        actual = run_git(worktree, "rev-parse", "HEAD").strip()
-        if actual != repo.head_sha:
-            raise GitError(
-                f"worktree HEAD {actual} does not match descriptor head_sha {repo.head_sha}"
-            )
-
-    has_root_cmake = (worktree / "CMakeLists.txt").is_file()
-    if not has_root_cmake:
+    if root_cmake is None:
         return replace(repo, has_root_cmake=False, has_cmake_tests=False,
                        head_tests_pass=HeadTestsState.UNTESTED)
 
     try:
-        check = tester(worktree)
+        check = tester(root_cmake)
     except (RuntimeUnavailableError, ContractViolation):
         raise
     except Exception:

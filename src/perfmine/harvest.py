@@ -9,11 +9,11 @@ counts as either is fixed, not configured: an extension in
 ``CPP_EXTENSIONS``, and a directory or file stem that holds one of
 ``TEST_PATH_MARKERS`` as a word.
 
-What a mine reads of single commits afterwards (each phase-2 diff, each
-built commit's ``CMakeLists.txt`` and the trees of its parent and
-itself) comes from ``GitObjects``: one
-``git diff-tree --stdin`` and one ``git cat-file --batch`` per mine,
-however many commits it reads.
+What a mine reads of single commits (the head, which the gate checks
+out, and its ``CMakeLists.txt``; each phase-2 diff; each built commit's
+``CMakeLists.txt`` and the trees of its parent and itself) comes from
+``GitObjects``: one ``git diff-tree --stdin`` and one ``git cat-file
+--batch`` per mine, however many commits it reads.
 """
 
 from __future__ import annotations
@@ -142,10 +142,11 @@ def normalize_path(path: str) -> str:
     return path
 
 
-def _marker_matches(marker: str, text: str) -> bool:
-    # word-boundary match: marker must not sit inside a larger alnum run,
-    # so "test" hits "parser_test" but not "contest" or "latest"
-    return re.search(rf"(?<![a-z0-9]){re.escape(marker)}(?![a-z0-9])", text) is not None
+# word-boundary match: a marker must not sit inside a larger alnum run,
+# so "test" hits "parser_test" but not "contest" or "latest"
+_TEST_MARKER = re.compile(
+    rf"(?<![a-z0-9])(?:{'|'.join(map(re.escape, sorted(TEST_PATH_MARKERS)))})(?![a-z0-9])"
+)
 
 
 def classify_file(path: str) -> FileClass:
@@ -162,11 +163,8 @@ def classify_file(path: str) -> FileClass:
     dot = filename.rfind(".")
     stem = filename[:dot] if dot > 0 else filename
     ext = filename[dot:] if dot > 0 else ""
-    for marker in TEST_PATH_MARKERS:
-        if any(_marker_matches(marker, seg) for seg in segments[:-1]):
-            return FileClass.TEST_FILE
-        if _marker_matches(marker, stem):
-            return FileClass.TEST_FILE
+    if any(_TEST_MARKER.search(part) for part in (*segments[:-1], stem)):
+        return FileClass.TEST_FILE
     if ext in CPP_EXTENSIONS:
         return FileClass.CPP_SOURCE
     return FileClass.OTHER
@@ -311,11 +309,12 @@ _CAT_FILE = ("cat-file", "--batch")
 class GitObjects:
     """Diffs and objects of one clone, each served by one long-lived git process.
 
-    ``diff`` asks one ``git diff-tree --stdin``, and ``read`` and ``blob``
-    one ``git cat-file --batch``. Each process starts on its first request and
-    serves every later one, so a mine starts at most one of each, however
-    many commits it reads. Use it as a context manager: ``close`` kills and
-    reaps both on every exit path; they only read, so nothing is lost.
+    ``diff`` asks one ``git diff-tree --stdin``, and ``read``, ``resolve``
+    and ``blob`` one ``git cat-file --batch``. Each process starts on its
+    first request and serves every later one, so a mine starts at most one
+    of each, however many commits it reads. Use it as a context manager:
+    ``close`` kills and reaps both on every exit path; they only read, so
+    nothing is lost.
 
     A request fails as loudly as a process of its own would. Both processes
     write stderr to one temporary file, and anything written there during
@@ -355,28 +354,37 @@ class GitObjects:
 
         Raises GitError when there is no such object.
         """
+        return self._object(name)[1:]
+
+    def resolve(self, name: str) -> str:
+        """The id of the object ``name`` (``HEAD``, say) names, as the
+        ``git cat-file`` that reads it prints it. Raises GitError when there
+        is no such object."""
+        return self._object(name)[0]
+
+    def blob(self, name: str) -> str | None:
+        """The blob ``<rev>:<path>``, or None when it is missing or no blob."""
+        found = self._cat(name)
+        if found is None or found[1] != "blob":
+            return None
+        return found[2].decode("utf-8", errors="replace")
+
+    def _object(self, name: str) -> tuple[str, str, bytes]:
         found = self._cat(name)
         if found is None:
             raise GitError(f"git {' '.join(_CAT_FILE)} in {self.repo}: no object {name}")
         return found
 
-    def blob(self, name: str) -> str:
-        """The blob ``<rev>:<path>``, or "" when it is missing or no blob."""
-        found = self._cat(name)
-        if found is None or found[0] != "blob":
-            return ""
-        return found[1].decode("utf-8", errors="replace")
-
-    def _cat(self, name: str) -> tuple[str, bytes] | None:
-        def read(out) -> tuple[str, bytes] | None:
+    def _cat(self, name: str) -> tuple[str, str, bytes] | None:
+        def read(out) -> tuple[str, str, bytes] | None:
             header = out.readline()
             if header.endswith(b" missing\n"):
                 return None
-            _, kind, size = header.split()  # ValueError when the output ended
+            oid, kind, size = header.split()  # ValueError when the output ended
             body = out.read(int(size) + 1)
             if len(body) != int(size) + 1:
                 raise ValueError("output ended early")
-            return kind.decode(), body[:-1]
+            return oid.decode(), kind.decode(), body[:-1]
 
         return self._ask(_CAT_FILE, f"{name}\n".encode(), read)
 

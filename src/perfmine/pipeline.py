@@ -36,7 +36,6 @@ from .harvest import (
     apply_structural_filter,
     commit_diff_text,
     resolve_linked_issue,
-    run_git,
     walk_history,
 )
 from .orchestrator import (
@@ -103,25 +102,20 @@ class MineResult:
         log.info("skip %s: %s", sha[:10], reason)
 
 
-def head_sha_of(worktree: str | Path) -> str:
-    return run_git(worktree, "rev-parse", "HEAD").strip()
-
-
-def local_descriptor(path: str | Path, owner: str, name: str) -> RepoDescriptor:
-    """Descriptor for a repository mined from a local checkout."""
+def local_descriptor(head_sha: str, owner: str, name: str) -> RepoDescriptor:
+    """Descriptor for a repository mined from a local clone whose head is ``head_sha``."""
     return RepoDescriptor(
         owner=owner,
         name=name,
         stars=0,
         primary_language=LANGUAGE,
         default_branch="HEAD",
-        head_sha=head_sha_of(path),
+        head_sha=head_sha,
     )
 
 
 def gate_with_runtime(
     repo: RepoDescriptor,
-    worktree: str | Path,
     runtime: ContainerRuntime,
     *,
     objects: GitObjects,
@@ -130,18 +124,19 @@ def gate_with_runtime(
 ) -> RepoDescriptor:
     """Gate a repository by building and running its head inside the runtime.
 
-    The head's tree is read through ``objects``, the reader of ``worktree``'s
-    clone that the mine goes on to use.
+    The head is the committed ``repo.head_sha``: its root ``CMakeLists.txt``
+    and its tree are read through ``objects``, the reader of the clone that
+    the mine goes on to use, and nothing of the clone's worktree is read.
     """
+    if not repo.head_sha:
+        raise ContractViolation(f"{repo.full_name}: the gate needs the head's commit id")
 
-    def tester(tree: Path) -> HeadCheck:
-        cmake_text = (tree / "CMakeLists.txt").read_text(encoding="utf-8")
+    def tester(cmake_text: str) -> HeadCheck:
         base_image, _ = select_base_image(cmake_text)
         session = runtime.start_session(base_image, cpus=cpus, memory=memory)
         try:
             head_dir = "/work/head"
-            # gate_repository has checked a descriptor's head against the worktree
-            session.check_out(objects, {head_dir: repo.head_sha or head_sha_of(tree)})
+            session.check_out(objects, {head_dir: repo.head_sha})
             build = session.configure_and_build(head_dir, f"{head_dir}-build", ())
             if not build.ok:
                 return HeadCheck(has_tests=False, tests_pass=False)
@@ -154,7 +149,7 @@ def gate_with_runtime(
         finally:
             session.close()
 
-    return gate_repository(repo, worktree, tester)
+    return gate_repository(repo, objects.blob(f"{repo.head_sha}:CMakeLists.txt"), tester)
 
 
 @dataclass(frozen=True)
@@ -239,7 +234,7 @@ def _build_measure_store(
     repo, commit, verdict, objects, diff_text, *, stat_config, limits, runtime,
     backend, backend_config, out_dir, result,
 ):
-    cmake_text = objects.blob(f"{commit.sha}:CMakeLists.txt")
+    cmake_text = objects.blob(f"{commit.sha}:CMakeLists.txt") or ""
     base_image, compiler_version = select_base_image(cmake_text)
     session = prepare_environment(
         commit, runtime,

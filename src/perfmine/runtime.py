@@ -37,8 +37,9 @@ fails like any other, and every process it started on the host is
 killed with it; under docker, where that host process is the ``docker
 exec`` client, the container runs the command under ``timeout -s KILL``
 with the same limit, so it is killed there too. Only ``start_session``
-takes cpu and memory limits, which docker alone applies; a session
-opened from an image runs without them. Implementations:
+takes a base image and cpu and memory limits, which docker alone
+applies; a session opened from an image runs without limits.
+Implementations:
 
 * ``DockerCliRuntime`` drives a real daemon through the ``docker``
   executable. A checkout is written to a host directory and copied in,
@@ -61,24 +62,25 @@ rename, in place of the spares kept before; a later ``check_out``
 renames a spare into place, one of the same commit first, and the tree
 writer syncs it, so a tree that the last session held needs only the
 files that differ. Only ``check_out`` takes a spare: ``start_session``
-and ``open_image`` begin with an empty ``/work``. ``close()`` on the
-runtime deletes the spares.
+begins with an empty ``/work``, and ``open_image`` with the image's
+tree alone. ``close()`` on the runtime deletes the spares.
 
 A snapshot ends the session: every later call but ``close()`` raises
 ``ContractViolation``. It clears the write bits of every file of
 ``ORIGINAL_DIR`` that still has one (only a file a session wrote: the
 checked-out files and the marker are store files), moves the other
-trees to the spares, deletes the rest of ``/work``, writes
-``meta.json`` and renames the session's directory to the image, so an
-image is ``meta.json`` and ``original/``. A session opened from it gets
-the image's directories anew and its files as hard links, so images
-outlive every session opened from them. ``copy_tree`` links the same way. A
-file in a session, checked out or linked, is therefore changed by
-replacing it, as ``git apply`` does, never by writing into it: a build
-that writes in place into a source file fails with ``EACCES``. Mode
-bits do not stop a process running as root, so that guard holds only
-for unprivileged runs; under root an in-place write changes every tree
-and image that shares the file.
+trees to the spares, deletes the rest of ``/work`` and renames the
+session's directory to the image, so an image is ``original/`` alone;
+the base image and the packages a build needed are in the entry's
+build plan. ``has_image`` asks for the tree's marker. A session opened
+from an image gets its directories anew and its files as hard links,
+so images outlive every session opened from them. ``copy_tree`` links
+the same way. A file in a session, checked out or linked, is therefore
+changed by replacing it, as ``git apply`` does, never by writing into
+it: a build that writes in place into a source file fails with
+``EACCES``. Mode bits do not stop a process running as root, so that
+guard holds only for unprivileged runs; under root an in-place write
+changes every tree and image that shares the file.
 
 Fake timing declarations are comment lines inside any source file:
 
@@ -119,12 +121,12 @@ from .trees import SHA_MARKER, TreeWriter, link_or_copy, remove_entry, sweep_sto
 
 WORK_ROOT = "/work"
 ORIGINAL_DIR = f"{WORK_ROOT}/original"  # the one tree an image keeps
+_ORIGINAL_NAME = posixpath.basename(ORIGINAL_DIR)  # an image's only entry
 FAKE_TIMING_RE = re.compile(
     r"//\s*fake-timing:\s*(?P<name>\S+)\s+base_ms=(?P<base>[0-9.]+)"
     r"\s+step_ms=(?P<step>[0-9.]+)(?:\s+fail_run=(?P<fail>\d+))?"
 )
 _IMAGE_TAG_SAFE = re.compile(r"[^A-Za-z0-9_.-]")
-_IMAGE_META = "meta.json"  # an image's file beside its original tree
 
 
 class BuildResult(NamedTuple):
@@ -268,16 +270,11 @@ def _subprocess_runner(
     return RunnerResult(proc.returncode, stdout, stderr)
 
 
-def _write_text(path: str, content: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(content)
-
-
-def _link_tree(src: str, dst: str, **copytree_args) -> None:
+def _link_tree(src: str, dst: str) -> None:
     """Make ``dst`` a tree of new directories, with ``src``'s symlinks
     recreated as symlinks and its regular files hard-linked (or copied,
     where a link cannot be made)."""
-    shutil.copytree(src, dst, symlinks=True, copy_function=link_or_copy, **copytree_args)
+    shutil.copytree(src, dst, symlinks=True, copy_function=link_or_copy)
 
 
 def _make_files_read_only(top: str) -> None:
@@ -533,11 +530,9 @@ class _HostFsSession(_ExecSession):
     process that runs many sessions would keep resizing that table.
     """
 
-    def __init__(self, runtime: "_HostFsRuntimeBase", root: str, session_id: str,
-                 base_image: str) -> None:
+    def __init__(self, runtime: "_HostFsRuntimeBase", root: str, session_id: str) -> None:
         self.root = os.path.abspath(root)
         self.session_id = session_id
-        self.base_image = base_image
         self.snapshotted = False  # set by the snapshot, which takes the root away
         self._runtime = runtime
         self._checked_out: dict[str, str] = {}  # host directory -> commit id
@@ -644,23 +639,37 @@ class _HostFsRuntimeBase:
         return os.path.join(self.state_dir, "images", _IMAGE_TAG_SAFE.sub("_", tag))
 
     def has_image(self, tag: str) -> bool:
-        return os.path.isfile(os.path.join(self._image_dir(tag), _IMAGE_META))
+        return os.path.isfile(os.path.join(self._image_dir(tag), _ORIGINAL_NAME, SHA_MARKER))
 
-    def _store_snapshot(self, session: _HostFsSession, tag: str, meta: dict) -> str:
+    def open_image(self, tag: str) -> _HostFsSession:
+        """A new session whose ``ORIGINAL_DIR`` has the image's directories
+        anew and its files as hard links; whatever else the image directory
+        holds is not read. On failure no session is left behind."""
+        session = self.start_session(tag)
+        try:
+            if not self.has_image(tag):
+                raise RuntimeUnavailableError(
+                    f"no stored image tagged {tag} under {self._image_dir(tag)}")
+            _link_tree(os.path.join(self._image_dir(tag), _ORIGINAL_NAME),
+                       session.host_path(ORIGINAL_DIR))
+        except BaseException:
+            session.close()
+            raise
+        return session
+
+    def snapshot(self, session: _HostFsSession, tag: str) -> str:
         original = session.host_path(ORIGINAL_DIR)  # refuses a session already snapshotted
         _make_files_read_only(original)
         session.snapshotted = True
         # the other trees become spares, and the rest of the root goes; the
-        # root, holding the original and meta.json, is then renamed into
-        # images/, which shares the state directory with sessions/
+        # root, holding the original alone, is then renamed into images/,
+        # which shares the state directory with sessions/
         session._checked_out.pop(original, None)
         self._keep_spares(session)
         with os.scandir(session.root) as entries:
             for entry in entries:
                 if entry.path != original:
                     remove_entry(entry)
-        _write_text(os.path.join(session.root, _IMAGE_META),
-                    json.dumps({"tag": tag, **meta}, indent=2))
         image_dir = self._image_dir(tag)
         os.makedirs(os.path.dirname(image_dir), exist_ok=True)
         superseded = f"{session.root}-superseded"
@@ -669,20 +678,6 @@ class _HostFsRuntimeBase:
         os.rename(session.root, image_dir)
         shutil.rmtree(superseded, ignore_errors=True)
         return tag
-
-    def _seed_from_image(self, tag: str, root: str) -> dict:
-        """Fill the new session ``root`` from the image; on failure, delete ``root``."""
-        image_dir = self._image_dir(tag)
-        try:
-            if not self.has_image(tag):
-                raise RuntimeUnavailableError(f"no stored image tagged {tag} under {image_dir}")
-            _link_tree(image_dir, root, dirs_exist_ok=True,
-                       ignore=lambda d, names: [_IMAGE_META] if d == image_dir else [])
-            with open(os.path.join(image_dir, _IMAGE_META), encoding="utf-8") as handle:
-                return json.load(handle)
-        except BaseException:
-            shutil.rmtree(root, ignore_errors=True)
-            raise
 
 
 # ---------------------------------------------------------------------------
@@ -707,16 +702,7 @@ class LocalProcessRuntime(_HostFsRuntimeBase):
         self, base_image: str, *, cpus: float | None = None, memory: str | None = None
     ) -> "LocalSession":
         root = self._new_session_root()
-        return LocalSession(self, root, f"local-{os.path.basename(root)}", base_image)
-
-    def open_image(self, tag: str) -> "LocalSession":
-        root = self._new_session_root()
-        meta = self._seed_from_image(tag, root)
-        return LocalSession(self, root, f"local-{os.path.basename(root)}",
-                            meta.get("base_image", ""))
-
-    def snapshot(self, session: "LocalSession", tag: str) -> str:
-        return self._store_snapshot(session, tag, {"base_image": session.base_image})
+        return LocalSession(self, root, f"local-{os.path.basename(root)}")
 
 
 class LocalSession(_HostFsSession):
@@ -815,31 +801,12 @@ class FakeRuntime(_HostFsRuntimeBase):
                 f"container runtime unreachable at {self.describe_endpoint()}"
             )
         root = self._new_session_root()
-        return FakeSession(self, root, f"fake-{os.path.basename(root)}", base_image)
-
-    def open_image(self, tag: str) -> "FakeSession":
-        session = self.start_session(tag)
-        meta = self._seed_from_image(tag, session.root)
-        session.base_image = meta.get("base_image", tag)
-        session.installed_packages = list(meta.get("installed_packages", []))
-        return session
-
-    def snapshot(self, session: "FakeSession", tag: str) -> str:
-        return self._store_snapshot(
-            session,
-            tag,
-            {
-                "base_image": session.base_image,
-                "installed_packages": list(session.installed_packages),
-            },
-        )
+        return FakeSession(self, root, f"fake-{os.path.basename(root)}")
 
 
 class FakeSession(_HostFsSession):
-    def __init__(self, runtime: FakeRuntime, root: str, session_id: str,
-                 base_image: str) -> None:
-        super().__init__(runtime, root, session_id, base_image)
-        self.installed_packages: list[str] = []
+    def __init__(self, runtime: FakeRuntime, root: str, session_id: str) -> None:
+        super().__init__(runtime, root, session_id)
         # build dir -> (source dir, declarations read when it was built)
         self._builds: dict[str, tuple[str, list[FakeTimingDecl]]] = {}
         self._invocations: dict[str, int] = {}
@@ -877,5 +844,4 @@ class FakeSession(_HostFsSession):
         return SuiteRun(results, sum(r.wall_time_ms for r in results))
 
     def install_packages(self, packages: Sequence[str]) -> BuildResult:
-        self.installed_packages.extend(p for p in packages if p not in self.installed_packages)
         return BuildResult(True, f"fake install: {' '.join(packages)}")

@@ -36,6 +36,10 @@ def commit_all(repo: Path, message: str, author_date: str) -> str:
         message,
         env={"GIT_AUTHOR_DATE": author_date, "GIT_COMMITTER_DATE": author_date},
     )
+    return head_of(repo)
+
+
+def head_of(repo: Path) -> str:
     return git(repo, "rev-parse", "HEAD").strip()
 
 
@@ -270,9 +274,9 @@ def mine_fixture(fixture: FixtureRepo, out_dir: Path, *, runs: int = 31) -> Mine
     from perfmine.stats import StatConfig
 
     runtime = FakeRuntime(state_dir=out_dir / "fake-runtime")
-    repo = local_descriptor(fixture.path, "local", "fixturerepo")
+    repo = local_descriptor(head_of(fixture.path), "local", "fixturerepo")
     with GitObjects(fixture.path) as objects:
-        gated = gate_with_runtime(repo, fixture.path, runtime, objects=objects)
+        gated = gate_with_runtime(repo, runtime, objects=objects)
         assert gated.passes_gate, "fixture head must build and pass its tests"
         result = mine_repository(
             gated,

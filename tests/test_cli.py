@@ -383,6 +383,52 @@ def test_evaluate_without_image_exits_69(cli_store, tmp_path):
     assert code == EXIT_UNAVAILABLE
 
 
+def _copy_with_image(cli_store: CliStore, tmp_path: Path) -> tuple[Path, Path]:
+    """A copy of the store, its image included, and the image's directory."""
+    store = _copy_of(cli_store, tmp_path)
+    images = Path("fake-runtime", "images")
+    shutil.copytree(cli_store.out_dir / images, store / images)
+    image = FakeRuntime(store / "fake-runtime")._image_dir(f"perfmine/{cli_store.patch_id}")
+    return store, Path(image)
+
+
+def test_an_image_beside_an_older_stores_meta_json_still_evaluates(cli_store, tmp_path):
+    # stores mined before an image was its original tree alone hold a
+    # meta.json beside the tree; nothing reads it any more
+    store, image = _copy_with_image(cli_store, tmp_path)
+    (image / "meta.json").write_text(json.dumps(
+        {"tag": f"perfmine/{cli_store.patch_id}", "base_image": "gcc:12",
+         "installed_packages": []}, indent=2), encoding="utf-8")
+    code, stdout = run_cli(
+        "evaluate", "--store", str(store),
+        "--patch-id", cli_store.patch_id,
+        "--patch-file", str(cli_store.patch_file),
+        "--fake-runtime",
+    )
+    assert code == EXIT_OK
+    assert "verdict: improves" in stdout
+
+
+def test_an_image_of_the_work_layout_is_refused_with_one_line(cli_store, tmp_path, capsys):
+    # an earlier layout kept the tree at images/<tag>/work/original
+    store, image = _copy_with_image(cli_store, tmp_path)
+    (image / "work").mkdir()
+    (image / "original").rename(image / "work" / "original")
+    (image / "meta.json").write_text("{}", encoding="utf-8")
+    assert not FakeRuntime(store / "fake-runtime").has_image(f"perfmine/{cli_store.patch_id}")
+    capsys.readouterr()
+    code, stdout = run_cli(
+        "evaluate", "--store", str(store),
+        "--patch-id", cli_store.patch_id,
+        "--patch-file", str(cli_store.patch_file),
+        "--fake-runtime",
+    )
+    assert (code, stdout) == (EXIT_UNAVAILABLE, "")
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == (f"error: image perfmine/{cli_store.patch_id} for {cli_store.patch_id} "
+                    "is not loadable from this runtime")
+
+
 def test_mine_and_evaluate_leave_no_session_directories(cli_store, tmp_path):
     sessions = cli_store.out_dir / "fake-runtime" / "sessions"
     assert list(sessions.iterdir()) == []

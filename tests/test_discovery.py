@@ -21,7 +21,6 @@ from perfmine.errors import (
     AuthError,
     ConfigError,
     ContractViolation,
-    GitError,
     RateLimitError,
     RuntimeUnavailableError,
     TransportError,
@@ -223,66 +222,57 @@ def make_repo(**kwargs):
     return RepoDescriptor(**defaults)
 
 
-def test_gate_missing_root_cmake(tmp_path):
-    (tmp_path / "src").mkdir()
-    (tmp_path / "src" / "CMakeLists.txt").write_text("add_library(x x.cpp)\n")
-    gated = gate_repository(make_repo(), tmp_path, lambda wt: HeadCheck(True, True))
+def test_gate_missing_root_cmake():
+    def tester(root_cmake):
+        raise AssertionError("a head without a root CMakeLists.txt is not built")
+
+    gated = gate_repository(make_repo(), None, tester)
     assert not gated.has_root_cmake
     assert not gated.passes_gate
     assert gated.head_tests_pass is HeadTestsState.UNTESTED
 
 
-def test_gate_all_green(tmp_path):
-    (tmp_path / "CMakeLists.txt").write_text("project(x)\nenable_testing()\n")
-    gated = gate_repository(make_repo(), tmp_path, lambda wt: HeadCheck(True, True))
+def test_gate_all_green():
+    seen = []
+
+    def tester(root_cmake):
+        seen.append(root_cmake)
+        return HeadCheck(True, True)
+
+    gated = gate_repository(make_repo(), "project(x)\nenable_testing()\n", tester)
+    assert seen == ["project(x)\nenable_testing()\n"]
     assert gated.has_root_cmake and gated.has_cmake_tests
     assert gated.head_tests_pass is HeadTestsState.PASS
     assert gated.passes_gate
 
 
-def test_gate_failing_tests(tmp_path):
-    (tmp_path / "CMakeLists.txt").write_text("project(x)\n")
-    gated = gate_repository(make_repo(), tmp_path, lambda wt: HeadCheck(True, False))
+def test_gate_failing_tests():
+    gated = gate_repository(make_repo(), "project(x)\n", lambda root_cmake: HeadCheck(True, False))
     assert gated.head_tests_pass is HeadTestsState.FAIL
     assert not gated.passes_gate
 
 
-def test_gate_no_registered_tests(tmp_path):
-    (tmp_path / "CMakeLists.txt").write_text("project(x)\n")
-    gated = gate_repository(make_repo(), tmp_path, lambda wt: HeadCheck(False, False))
+def test_gate_no_registered_tests():
+    gated = gate_repository(make_repo(), "project(x)\n",
+                            lambda root_cmake: HeadCheck(False, False))
     assert not gated.has_cmake_tests
     assert gated.head_tests_pass is HeadTestsState.UNTESTED
     assert not gated.passes_gate
 
 
-def test_gate_tester_crash_means_fail(tmp_path):
-    (tmp_path / "CMakeLists.txt").write_text("project(x)\n")
-
-    def boom(worktree):
+def test_gate_tester_crash_means_fail():
+    def boom(root_cmake):
         raise RuntimeError("compiler exploded")
 
-    gated = gate_repository(make_repo(), tmp_path, boom)
+    gated = gate_repository(make_repo(), "project(x)\n", boom)
     assert gated.head_tests_pass is HeadTestsState.FAIL
     assert not gated.passes_gate
 
 
 @pytest.mark.parametrize("error", [RuntimeUnavailableError, ContractViolation])
-def test_gate_propagates_runtime_and_contract_errors(tmp_path, error):
-    (tmp_path / "CMakeLists.txt").write_text("project(x)\n")
-
-    def unreachable(worktree):
+def test_gate_propagates_runtime_and_contract_errors(error):
+    def unreachable(root_cmake):
         raise error("no runtime at unix:///nowhere")
 
     with pytest.raises(error):
-        gate_repository(make_repo(), tmp_path, unreachable)
-
-
-def test_gate_head_sha_mismatch(tmp_path, fixture_repo):
-    mismatched = make_repo(head_sha="0" * 40)
-    with pytest.raises(GitError):
-        gate_repository(mismatched, fixture_repo.path, lambda wt: HeadCheck(True, True))
-
-
-def test_gate_missing_worktree(tmp_path):
-    with pytest.raises(GitError):
-        gate_repository(make_repo(), tmp_path / "nope", lambda wt: HeadCheck(True, True))
+        gate_repository(make_repo(), "project(x)\n", unreachable)

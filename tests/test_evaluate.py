@@ -230,50 +230,20 @@ def test_missing_image_is_unavailable(mined_store, tmp_path):
         evaluate(mined_store.patch_id, "", mined_store.store_dir, fresh_runtime)
 
 
-def test_preexisting_candidate_dir_is_rejected(mined_store):
-    # a snapshot keeps only /work/original, so plant the candidate directly
-    # in a copy of the image's files
-    import shutil
+def test_preexisting_candidate_dir_is_rejected(mined_store, monkeypatch):
+    # a host image is its original tree alone, but another runtime's image
+    # may carry more of /work: open this one with a candidate planted
+    runtime = mined_store.runtime
+    open_image = runtime.open_image
 
-    entry = read_entry(mined_store.store_dir, mined_store.patch_id)
-    tag = "perfmine/poisoned"
-    image_dir = mined_store.runtime._image_dir(tag)
-    shutil.copytree(mined_store.runtime._image_dir(entry.image), image_dir)
-    try:
-        os.makedirs(os.path.join(image_dir, "candidate"))
-        poisoned = json.loads(
-            (mined_store.store_dir / "entries" / f"{mined_store.patch_id}.json").read_text(
-                encoding="utf-8"
-            )
-        )
-        # point a copy of the entry at the poisoned image
-        poisoned["build"]["image"] = tag
-        with pytest.raises(EvaluationError, match="already exists"):
-            _evaluate_raw_entry(mined_store, poisoned)
-    finally:
-        shutil.rmtree(image_dir)
+    def open_with_a_candidate(tag):
+        session = open_image(tag)
+        os.makedirs(session.host_path("/work/candidate"))
+        return session
 
-
-def _evaluate_raw_entry(mined_store, payload):
-    """Drive evaluate() against a hand-edited manifest copy."""
-    import shutil
-
-    sha = "0" * 40
-    patch_id = f"x__y__{sha}"
-    payload["patch_id"] = patch_id
-    payload["repo"]["owner"], payload["repo"]["name"] = "x", "y"
-    payload["commit"]["sha"] = sha
-    payload["commit"]["patch_file"] = f"patches/{patch_id}.patch"
-    target = mined_store.store_dir / "entries" / f"{patch_id}.json"
-    target.write_text(json.dumps(payload), encoding="utf-8")
-    patch_src = mined_store.store_dir / "patches" / f"{mined_store.patch_id}.patch"
-    patch_copy = mined_store.store_dir / "patches" / f"{patch_id}.patch"
-    shutil.copy(patch_src, patch_copy)
-    try:
-        return evaluate(patch_id, "", mined_store.store_dir, mined_store.runtime)
-    finally:
-        target.unlink(missing_ok=True)
-        patch_copy.unlink(missing_ok=True)
+    monkeypatch.setattr(runtime, "open_image", open_with_a_candidate)
+    with pytest.raises(EvaluationError, match="already exists"):
+        evaluate(mined_store.patch_id, "", mined_store.store_dir, runtime)
 
 
 # ---------------------------------------------------------------------------

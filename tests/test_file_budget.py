@@ -24,10 +24,10 @@ from perfmine import cli
 # here) is what moves a tree to and from the spares in place of a mkdir or
 # rmdir per directory (20-350 us), so renames may exceed the other counts.
 CEILINGS = {
-    3: {"mkdir": 9.5, "rmdir": 4, "remove": 17, "link": 20, "rename": 12, "create": 10,
-        "process": 2},
-    30: {"mkdir": 4.5, "rmdir": 1, "remove": 5, "link": 12, "rename": 7.5, "create": 5.5,
-         "process": 0.2},
+    3: {"mkdir": 9.5, "rmdir": 4, "remove": 17, "link": 20, "rename": 12, "create": 8.5,
+        "process": 1.5},
+    30: {"mkdir": 4.5, "rmdir": 1, "remove": 5, "link": 12, "rename": 7.5, "create": 4.6,
+         "process": 0.15},
 }
 
 _counters: list[Counter] = []  # the counter of the mine being counted, if any

@@ -574,15 +574,23 @@ def test_a_commit_missing_from_the_clone_is_an_error(fixture_repo):
         assert "hoisted out of the loop" in commit_diff_text(objects, record)
 
 
-def test_a_missing_or_non_blob_object_reads_as_empty(fixture_repo):
+def test_a_missing_or_non_blob_object_reads_as_none(fixture_repo):
     with GitObjects(fixture_repo.path) as objects:
         cmake = objects.blob(f"{fixture_repo.perf_sha}:CMakeLists.txt")
         assert cmake == git(fixture_repo.path, "show",
                             f"{fixture_repo.perf_sha}:CMakeLists.txt")
-        assert objects.blob(f"{fixture_repo.perf_sha}:no/such/CMakeLists.txt") == ""
-        assert objects.blob(f"{fixture_repo.perf_sha}:src") == ""  # a tree
-        assert objects.blob(f"{'0' * 40}:CMakeLists.txt") == ""
+        assert objects.blob(f"{fixture_repo.perf_sha}:no/such/CMakeLists.txt") is None
+        assert objects.blob(f"{fixture_repo.perf_sha}:src") is None  # a tree
+        assert objects.blob(f"{'0' * 40}:CMakeLists.txt") is None
         assert objects.blob(f"{fixture_repo.perf_sha}:CMakeLists.txt") == cmake
+
+
+def test_the_reader_resolves_a_name_to_the_id_of_its_object(fixture_repo):
+    with GitObjects(fixture_repo.path) as objects:
+        assert objects.resolve("HEAD") == git(fixture_repo.path, "rev-parse", "HEAD").strip()
+        assert objects.resolve(f"{fixture_repo.perf_sha}^") == fixture_repo.perf_parent_sha
+        with pytest.raises(GitError, match="no object no-such-branch"):
+            objects.resolve("no-such-branch")
 
 
 def test_the_reader_starts_one_process_of_each_kind_and_reaps_both(fixture_repo,

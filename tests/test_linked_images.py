@@ -18,7 +18,7 @@ from perfmine.evaluate import (
     evaluate,
 )
 from perfmine.errors import RuntimeUnavailableError
-from perfmine.runtime import ORIGINAL_DIR, FakeRuntime, LocalProcessRuntime
+from perfmine.runtime import ORIGINAL_DIR, SHA_MARKER, FakeRuntime, LocalProcessRuntime
 from perfmine.store import read_entry, read_ground_truth_diff
 
 NOBODY = 65534  # the unprivileged uid and gid an in-place write is tried under
@@ -39,7 +39,7 @@ def _plant(session, files: dict[str, str]) -> None:
 
 def _image_of(runtime, files: dict[str, str], tag: str = "perfmine/linked") -> str:
     session = runtime.start_session("gcc:12")
-    _plant(session, files)
+    _plant(session, {**files, SHA_MARKER: "0" * 40 + "\n"})  # a stored tree names its commit
     runtime.snapshot(session, tag)
     session.close()
     return tag
@@ -114,7 +114,7 @@ def test_every_file_of_a_stored_image_is_read_only(mined_store):
     entry = read_entry(mined_store.store_dir, mined_store.patch_id)
     modes = _regular_modes(_image_state(mined_store.runtime._image_dir(entry.image)))
     assert "original/src/compute.cpp" in modes
-    assert {path for path, mode in modes.items() if mode & 0o222} == {"meta.json"}
+    assert {path for path, mode in modes.items() if mode & 0o222} == set()
 
 
 def test_a_snapshot_keeps_exec_bits_and_follows_no_symlink(fake_runtime, tmp_path):
@@ -194,7 +194,7 @@ def test_evaluating_every_candidate_kind_leaves_the_image_as_it_was(mined_store)
     entry = read_entry(mined_store.store_dir, mined_store.patch_id)
     image = mined_store.runtime._image_dir(entry.image)
     before = _image_state(image)
-    assert {p for p, mode in _regular_modes(before).items() if mode & 0o222} == {"meta.json"}
+    assert {p for p, mode in _regular_modes(before).items() if mode & 0o222} == set()
     path = "src/compute.cpp"
     with open(os.path.join(image, "original", path), encoding="utf-8") as handle:
         source = handle.read()

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import commit_all, git
+from conftest import commit_all, git, head_of
 
 from perfmine.discovery import HeadTestsState
 from perfmine.harvest import CommitRecord, FileChange, GitObjects
@@ -80,8 +80,8 @@ def test_gate_builds_and_runs_head_on_the_host(timing_repo, tmp_path):
     root, _, _ = timing_repo
     runtime = LocalProcessRuntime(state_dir=tmp_path / "state")
     with GitObjects(root) as objects:
-        gated = gate_with_runtime(local_descriptor(root, "local", "timedrepo"), root, runtime,
-                                  objects=objects)
+        gated = gate_with_runtime(local_descriptor(head_of(root), "local", "timedrepo"),
+                                  runtime, objects=objects)
     assert gated.passes_gate
     assert gated.head_tests_pass is HeadTestsState.PASS
 

@@ -560,7 +560,7 @@ def test_a_snapshotted_session_refuses_every_call_but_close(fake_runtime, fixtur
     # the snapshot took the session's root, which now holds the image
     image = fake_runtime._image_dir(tag)
     assert not os.path.exists(session.root)
-    assert sorted(os.listdir(image)) == ["meta.json", "original"]
+    assert os.listdir(image) == ["original"]
     objects = GitObjects(fixture_repo.path)
     calls = {
         "read_file": lambda: session.read_file(f"{ORIGINAL_DIR}/{SHA_MARKER}"),
@@ -580,7 +580,7 @@ def test_a_snapshotted_session_refuses_every_call_but_close(fake_runtime, fixtur
         fake_runtime.snapshot(session, "perfmine/spent-again")
     # no call re-created the root or changed the image
     assert not os.path.exists(session.root)
-    assert sorted(os.listdir(image)) == ["meta.json", "original"]
+    assert os.listdir(image) == ["original"]
     assert not fake_runtime.has_image("perfmine/spent-again")
     session.close()
     assert not os.path.exists(session.root)

@@ -15,6 +15,7 @@ from conftest import (
     commit_files,
     files_under,
     git,
+    head_of,
     lose_a_suite_run,
 )
 
@@ -128,7 +129,7 @@ def test_an_image_holds_only_the_original_tree(mined_store):
     expected = {".perfmine-sha": ("100644", fixture.perf_parent_sha + "\n"),
                 **commit_files(fixture.path, fixture.perf_parent_sha)}
     assert files_under(os.path.join(image, "original")) == expected
-    assert sorted(os.listdir(image)) == ["meta.json", "original"]
+    assert os.listdir(image) == ["original"]
 
 
 def test_image_snapshot_is_reopenable(mined_store):
@@ -151,7 +152,7 @@ def test_image_snapshot_is_reopenable(mined_store):
 
 def _gate(repo, path, runtime):
     with GitObjects(path) as objects:
-        return gate_with_runtime(repo, path, runtime, objects=objects)
+        return gate_with_runtime(repo, runtime, objects=objects)
 
 
 def test_gate_passes_on_the_fixture(mined_store):
@@ -167,7 +168,7 @@ def test_gate_rejects_repo_without_cmake(tmp_path):
     (repo / "main.cpp").write_text("int main() { return 0; }\n")
     commit_all(repo, "no build system", "2023-01-01T00:00:00 +0000")
     runtime = FakeRuntime(state_dir=tmp_path / "state")
-    gated = _gate(local_descriptor(repo, "x", "nocmake"), repo, runtime)
+    gated = _gate(local_descriptor(head_of(repo), "x", "nocmake"), repo, runtime)
     assert not gated.passes_gate
     assert not gated.has_root_cmake
     assert gated.head_tests_pass is HeadTestsState.UNTESTED
@@ -183,15 +184,32 @@ def test_gate_rejects_repo_without_tests(tmp_path):
     (repo / "main.cpp").write_text("int main() { return 0; }\n")
     commit_all(repo, "library only", "2023-01-01T00:00:00 +0000")
     runtime = FakeRuntime(state_dir=tmp_path / "state")
-    gated = _gate(local_descriptor(repo, "x", "notests"), repo, runtime)
+    gated = _gate(local_descriptor(head_of(repo), "x", "notests"), repo, runtime)
     assert not gated.passes_gate
     assert gated.has_root_cmake
     assert not gated.has_cmake_tests
 
 
+@pytest.mark.parametrize("cmake, counts", [("empty", True), ("directory", False)])
+def test_gate_counts_a_root_cmake_only_when_the_head_has_that_file(tmp_path, cmake, counts):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git(repo, "init", "-q", "-b", "main", ".")
+    if cmake == "empty":
+        (repo / "CMakeLists.txt").write_text("")
+    else:
+        (repo / "CMakeLists.txt").mkdir()
+        (repo / "CMakeLists.txt" / "x.cmake").write_text("project(x)\n")
+    (repo / "kernel.cpp").write_text("// fake-timing: kernel base_ms=100 step_ms=0.01\n")
+    commit_all(repo, "the build", "2023-01-01T00:00:00 +0000")
+    runtime = FakeRuntime(state_dir=tmp_path / "state")
+    gated = _gate(local_descriptor(head_of(repo), "x", "repo"), repo, runtime)
+    assert (gated.has_root_cmake, gated.passes_gate) == (counts, counts)
+
+
 def test_gate_with_unreachable_runtime_raises(fixture_repo, tmp_path):
     runtime = FakeRuntime(state_dir=tmp_path / "state", reachable=False)
-    repo = local_descriptor(fixture_repo.path, "local", "fixturerepo")
+    repo = local_descriptor(head_of(fixture_repo.path), "local", "fixturerepo")
     with pytest.raises(RuntimeUnavailableError):
         _gate(repo, fixture_repo.path, runtime)
 
@@ -201,7 +219,7 @@ def test_gate_without_docker_executable_raises(fixture_repo):
         raise FileNotFoundError(2, "No such file or directory", argv[0])
 
     runtime = DockerCliRuntime(runner=runner, docker_bin="no-such-docker")
-    repo = local_descriptor(fixture_repo.path, "local", "fixturerepo")
+    repo = local_descriptor(head_of(fixture_repo.path), "local", "fixturerepo")
     with pytest.raises(RuntimeUnavailableError, match="no-such-docker"):
         _gate(repo, fixture_repo.path, runtime)
 
@@ -212,7 +230,7 @@ def test_gate_without_docker_executable_raises(fixture_repo):
 
 def _mine_with(fixture, out_dir, *, runtime=None, backend=None, runs=31):
     runtime = runtime or FakeRuntime(state_dir=out_dir / "fake-runtime")
-    repo = local_descriptor(fixture.path, "local", "fixturerepo")
+    repo = local_descriptor(head_of(fixture.path), "local", "fixturerepo")
     with GitObjects(fixture.path) as objects:
         result = mine_repository(
             repo,
@@ -260,7 +278,7 @@ def test_mining_leaves_the_operators_clone_alone(tmp_path):
         "status": git(fixture.path, "status", "--porcelain", "--ignored"),
     }
     runtime = FakeRuntime(state_dir=tmp_path / "out" / "fake-runtime")
-    repo = local_descriptor(fixture.path, "local", "fixturerepo")
+    repo = local_descriptor(head_of(fixture.path), "local", "fixturerepo")
     assert _gate(repo, fixture.path, runtime).passes_gate
     result, _ = _mine_with(fixture, tmp_path / "out", runtime=runtime)
     assert result.funnel.stored == 1
@@ -285,7 +303,7 @@ def _reap_exited():
 def test_mining_leaves_no_child_process_behind(fixture_repo, tmp_path):
     _reap_exited()  # whatever earlier tests left is not this mine's
     runtime = FakeRuntime(state_dir=tmp_path / "out" / "fake-runtime")
-    repo = local_descriptor(fixture_repo.path, "local", "fixturerepo")
+    repo = local_descriptor(head_of(fixture_repo.path), "local", "fixturerepo")
     assert _gate(repo, fixture_repo.path, runtime).passes_gate
     result, _ = _mine_with(fixture_repo, tmp_path / "out", runtime=runtime)
     assert result.funnel.stored == 1
@@ -350,9 +368,39 @@ def test_a_mine_starts_one_git_reader_of_each_kind_for_any_history(tmp_path, cap
                          "--fake-runtime", "--stub-backends", str(replies), "--runs", "2"]) == 0
         assert f"classified_positive={commits} built={commits}" in capsys.readouterr().out
         started.append(sorted(p.args[3] for p in recorded_processes))
-    # the descriptor's head, the gate's check of it against the worktree, the
-    # walk's shallow check and its log, and the two readers
-    assert started == [["cat-file", "diff-tree", "log", "rev-parse", "rev-parse", "rev-parse"]] * 2
+    # the walk's shallow check and its log, and the two readers; the head is
+    # resolved, and the gate reads it, through the cat-file reader
+    assert started == [["cat-file", "diff-tree", "log", "rev-parse"]] * 2
+
+
+@pytest.mark.parametrize("worktree", ["deletes_cmake", "adds_cmake"])
+def test_the_gate_reads_the_committed_head_not_the_worktree(tmp_path, capsys,
+                                                            recorded_processes, worktree):
+    from perfmine import cli
+
+    replies = tmp_path / "replies.json"
+    replies.write_text(json.dumps(
+        {"default": {"phase1:0": "Yes", "phase1:1": "No", "phase2": "Yes"}}))
+    repo = _history_of_edits(tmp_path / "repo", 2)
+    if worktree == "deletes_cmake":
+        (repo / "CMakeLists.txt").unlink()  # uncommitted: the head still has it
+    else:
+        git(repo, "rm", "-q", "CMakeLists.txt")
+        commit_all(repo, "drop the build", "2022-02-01T00:00:00 +0000")
+        (repo / "CMakeLists.txt").write_text("project(untracked CXX)\n")  # not in the head
+    recorded_processes.clear()
+    assert cli.main(["mine", "--local-repo", str(repo), "--out", str(tmp_path / "out"),
+                     "--fake-runtime", "--stub-backends", str(replies), "--runs", "2"]) == 0
+    out = capsys.readouterr().out
+    started = sorted(p.args[3] for p in recorded_processes)
+    if worktree == "deletes_cmake":
+        assert "skipping" not in out and "built=2 stored=0" in out
+        # the walk's shallow check and its log, and the two readers
+        assert started == ["cat-file", "diff-tree", "log", "rev-parse"]
+    else:
+        assert "skipping local/repo: head does not build and pass its tests" in out
+        assert "scanned=0" in out
+        assert started == ["cat-file"]
 
 
 def test_negative_classification_stops_the_funnel(fixture_repo, tmp_path):
@@ -453,7 +501,7 @@ def test_empty_repository_yields_zero_funnel(tmp_path):
     commit_all(repo, "skeleton", "2023-01-01T00:00:00 +0000")
     with GitObjects(repo) as objects:
         result = mine_repository(
-            local_descriptor(repo, "x", "empty"),
+            local_descriptor(head_of(repo), "x", "empty"),
             repo,
             harvest_config=HarvestConfig(),
             backend_config=BackendConfig(),

@@ -177,7 +177,7 @@ def test_trees_ignore_the_operators_line_ending_settings(tmp_path, monkeypatch):
     out = tmp_path / "out"
     with GitObjects(repo) as objects:
         result = mine_repository(
-            local_descriptor(repo, "local", "crlf"), repo,
+            local_descriptor(fixtures.head_of(repo), "local", "crlf"), repo,
             harvest_config=HarvestConfig(), backend_config=BackendConfig(),
             stat_config=StatConfig(), limits=MiningLimits(runs=5), runtime=runtime,
             backend=StubBackend({"default": "Yes"}), objects=objects, out_dir=out,
@@ -270,8 +270,8 @@ def test_the_blob_store_keeps_only_what_an_image_links(tmp_path, recorded_proces
     repo = _history_with_one_commit_stored_and_one_not(tmp_path / "repo")
     runtime = FakeRuntime(tmp_path / "state")
     with GitObjects(repo) as objects:
-        gated = gate_with_runtime(local_descriptor(repo, "local", "repo"), repo, runtime,
-                                  objects=objects)
+        gated = gate_with_runtime(local_descriptor(fixtures.head_of(repo), "local", "repo"),
+                                  runtime, objects=objects)
         assert gated.passes_gate
         # the head's store files stay for the mine, whose trees share most of them
         head = fixtures.git(repo, "rev-parse", "HEAD").strip()
