@@ -36,6 +36,7 @@ from .errors import (
     AuthError,
     BackendError,
     ConfigError,
+    GitError,
     PerfMineError,
     RateLimitError,
     ReviewError,
@@ -103,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mine = sub.add_parser("mine", help="mine repositories into a store")
     mine.add_argument("--out", default="./perfmine-out", help="store directory (default %(default)s)")
-    mine.add_argument("--local-repo", help="mine this local git checkout instead of searching GitHub")
+    mine.add_argument("--local-repo", help="mine this local git checkout or bare clone instead of searching GitHub")
     mine.add_argument("--owner", help="repository owner label for --local-repo (default: local)")
     mine.add_argument("--name", help="repository name label for --local-repo (default: directory name)")
     mine.add_argument("--min-stars", type=int, default=300)
@@ -261,8 +262,11 @@ def cmd_mine(args) -> int:
     issue_fetcher = None
     if args.local_repo:
         path = Path(args.local_repo)
-        if not (path / ".git").exists():
-            raise ConfigError(f"--local-repo is not a git checkout: {path}")
+        # git would look for a repository upward from any other directory,
+        # and mine an enclosing one under this directory's name
+        if not ((path / ".git").exists()
+                or ((path / "HEAD").is_file() and (path / "objects").is_dir())):
+            raise ConfigError(f"--local-repo is neither a git checkout nor a bare clone: {path}")
         owner = args.owner or "local"
         name = args.name or path.resolve().name
         targets.append((path, functools.partial(local_descriptor, owner=owner, name=name)))
@@ -281,10 +285,17 @@ def cmd_mine(args) -> int:
     combined = MineResult()
     try:
         for clone, describe in targets:
-            # one reader per clone resolves the head, and serves the gate and the mine
+            # one reader per clone resolves the head, and serves the gate and the mine;
+            # everything is read from git objects, so a bare clone serves as well
             with GitObjects(clone) as objects:
+                try:
+                    head = objects.resolve("HEAD")
+                except GitError as exc:
+                    if not args.local_repo:
+                        raise
+                    raise ConfigError(f"--local-repo has no commit at HEAD: {exc}") from exc
                 gated = gate_with_runtime(
-                    describe(head_sha=objects.resolve("HEAD")), runtime, objects=objects,
+                    describe(head_sha=head), runtime, objects=objects,
                     cpus=limits.container_cpus, memory=limits.container_memory,
                 )
                 if not gated.passes_gate:

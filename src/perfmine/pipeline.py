@@ -309,15 +309,19 @@ def _summarize(outcome: RunOutcome) -> RunSummary:
 
 
 def _persist_logs(out_dir: Path, patch_id: str, build_logs: dict):
-    """Write both build logs to ``<out_dir>/logs/<patch_id>/``.
+    """Write both build logs to ``<out_dir>/logs/<patch_id>.log``, each in a
+    section headed ``== build <version> ==``.
 
     This is their only copy: the image holds the original tree alone. Every
     timing the claim rests on is in the manifest.
     """
-    # str paths, as in runtime._HostFsSession: a Path would intern the patch id
-    host_dir = os.path.join(out_dir, "logs", patch_id)
-    os.makedirs(host_dir, exist_ok=True)
+    sections = []
     for version, text in build_logs.items():
-        with open(os.path.join(host_dir, f"build-{version}.log"), "w",
-                  encoding="utf-8") as handle:
-            handle.write(text)
+        sections.append(f"== build {version} ==\n{text}")
+        if text and not text.endswith("\n"):
+            sections.append("\n")
+    # str paths, as in runtime._HostFsSession: a Path would intern the patch id
+    logs = os.path.join(out_dir, "logs")
+    os.makedirs(logs, exist_ok=True)
+    with open(os.path.join(logs, f"{patch_id}.log"), "w", encoding="utf-8") as handle:
+        handle.write("".join(sections))

@@ -15,8 +15,10 @@ files and its marker are read-only hard links into a blob store, so a
 blob shared by two trees, or by a tree and an image, is on disk once.
 The fake and local runtimes keep the store in ``<state_dir>/blobs`` for
 the runtime's whole life: ``close()``, which ``mine`` calls once when it
-ends, deletes each store file that nothing links any more. Docker keeps
-a store per checkout in its staging directory. Such a tree may sit
+ends, deletes each store file that this runtime wrote, once nothing
+links it and no image it stored names it, so its cost follows the
+runtime's writes, not the store's size. Docker keeps a store per
+checkout in its staging directory. Such a tree may sit
 inside another git work tree, so ``git
 apply`` stops its search for a repository at the tree's parent;
 otherwise it would take the enclosing repository for the tree's own and
@@ -56,31 +58,42 @@ Implementations:
   scripts its own measurements.
 
 The local and fake runtimes give each session a directory of its own,
-its ``/work``, and delete it when the session closes. Closing first
-moves the trees the session checked out to ``<state_dir>/spares`` by
-rename, in place of the spares kept before; a later ``check_out``
-renames a spare into place, one of the same commit first, and the tree
-writer syncs it, so a tree that the last session held needs only the
-files that differ. Only ``check_out`` takes a spare: ``start_session``
-begins with an empty ``/work``, and ``open_image`` with the image's
-tree alone. ``close()`` on the runtime deletes the spares.
+its ``/work``. When the session closes, the trees it checked out stay
+in that directory as the spares, in place of the spares kept before,
+and the rest of it is deleted; after that the session refuses every
+call but ``close()``. A later ``check_out`` renames a spare into place,
+one of the same commit first, and the tree writer syncs it, so a tree
+that the last session held needs only the files that differ. A
+directory whose spares were all taken is empty, and the next session
+starts in it, so handing trees from session to session makes and
+deletes no directory. Only ``check_out`` takes a spare:
+``start_session`` begins with an empty ``/work``, and ``open_image``
+with the image's tree alone, which is deleted with the session's
+directory when it closes, never kept as a spare. ``close()`` on the
+runtime deletes the spares and the empty directory.
 
 A snapshot ends the session: every later call but ``close()`` raises
-``ContractViolation``. It clears the write bits of every file of
-``ORIGINAL_DIR`` that still has one (only a file a session wrote: the
-checked-out files and the marker are store files), moves the other
-trees to the spares, deletes the rest of ``/work`` and renames the
-session's directory to the image, so an image is ``original/`` alone;
-the base image and the packages a build needed are in the entry's
-build plan. ``has_image`` asks for the tree's marker. A session opened
-from an image gets its directories anew and its files as hard links,
-so images outlive every session opened from them. ``copy_tree`` links
-the same way. A file in a session, checked out or linked, is therefore
-changed by replacing it, as ``git apply`` does, never by writing into
-it: a build that writes in place into a source file fails with
+``ContractViolation``. On the fake and local runtimes an image is one
+read-only file, ``images/<tag>``: the ``trees.TreeObjects`` that the
+check-out of ``ORIGINAL_DIR`` read (a line ``<commit> <root tree id>``,
+then each tree object and symlink target as ``git cat-file --batch``
+prints it), so it is exactly the parent commit's tree, whatever the
+session wrote into it, and it takes no git request. The files' blobs
+stay in the blob store. The snapshot then keeps both trees as the
+spares and deletes the rest of ``/work``; the base image and the
+packages a build needed are in the entry's build plan. ``has_image``
+asks whether the file exists: a store of the earlier layout, where an
+image was a directory, must be mined again. ``open_image`` checks that
+each record hashes to its id and writes ``ORIGINAL_DIR`` through the
+same ``TreeWriter.write`` as a check-out, so the modes, symlinks,
+submodule directories and refusal of hostile entries are a check-out's;
+a fault in the image raises ``StoreError``. ``copy_tree`` hard-links
+the files of a tree. A file in a session, checked out or linked, is
+therefore changed by replacing it, as ``git apply`` does, never by
+writing into it: a build that writes in place into a source file fails with
 ``EACCES``. Mode bits do not stop a process running as root, so that
 guard holds only for unprivileged runs; under root an in-place write
-changes every tree and image that shares the file.
+changes every tree and image that shares the blob.
 
 Fake timing declarations are comment lines inside any source file:
 
@@ -105,7 +118,6 @@ import posixpath
 import re
 import shutil
 import signal
-import stat
 import subprocess
 import tempfile
 import time
@@ -115,13 +127,12 @@ from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
 from typing import NamedTuple, Protocol
 
-from .errors import ContractViolation, RuntimeUnavailableError
+from .errors import ContractViolation, GitError, RuntimeUnavailableError, StoreError
 from .harvest import GitObjects
-from .trees import SHA_MARKER, TreeWriter, link_or_copy, remove_entry, sweep_store
+from .trees import SHA_MARKER, TreeObjects, TreeWriter, link_or_copy, remove_entry, write_file
 
 WORK_ROOT = "/work"
 ORIGINAL_DIR = f"{WORK_ROOT}/original"  # the one tree an image keeps
-_ORIGINAL_NAME = posixpath.basename(ORIGINAL_DIR)  # an image's only entry
 FAKE_TIMING_RE = re.compile(
     r"//\s*fake-timing:\s*(?P<name>\S+)\s+base_ms=(?P<base>[0-9.]+)"
     r"\s+step_ms=(?P<step>[0-9.]+)(?:\s+fail_run=(?P<fail>\d+))?"
@@ -213,19 +224,26 @@ class ContainerRuntime(Protocol):
     def snapshot(self, session: ContainerSession, tag: str) -> str:
         """Store the session's ``ORIGINAL_DIR``, and nothing else, as image ``tag``.
 
-        An image already stored under ``tag`` is replaced only once the
-        new one is complete. After ``snapshot`` the only defined call on
-        the session is ``close()``; to snapshot again, prepare a new
-        session.
+        The fake and local runtimes store the tree that ``check_out`` or
+        ``open_image`` wrote there, as one file of its tree objects,
+        whatever the session wrote into it since; docker commits the container with ``ORIGINAL_DIR``
+        as it is. An image already stored under ``tag`` is replaced only
+        once the new one is complete. After ``snapshot`` the only defined
+        call on the session is ``close()``; to snapshot again, prepare a
+        new session.
         """
         ...
 
-    def has_image(self, tag: str) -> bool: ...
+    def has_image(self, tag: str) -> bool:
+        """Whether image ``tag`` is stored: on the fake and local runtimes,
+        whether its file exists; under docker, whether the daemon has it."""
+        ...
 
     def close(self) -> None:
         """Delete what the runtime keeps from one session for the next: spare
-        trees, and each blob store file that nothing links any more. The
-        runtime stays usable; ``mine`` calls this once, when it ends."""
+        trees, an empty session directory, and each blob store file that it
+        wrote and nothing needs any more. The runtime stays usable; ``mine``
+        calls this once, when it ends."""
         ...
 
 
@@ -275,23 +293,6 @@ def _link_tree(src: str, dst: str) -> None:
     recreated as symlinks and its regular files hard-linked (or copied,
     where a link cannot be made)."""
     shutil.copytree(src, dst, symlinks=True, copy_function=link_or_copy)
-
-
-def _make_files_read_only(top: str) -> None:
-    """Clear the write bits of every regular file under ``top`` that has one.
-
-    Symlinks are never followed: one in a mined tree may point at a file
-    outside it. Directories keep their modes, so the tree can be deleted.
-    A file already read-only, as a linked blob is, is left alone.
-    """
-    with os.scandir(top) as entries:
-        for entry in entries:
-            if entry.is_dir(follow_symlinks=False):
-                _make_files_read_only(entry.path)
-            elif entry.is_file(follow_symlinks=False):
-                mode = stat.S_IMODE(entry.stat(follow_symlinks=False).st_mode)
-                if mode & 0o222:
-                    os.chmod(entry.path, mode & ~0o222)
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +534,16 @@ class _HostFsSession(_ExecSession):
     def __init__(self, runtime: "_HostFsRuntimeBase", root: str, session_id: str) -> None:
         self.root = os.path.abspath(root)
         self.session_id = session_id
-        self.snapshotted = False  # set by the snapshot, which takes the root away
+        self.ended = ""  # "snapshotted" or "closed" once the runtime has the root back
         self._runtime = runtime
         self._checked_out: dict[str, str] = {}  # host directory -> commit id
+        # host directory -> the tree objects that its last write read, for a snapshot
+        self._written: dict[str, TreeObjects] = {}
 
     def host_path(self, path: str) -> str:
-        if self.snapshotted:
+        if self.ended:
             raise ContractViolation(
-                f"session {self.session_id} was snapshotted; only close() is defined"
+                f"session {self.session_id} was {self.ended}; only close() is defined"
             )
         if path != WORK_ROOT and not path.startswith(WORK_ROOT + "/"):
             raise ValueError(f"session paths must be absolute POSIX paths under {WORK_ROOT}: "
@@ -555,8 +558,10 @@ class _HostFsSession(_ExecSession):
     def check_out(self, objects: GitObjects, trees: Mapping[str, str]) -> None:
         paths = {self.host_path(d): sha for d, sha in trees.items()}
         self._checked_out.update(paths)
+        for path in paths:
+            self._written.pop(path, None)
         self._runtime._take_spares(paths)
-        self._runtime._trees.write(objects, paths)
+        self._written.update(self._runtime._trees.write(objects, paths))
 
     def copy_tree(self, src: str, dest: str) -> None:
         _link_tree(self.host_path(src), self.host_path(dest))
@@ -569,37 +574,54 @@ class _HostFsSession(_ExecSession):
         return os.path.exists(self.host_path(path))
 
     def close(self) -> None:
-        try:
-            if not self.snapshotted:
-                self._runtime._keep_spares(self)
-        finally:
-            shutil.rmtree(self.root, ignore_errors=True)
+        if not self.ended:
+            self.ended = "closed"
+            self._runtime._keep_spares(self)
 
 
 class _HostFsRuntimeBase:
     """Images, spare trees and the blob store of the local and fake runtimes:
-    plain directories under ``state_dir``."""
+    files and directories under ``state_dir``, which one runtime at a time
+    writes."""
 
     def __init__(self, state_dir: str | Path) -> None:
         self.state_dir = Path(state_dir)
         self.blobs_dir = os.path.join(self.state_dir, "blobs")
         self._trees = TreeWriter(self.blobs_dir)
         self._spares: list[tuple[str, str]] = []  # (directory, commit id it was checked out at)
+        self._spare_root: str | None = None  # the closed session's directory that holds them
+        self._free_root: str | None = None  # an empty directory for the next session
+        self._named: dict[str, set[str]] = {}  # image file -> the store files it names
         self._session_counter = 0
 
     def close(self) -> None:
-        """Delete the spare trees, then each store file that nothing links any more."""
-        spares, self._spares = self._spares, []
-        for spare, _ in spares:
-            shutil.rmtree(spare, ignore_errors=True)
-        sweep_store(self.blobs_dir)
+        """Delete the spare trees and the free session directory, then each
+        store file this runtime wrote that nothing links and no image it
+        stored names."""
+        for root in (self._spare_root, self._free_root):
+            if root is not None:
+                shutil.rmtree(root, ignore_errors=True)
+        self._spares, self._spare_root, self._free_root = [], None, None
+        self._trees.sweep(set().union(*self._named.values()))
 
-    def _new_session_root(self) -> str:
+    def _new_session_root(self) -> tuple[str, str]:
+        """An empty directory for a new session, and the session's name."""
         self._session_counter += 1
         name = f"s{self._session_counter}-{uuid.uuid4().hex[:8]}"
-        root = os.path.join(self.state_dir, "sessions", name)
-        os.makedirs(root)
-        return root
+        root, self._free_root = self._free_root, None
+        if root is None:
+            root = os.path.join(self.state_dir, "sessions", name)
+            os.makedirs(root)
+        return root, name
+
+    def _free(self, root: str) -> None:
+        """Keep the directory ``root``, whose spares were all taken, for the
+        next session if it is empty and none is kept yet; delete it otherwise."""
+        with contextlib.suppress(FileNotFoundError):  # a tree taken as a whole root
+            if self._free_root is None and not os.listdir(root):
+                self._free_root = root
+                return
+        shutil.rmtree(root, ignore_errors=True)
 
     def _take_spares(self, trees: Mapping[str, str]) -> None:
         """Rename a spare tree to each of ``trees`` that does not exist yet,
@@ -613,45 +635,66 @@ class _HostFsRuntimeBase:
                     os.makedirs(os.path.dirname(dest), exist_ok=True)
                     os.rename(spare[0], dest)
                     del missing[dest]
+        if self._spare_root is not None and not self._spares:
+            self._free(self._spare_root)
+            self._spare_root = None
 
     def _keep_spares(self, session: _HostFsSession) -> None:
-        """Move the trees the session checked out aside, as the spares of the
-        next ``check_out``, in place of the spares kept before."""
-        kept = []
-        for tree, sha in session._checked_out.items():
-            try:
-                if not stat.S_ISDIR(os.lstat(tree).st_mode):
-                    continue
-            except FileNotFoundError:
-                continue
-            spare = os.path.join(self.state_dir, "spares",
-                                 f"{os.path.basename(session.root)}-{len(kept)}")
-            os.makedirs(os.path.dirname(spare), exist_ok=True)
-            os.rename(tree, spare)
-            kept.append((spare, sha))
+        """Keep the trees the session checked out where they are, as the spares
+        of the next ``check_out`` in place of the spares kept before, and
+        delete the rest of the session's directory; with no tree to keep,
+        delete the whole directory."""
+        kept = [(tree, sha) for tree, sha in session._checked_out.items()
+                if os.path.isdir(tree) and not os.path.islink(tree)]
         session._checked_out.clear()
-        if kept:
-            for old, _ in self._spares:
-                shutil.rmtree(old, ignore_errors=True)
-            self._spares = kept
+        if not kept:
+            shutil.rmtree(session.root, ignore_errors=True)
+            return
+        # each tree's first directory below the root, or the root itself
+        tops = {os.path.relpath(tree, session.root).split(os.sep)[0] for tree, _ in kept}
+        try:
+            with os.scandir(session.root) as entries:
+                for entry in entries:
+                    if not tops & {entry.name, os.curdir}:
+                        remove_entry(entry)
+        except BaseException:
+            shutil.rmtree(session.root, ignore_errors=True)
+            raise
+        if self._spare_root is not None:
+            shutil.rmtree(self._spare_root, ignore_errors=True)
+        self._spares, self._spare_root = kept, session.root
 
-    def _image_dir(self, tag: str) -> str:
+    def _image_path(self, tag: str) -> str:
         return os.path.join(self.state_dir, "images", _IMAGE_TAG_SAFE.sub("_", tag))
 
     def has_image(self, tag: str) -> bool:
-        return os.path.isfile(os.path.join(self._image_dir(tag), _ORIGINAL_NAME, SHA_MARKER))
+        return os.path.isfile(self._image_path(tag))
 
     def open_image(self, tag: str) -> _HostFsSession:
-        """A new session whose ``ORIGINAL_DIR`` has the image's directories
-        anew and its files as hard links; whatever else the image directory
-        holds is not read. On failure no session is left behind."""
+        """A new session whose ``ORIGINAL_DIR`` the tree writer writes from the
+        image's tree objects and the store's blobs, as a check-out would,
+        though from no spare.
+
+        An image that fails its check (a record that does not hash to its
+        id, a file cut short, a hostile tree entry, a blob the store lacks)
+        raises StoreError. On failure no session is left behind.
+        """
+        if not self.has_image(tag):
+            raise RuntimeUnavailableError(
+                f"no stored image tagged {tag} at {self._image_path(tag)}")
         session = self.start_session(tag)
         try:
-            if not self.has_image(tag):
-                raise RuntimeUnavailableError(
-                    f"no stored image tagged {tag} under {self._image_dir(tag)}")
-            _link_tree(os.path.join(self._image_dir(tag), _ORIGINAL_NAME),
-                       session.host_path(ORIGINAL_DIR))
+            with open(self._image_path(tag), "rb") as handle:
+                data = handle.read()
+            try:
+                tree = TreeObjects.decode(data)
+                # a writer of its own: an image's root tree is bound to its
+                # commit only by the image's first line, so its trees must not
+                # serve a later check-out of that commit
+                session._written = TreeWriter(self.blobs_dir).write(
+                    tree, {session.host_path(ORIGINAL_DIR): tree.commit})
+            except (ValueError, GitError) as exc:
+                raise StoreError(f"image {tag} is unusable: {exc}") from exc
         except BaseException:
             session.close()
             raise
@@ -659,24 +702,19 @@ class _HostFsRuntimeBase:
 
     def snapshot(self, session: _HostFsSession, tag: str) -> str:
         original = session.host_path(ORIGINAL_DIR)  # refuses a session already snapshotted
-        _make_files_read_only(original)
-        session.snapshotted = True
-        # the other trees become spares, and the rest of the root goes; the
-        # root, holding the original alone, is then renamed into images/,
-        # which shares the state directory with sessions/
-        session._checked_out.pop(original, None)
+        tree = session._written.get(original)
+        if tree is None:
+            raise ContractViolation(
+                f"session {session.session_id} has no checked-out {ORIGINAL_DIR} to snapshot")
+        image = self._image_path(tag)
+        os.makedirs(os.path.dirname(image), exist_ok=True)
+        if os.path.isdir(image):  # an image of the earlier layout, a directory
+            shutil.rmtree(image)
+        write_file(image, tree.encode(), 0o444)
+        self._named[image] = tree.store_names()
+        session.ended = "snapshotted"
+        # both trees become spares, and the rest of /work goes
         self._keep_spares(session)
-        with os.scandir(session.root) as entries:
-            for entry in entries:
-                if entry.path != original:
-                    remove_entry(entry)
-        image_dir = self._image_dir(tag)
-        os.makedirs(os.path.dirname(image_dir), exist_ok=True)
-        superseded = f"{session.root}-superseded"
-        if os.path.exists(image_dir):
-            os.rename(image_dir, superseded)
-        os.rename(session.root, image_dir)
-        shutil.rmtree(superseded, ignore_errors=True)
         return tag
 
 
@@ -701,8 +739,8 @@ class LocalProcessRuntime(_HostFsRuntimeBase):
     def start_session(
         self, base_image: str, *, cpus: float | None = None, memory: str | None = None
     ) -> "LocalSession":
-        root = self._new_session_root()
-        return LocalSession(self, root, f"local-{os.path.basename(root)}")
+        root, name = self._new_session_root()
+        return LocalSession(self, root, f"local-{name}")
 
 
 class LocalSession(_HostFsSession):
@@ -800,8 +838,8 @@ class FakeRuntime(_HostFsRuntimeBase):
             raise RuntimeUnavailableError(
                 f"container runtime unreachable at {self.describe_endpoint()}"
             )
-        root = self._new_session_root()
-        return FakeSession(self, root, f"fake-{os.path.basename(root)}")
+        root, name = self._new_session_root()
+        return FakeSession(self, root, f"fake-{name}")
 
 
 class FakeSession(_HostFsSession):

@@ -299,3 +299,30 @@ def mine_fixture(fixture: FixtureRepo, out_dir: Path, *, runs: int = 31) -> Mine
 @pytest.fixture(scope="session")
 def mined_store(tmp_path_factory, fixture_repo) -> MinedStore:
     return mine_fixture(fixture_repo, tmp_path_factory.mktemp("mined") / "store")
+
+
+def image_names(image: str | Path) -> set[str]:
+    """The blob store files the host image file ``image`` names."""
+    from perfmine.trees import TreeObjects
+
+    with open(image, "rb") as handle:
+        return TreeObjects.decode(handle.read()).store_names()
+
+
+def store_keeps_what_images_name(state: str | Path) -> set[str]:
+    """Check a host runtime's state directory: every store file that an image
+    names is in the blob store, and every other store file is linked by
+    something. Returns the names the images name."""
+    import os
+
+    images = os.path.join(state, "images")
+    named: set[str] = set()
+    for name in os.listdir(images) if os.path.isdir(images) else ():
+        named |= image_names(os.path.join(images, name))
+    blobs = os.path.join(state, "blobs")
+    stored = set(os.listdir(blobs))
+    assert named <= stored, f"named by an image but not stored: {sorted(named - stored)}"
+    unlinked = {name for name in stored - named
+                if os.stat(os.path.join(blobs, name)).st_nlink < 2}
+    assert not unlinked, f"stored, yet named by no image and linked by nothing: {unlinked}"
+    return named

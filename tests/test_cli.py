@@ -294,6 +294,48 @@ def test_mine_rejects_non_git_local_repo(tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_mine_refuses_a_directory_inside_a_checkout_with_one_line(fixture_repo, tmp_path,
+                                                                  capsys):
+    # git would find the enclosing checkout from here and mine it
+    capsys.readouterr()
+    code, _ = run_cli("mine", "--local-repo", str(fixture_repo.path / "src"),
+                      "--out", str(tmp_path / "out"), "--fake-runtime")
+    assert code == EXIT_USAGE
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == ("error: --local-repo is neither a git checkout nor a bare clone: "
+                    f"{fixture_repo.path / 'src'}")
+
+
+def test_mine_refuses_a_local_repo_with_no_head_commit_with_one_line(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    git(tmp_path, "init", "-q", str(empty))
+    capsys.readouterr()
+    code, _ = run_cli("mine", "--local-repo", str(empty), "--out", str(tmp_path / "out"),
+                      "--fake-runtime")
+    assert code == EXIT_USAGE
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: --local-repo has no commit at HEAD: ")
+
+
+def test_a_bare_clone_mines_to_the_entries_of_its_checkout(fixture_repo, tmp_path):
+    # every read of a mine goes through git objects, so a bare clone serves
+    bare = tmp_path / "fixturerepo.git"
+    git(tmp_path, "clone", "-q", "--bare", str(fixture_repo.path), str(bare))
+    script = tmp_path / "stub.json"
+    script.write_text(json.dumps({fixture_repo.perf_sha: "Yes"}), encoding="utf-8")
+    stored = {}
+    for label, repo in (("checkout", fixture_repo.path), ("bare", bare)):
+        out = tmp_path / label
+        code, stdout = run_cli("mine", "--local-repo", str(repo), "--name", "fixturerepo",
+                               "--out", str(out), "--fake-runtime", "--stub-backends", str(script))
+        assert code == EXIT_OK
+        assert f"stored local__fixturerepo__{fixture_repo.perf_sha}" in stdout
+        stored[label] = {str(p.relative_to(out)): p.read_bytes()
+                         for part in ("entries", "patches") for p in (out / part).iterdir()}
+    assert len(stored["bare"]) == 2
+    assert stored["bare"] == stored["checkout"]
+
+
 def test_argparse_rejects_bad_flag_values():
     with pytest.raises(SystemExit) as excinfo:
         main(["mine", "--runs", "notanumber"])
@@ -384,38 +426,28 @@ def test_evaluate_without_image_exits_69(cli_store, tmp_path):
 
 
 def _copy_with_image(cli_store: CliStore, tmp_path: Path) -> tuple[Path, Path]:
-    """A copy of the store, its image included, and the image's directory."""
+    """A copy of the store, its image and blob store included, and the image's path."""
     store = _copy_of(cli_store, tmp_path)
-    images = Path("fake-runtime", "images")
-    shutil.copytree(cli_store.out_dir / images, store / images)
-    image = FakeRuntime(store / "fake-runtime")._image_dir(f"perfmine/{cli_store.patch_id}")
+    for part in ("images", "blobs"):
+        shutil.copytree(cli_store.out_dir / "fake-runtime" / part, store / "fake-runtime" / part)
+    image = FakeRuntime(store / "fake-runtime")._image_path(f"perfmine/{cli_store.patch_id}")
     return store, Path(image)
 
 
-def test_an_image_beside_an_older_stores_meta_json_still_evaluates(cli_store, tmp_path):
-    # stores mined before an image was its original tree alone hold a
-    # meta.json beside the tree; nothing reads it any more
+def _an_old_layout_image(cli_store: CliStore, tmp_path: Path, tree: str) -> Path:
+    """A copy of the store whose image is a directory of an earlier layout,
+    with the parent's tree at ``<image>/<tree>``."""
     store, image = _copy_with_image(cli_store, tmp_path)
-    (image / "meta.json").write_text(json.dumps(
-        {"tag": f"perfmine/{cli_store.patch_id}", "base_image": "gcc:12",
-         "installed_packages": []}, indent=2), encoding="utf-8")
-    code, stdout = run_cli(
-        "evaluate", "--store", str(store),
-        "--patch-id", cli_store.patch_id,
-        "--patch-file", str(cli_store.patch_file),
-        "--fake-runtime",
-    )
-    assert code == EXIT_OK
-    assert "verdict: improves" in stdout
-
-
-def test_an_image_of_the_work_layout_is_refused_with_one_line(cli_store, tmp_path, capsys):
-    # an earlier layout kept the tree at images/<tag>/work/original
-    store, image = _copy_with_image(cli_store, tmp_path)
-    (image / "work").mkdir()
-    (image / "original").rename(image / "work" / "original")
+    image.unlink()
+    (image / tree).mkdir(parents=True)
+    (image / tree / ".perfmine-sha").write_text(cli_store.fixture.perf_parent_sha + "\n")
     (image / "meta.json").write_text("{}", encoding="utf-8")
     assert not FakeRuntime(store / "fake-runtime").has_image(f"perfmine/{cli_store.patch_id}")
+    return store
+
+
+def _evaluate_gives_one_line(cli_store: CliStore, store: Path, capsys) -> tuple[int, str]:
+    """The exit code and the one stderr line of evaluating the ground truth in ``store``."""
     capsys.readouterr()
     code, stdout = run_cli(
         "evaluate", "--store", str(store),
@@ -423,10 +455,38 @@ def test_an_image_of_the_work_layout_is_refused_with_one_line(cli_store, tmp_pat
         "--patch-file", str(cli_store.patch_file),
         "--fake-runtime",
     )
-    assert (code, stdout) == (EXIT_UNAVAILABLE, "")
+    assert stdout == ""
     [line] = capsys.readouterr().err.splitlines()
-    assert line == (f"error: image perfmine/{cli_store.patch_id} for {cli_store.patch_id} "
-                    "is not loadable from this runtime")
+    return code, line
+
+
+def test_an_image_of_the_original_layout_is_refused_with_one_line(cli_store, tmp_path, capsys):
+    # an image used to be the directory images/<tag>/original; such a store
+    # must be mined again
+    store = _an_old_layout_image(cli_store, tmp_path, "original")
+    assert _evaluate_gives_one_line(cli_store, store, capsys) == (
+        EXIT_UNAVAILABLE, f"error: image perfmine/{cli_store.patch_id} for "
+                          f"{cli_store.patch_id} is not loadable from this runtime")
+
+
+def test_an_image_of_the_work_layout_is_refused_with_one_line(cli_store, tmp_path, capsys):
+    # an earlier layout kept the tree at images/<tag>/work/original
+    store = _an_old_layout_image(cli_store, tmp_path, "work/original")
+    assert _evaluate_gives_one_line(cli_store, store, capsys) == (
+        EXIT_UNAVAILABLE, f"error: image perfmine/{cli_store.patch_id} for "
+                          f"{cli_store.patch_id} is not loadable from this runtime")
+
+
+def test_an_image_record_that_does_not_hash_to_its_id_is_refused_with_one_line(
+        cli_store, tmp_path, capsys):
+    store, image = _copy_with_image(cli_store, tmp_path)
+    data = image.read_bytes()
+    image.chmod(0o644)
+    image.write_bytes(data.replace(b"compute.cpp", b"compute.cxx", 1))
+    code, line = _evaluate_gives_one_line(cli_store, store, capsys)
+    assert code == EXIT_DATA
+    assert line.startswith(f"error: image perfmine/{cli_store.patch_id} is unusable: object ")
+    assert line.endswith(" does not hash to its id")
 
 
 def test_mine_and_evaluate_leave_no_session_directories(cli_store, tmp_path):

@@ -154,16 +154,16 @@ def test_original_and_candidate_share_one_session(mined_store, monkeypatch):
     new_root = runtime._new_session_root
 
     def recording_new_root():
-        root = new_root()
-        created.append(root)
-        return root
+        root, name = new_root()
+        created.append((root, name))
+        return root, name
 
     monkeypatch.setattr(runtime, "_new_session_root", recording_new_root)
     report = evaluate(
         mined_store.patch_id, "", mined_store.store_dir, runtime,
     )
-    [root] = created
-    assert report.session_id.endswith(os.path.basename(root))
+    [(root, name)] = created
+    assert report.session_id.endswith(name)
     assert not os.path.exists(root)  # closed sessions are deleted
 
 

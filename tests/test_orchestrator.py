@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import os
 import shutil
 import subprocess
@@ -8,6 +9,8 @@ import tempfile
 from datetime import datetime, timezone
 
 import pytest
+
+from conftest import COMPUTE_FAST, COMPUTE_SLOW, files_under
 
 from perfmine.backends import StubBackend
 from perfmine.errors import ContractViolation, GitError, RuntimeUnavailableError
@@ -174,9 +177,9 @@ def test_a_missing_commit_names_its_sha_and_leaves_no_marker_process_or_session(
                                 objects=objects)
         # the reader serves on after a missing object
         assert objects.read(f"{fixture_repo.perf_sha}^{{tree}}")[0] == "tree"
-    assert os.listdir(os.path.join(fake_runtime.state_dir, "sessions")) == []
+    # what is left is the spare trees, kept in a closed session's directory
     fake_runtime.close()
-    assert os.listdir(os.path.join(fake_runtime.state_dir, "spares")) == []
+    assert os.listdir(os.path.join(fake_runtime.state_dir, "sessions")) == []
     assert os.listdir(fake_runtime.blobs_dir) == []
     assert [p.args[3] for p in recorded_processes] == ["cat-file"]
     assert all(p.returncode is not None for p in recorded_processes)
@@ -192,6 +195,8 @@ def test_a_reader_that_cannot_start_leaves_no_marker_or_session(fake_runtime, fi
     with GitObjects(fixture_repo.path) as objects:
         with pytest.raises(OSError, match="no more processes"):
             prepare_environment(commit, fake_runtime, objects=objects)
+    assert not any(files_under(os.path.join(fake_runtime.state_dir, "sessions")))
+    fake_runtime.close()
     assert os.listdir(os.path.join(fake_runtime.state_dir, "sessions")) == []
 
 
@@ -513,13 +518,14 @@ def test_snapshot_naming_and_replacement(fake_runtime, fixture_repo):
     entry_id = f"acme__fixture__{fixture_repo.perf_sha}"
     outcomes = [qualified_outcome("original"), qualified_outcome("patched")]
     tags = []
-    for marker in ("first snapshot", "second snapshot"):
+    for sha, parent in ((fixture_repo.perf_sha, fixture_repo.perf_parent_sha),
+                        (fixture_repo.tests_sha, fixture_repo.perf_sha)):
         # a snapshot ends its session, so replacing an image takes a new one
-        session = prepared_session(
-            fake_runtime, fixture_repo, fixture_repo.perf_sha, fixture_repo.perf_parent_sha
-        )
+        session = prepared_session(fake_runtime, fixture_repo, sha, parent)
         build_both(session)
-        _write(session.host_path(f"{ORIGINAL_DIR}/marker.txt"), marker)
+        # the image is the parent's tree, not what the session wrote into it
+        os.unlink(session.host_path(f"{ORIGINAL_DIR}/src/compute.cpp"))
+        _write(session.host_path(f"{ORIGINAL_DIR}/marker.txt"), sha)
         tags.append(snapshot_image(session, entry_id, fake_runtime, outcomes))
         session.close()
     tag = image_tag(entry_id)
@@ -530,24 +536,41 @@ def test_snapshot_naming_and_replacement(fake_runtime, fixture_repo):
         tag.replace("/", "_")
     ]
     reopened = fake_runtime.open_image(tag)
-    assert reopened.read_file(f"{ORIGINAL_DIR}/marker.txt") == "second snapshot"
+    assert reopened.read_file(f"{ORIGINAL_DIR}/{SHA_MARKER}") == fixture_repo.perf_sha + "\n"
+    assert reopened.read_file(f"{ORIGINAL_DIR}/src/compute.cpp") == COMPUTE_FAST
+    assert not reopened.path_exists(f"{ORIGINAL_DIR}/marker.txt")
     assert not reopened.path_exists(PATCHED_DIR)
     reopened.close()
 
 
-def test_a_failed_snapshot_keeps_the_stored_image(fake_runtime, fixture_repo):
+def test_a_failed_snapshot_keeps_the_stored_image(fake_runtime, fixture_repo, monkeypatch):
     outcomes = [qualified_outcome("original"), qualified_outcome("patched")]
     session = prepared_session(
         fake_runtime, fixture_repo, fixture_repo.perf_sha, fixture_repo.perf_parent_sha
     )
-    _write(session.host_path(f"{ORIGINAL_DIR}/marker.txt"), "stored")
     tag = snapshot_image(session, "kept", fake_runtime, outcomes)
     with pytest.raises(ContractViolation):  # the spent session cannot snapshot again
         snapshot_image(session, "kept", fake_runtime, outcomes)
     session.close()
+    # a snapshot of another commit whose image file cannot be put in place
+    session = prepared_session(
+        fake_runtime, fixture_repo, fixture_repo.tests_sha, fixture_repo.perf_sha
+    )
+
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "replace", no_space)
+    with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+        snapshot_image(session, "kept", fake_runtime, outcomes)
+    monkeypatch.undo()
+    session.close()
+    assert os.listdir(os.path.join(fake_runtime.state_dir, "images")) == ["perfmine_kept"]
     assert fake_runtime.has_image(tag)
     reopened = fake_runtime.open_image(tag)
-    assert reopened.read_file(f"{ORIGINAL_DIR}/marker.txt") == "stored"
+    assert reopened.read_file(f"{ORIGINAL_DIR}/{SHA_MARKER}") == (
+        fixture_repo.perf_parent_sha + "\n")
+    assert reopened.read_file(f"{ORIGINAL_DIR}/src/compute.cpp") == COMPUTE_SLOW
     reopened.close()
 
 
@@ -557,10 +580,15 @@ def test_a_snapshotted_session_refuses_every_call_but_close(fake_runtime, fixtur
     )
     build_both(session)
     tag = fake_runtime.snapshot(session, "perfmine/spent")
-    # the snapshot took the session's root, which now holds the image
-    image = fake_runtime._image_dir(tag)
-    assert not os.path.exists(session.root)
-    assert os.listdir(image) == ["original"]
+    # the snapshot wrote the image file, kept the trees as the spares and
+    # deleted the rest of the session's root
+    with open(fake_runtime._image_path(tag), "rb") as handle:
+        image = handle.read()
+    assert sorted(os.listdir(session.root)) == ["original", "patched"]
+    assert sorted(fake_runtime._spares) == [
+        (os.path.join(session.root, "original"), fixture_repo.perf_parent_sha),
+        (os.path.join(session.root, "patched"), fixture_repo.perf_sha)]
+    spares = files_under(session.root)
     objects = GitObjects(fixture_repo.path)
     calls = {
         "read_file": lambda: session.read_file(f"{ORIGINAL_DIR}/{SHA_MARKER}"),
@@ -578,12 +606,13 @@ def test_a_snapshotted_session_refuses_every_call_but_close(fake_runtime, fixtur
                 call()
     with pytest.raises(ContractViolation):
         fake_runtime.snapshot(session, "perfmine/spent-again")
-    # no call re-created the root or changed the image
-    assert not os.path.exists(session.root)
-    assert os.listdir(image) == ["original"]
+    # no call changed the spares or the image
+    assert files_under(session.root) == spares
+    with open(fake_runtime._image_path(tag), "rb") as handle:
+        assert handle.read() == image
     assert not fake_runtime.has_image("perfmine/spent-again")
     session.close()
-    assert not os.path.exists(session.root)
+    assert files_under(session.root) == spares
     reopened = fake_runtime.open_image(tag)
     assert reopened.path_exists(f"{ORIGINAL_DIR}/src/compute.cpp")
     assert not reopened.path_exists(f"{ORIGINAL_DIR}/marker.txt")
@@ -681,12 +710,15 @@ def test_closing_a_session_deletes_it_but_not_its_snapshot(fake_runtime, fixture
     build_both(session)
     tag = fake_runtime.snapshot(session, "perfmine/closed")
     session.close()
-    assert not os.path.exists(session.root)
-    assert list((fake_runtime.state_dir / "sessions").iterdir()) == []
+    # the session's directory holds the spare trees alone, until the runtime closes
+    assert sorted(os.listdir(session.root)) == ["original", "patched"]
     reopened = fake_runtime.open_image(tag)
     assert reopened.path_exists(f"{ORIGINAL_DIR}/src/compute.cpp")
     reopened.close()
     assert not os.path.exists(reopened.root)
+    fake_runtime.close()
+    assert list((fake_runtime.state_dir / "sessions").iterdir()) == []
+    assert fake_runtime.has_image(tag)
 
 
 def test_session_and_image_paths_skip_pathlib_interning(fake_runtime, fixture_repo,

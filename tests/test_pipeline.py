@@ -16,6 +16,7 @@ from conftest import (
     files_under,
     git,
     head_of,
+    image_names,
     lose_a_suite_run,
 )
 
@@ -107,10 +108,13 @@ def test_ground_truth_patch_written(mined_store):
 
 
 def test_logs_mirrored_to_host(mined_store):
-    # the build logs alone: every timing the claim rests on is in the manifest
-    log_dir = mined_store.store_dir / "logs" / mined_store.patch_id
-    assert sorted(os.listdir(log_dir)) == ["build-original.log", "build-patched.log"]
-    assert "fake build of /work/original ok" in (log_dir / "build-original.log").read_text()
+    # the build logs alone, one file with a section each: every timing the
+    # claim rests on is in the manifest
+    logs = mined_store.store_dir / "logs"
+    assert os.listdir(logs) == [f"{mined_store.patch_id}.log"]
+    assert (logs / f"{mined_store.patch_id}.log").read_text() == (
+        "== build original ==\nfake build of /work/original ok\n"
+        "== build patched ==\nfake build of /work/patched ok\n")
 
 
 def test_images_hold_no_git_directory(mined_store):
@@ -125,11 +129,22 @@ def test_an_image_holds_only_the_original_tree(mined_store):
     # build directory outlives the session
     fixture = mined_store.fixture
     entry = read_entry(mined_store.store_dir, mined_store.patch_id)
-    image = mined_store.runtime._image_dir(entry.image)
-    expected = {".perfmine-sha": ("100644", fixture.perf_parent_sha + "\n"),
-                **commit_files(fixture.path, fixture.perf_parent_sha)}
-    assert files_under(os.path.join(image, "original")) == expected
-    assert os.listdir(image) == ["original"]
+    image = mined_store.runtime._image_path(entry.image)
+    assert os.path.isfile(image)
+    with open(image, "rb") as handle:
+        first_line = handle.readline().decode()
+    root = git(fixture.path, "rev-parse", f"{fixture.perf_parent_sha}^{{tree}}").strip()
+    assert first_line == f"{fixture.perf_parent_sha} {root}\n"
+    assert image_names(image) == {f"{fixture.perf_parent_sha}.marker"} | set(git(
+        fixture.path, "ls-tree", "-r", "--format=%(objectname)", fixture.perf_parent_sha).split())
+    session = mined_store.runtime.open_image(entry.image)
+    try:
+        assert files_under(session.host_path("/work")) == {
+            f"original/{rel}": file for rel, file in {
+                ".perfmine-sha": ("100644", fixture.perf_parent_sha + "\n"),
+                **commit_files(fixture.path, fixture.perf_parent_sha)}.items()}
+    finally:
+        session.close()
 
 
 def test_image_snapshot_is_reopenable(mined_store):

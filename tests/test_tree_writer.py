@@ -16,7 +16,7 @@ from test_linked_images import _writes_in_place
 
 from perfmine.backends import StubBackend
 from perfmine.classifier import BackendConfig
-from perfmine.errors import GitError
+from perfmine.errors import ContractViolation, GitError
 from perfmine.harvest import CommitRecord, GitObjects, HarvestConfig
 from perfmine.orchestrator import ORIGINAL_DIR, PATCHED_DIR, prepare_environment
 from perfmine.pipeline import MiningLimits, gate_with_runtime, local_descriptor, mine_repository
@@ -226,7 +226,7 @@ def test_a_hostile_tree_entry_is_refused_by_name(fake_runtime, tmp_path, name, n
             session.check_out(objects, {"/work/tree": sha})
         assert not session.path_exists(f"/work/tree/{SHA_MARKER}")
         if spare:  # the session took it
-            assert os.listdir(os.path.join(state, "spares")) == []
+            assert fake_runtime._spares == []
         written = [os.path.relpath(os.path.join(d, f), state)
                    for d, _, files in os.walk(state) for f in files]
         assert all(p.startswith(os.path.join("sessions", os.path.basename(session.root),
@@ -238,18 +238,15 @@ def test_a_hostile_tree_entry_is_refused_by_name(fake_runtime, tmp_path, name, n
     assert os.listdir(fake_runtime.blobs_dir) == []
 
 
-def _linked_by_store(runtime) -> set[int]:
-    """The inodes of the blob store, each of which must be linked from elsewhere."""
-    stored = [os.stat(os.path.join(runtime.blobs_dir, name))
-              for name in os.listdir(runtime.blobs_dir)]
-    assert all(st.st_nlink >= 2 for st in stored)
-    return {st.st_ino for st in stored}
+def _kept_by_store(runtime) -> set[str]:
+    """The names in the blob store, checked against what the images name."""
+    fixtures.store_keeps_what_images_name(runtime.state_dir)
+    return set(os.listdir(runtime.blobs_dir))
 
 
-def _image_files(runtime, tag: str) -> set[int]:
-    """The inodes of the files of image ``tag``'s tree, its marker too."""
-    image = os.path.join(runtime._image_dir(tag), "original")
-    return {os.stat(os.path.join(d, f)).st_ino for d, _, files in os.walk(image) for f in files}
+def _image_files(runtime, tag: str) -> set[str]:
+    """The store files image ``tag`` names: its tree's blobs and its marker."""
+    return fixtures.image_names(runtime._image_path(tag))
 
 
 def _history_with_one_commit_stored_and_one_not(path):
@@ -286,10 +283,12 @@ def test_the_blob_store_keeps_only_what_an_image_links(tmp_path, recorded_proces
     assert (result.funnel.built, result.funnel.stored) == (2, 1)
     assert "checkout" not in {arg for p in recorded_processes for arg in p.args}
     tag = read_entry(tmp_path / "out", result.stored_patch_ids[0]).image
-    assert os.listdir(os.path.join(runtime.state_dir, "sessions")) == []
     runtime.close()
-    assert os.listdir(os.path.join(runtime.state_dir, "spares")) == []
-    assert _linked_by_store(runtime) == _image_files(runtime, tag)
+    assert os.listdir(os.path.join(runtime.state_dir, "sessions")) == []
+    assert _kept_by_store(runtime) == _image_files(runtime, tag)
+    parent = read_entry(tmp_path / "out", result.stored_patch_ids[0]).commit.parent_sha
+    assert _image_files(runtime, tag) == {f"{parent}.marker"} | set(fixtures.git(
+        repo, "ls-tree", "-r", "--format=%(objectname)", parent).split())
 
 
 def test_replacing_an_image_drops_the_blobs_only_it_linked(fake_runtime, fixture_repo):
@@ -303,7 +302,7 @@ def test_replacing_an_image_drops_the_blobs_only_it_linked(fake_runtime, fixture
     assert "hoisted out of the loop" in replacement.read_file(f"{ORIGINAL_DIR}/src/compute.cpp")
     replacement.close()
     fake_runtime.close()
-    assert _linked_by_store(fake_runtime) == _image_files(fake_runtime, tag)
+    assert _kept_by_store(fake_runtime) == _image_files(fake_runtime, tag)
 
 
 @pytest.mark.parametrize("failure", ["rename", "read"])
@@ -331,7 +330,7 @@ def test_a_failed_blob_write_leaves_no_blob_behind(fake_runtime, fixture_repo, m
         with pytest.raises(expected):
             prepare_environment(commit, fake_runtime, objects=objects)
         assert os.listdir(fake_runtime.blobs_dir) == []
-        assert os.listdir(os.path.join(fake_runtime.state_dir, "sessions")) == []
+        assert not any(fixtures.files_under(os.path.join(fake_runtime.state_dir, "sessions")))
         monkeypatch.undo()
         session = prepare_environment(commit, fake_runtime, objects=objects)
     assert fixtures.files_under(session.host_path(PATCHED_DIR)) == {
@@ -366,7 +365,8 @@ def test_a_snapshot_of_a_checked_out_tree_changes_no_mode(fake_runtime, fixture_
     tag = fake_runtime.snapshot(session, "perfmine/marked")
     session.close()
     assert changed == []
-    marker = os.path.join(fake_runtime._image_dir(tag), "original", SHA_MARKER)
+    assert f"{commit.parent_sha}.marker" in _image_files(fake_runtime, tag)
+    marker = os.path.join(fake_runtime.blobs_dir, f"{commit.parent_sha}.marker")
     assert not os.stat(marker).st_mode & 0o222
     assert not _writes_in_place(marker)
 
@@ -441,5 +441,64 @@ def test_a_check_out_syncs_a_spare_tree_with_planted_junk_to_exactly_its_commit(
                              "blobs" + os.sep)) for p in written), written
     session.close()
     fake_runtime.close()
-    assert os.listdir(os.path.join(state, "spares")) == []
+    assert os.listdir(os.path.join(state, "sessions")) == []
     assert os.listdir(fake_runtime.blobs_dir) == []
+
+
+def test_a_spare_of_the_same_commit_keeps_its_marker_unless_the_write_fails(fake_runtime,
+                                                                          tmp_path):
+    repo = tmp_path / "marker"
+    first, second = _two_commits_for_a_spare(repo)
+    with GitObjects(repo) as objects:
+        session = fake_runtime.start_session("gcc:12")
+        session.check_out(objects, {"/work/tree": first})
+        marker = os.stat(session.host_path(f"/work/tree/{SHA_MARKER}")).st_ino
+        session.close()
+
+        session = fake_runtime.start_session("gcc:12")
+        session.check_out(objects, {"/work/tree": first})
+        assert os.stat(session.host_path(f"/work/tree/{SHA_MARKER}")).st_ino == marker
+        assert _snapshot(session.host_path("/work/tree")) == _committed(repo, first)
+        session.close()
+
+        # a write that fails removes the kept marker too
+        session = fake_runtime.start_session("gcc:12")
+        with pytest.raises(GitError, match="0123456789"):
+            session.check_out(objects, {"/work/tree": first, "/work/bad": "0123456789" * 4})
+        assert not session.path_exists(f"/work/tree/{SHA_MARKER}")
+        session.close()
+
+        session = fake_runtime.start_session("gcc:12")
+        session.check_out(objects, {"/work/tree": second})
+        assert session.read_file(f"/work/tree/{SHA_MARKER}") == second + "\n"
+        assert _snapshot(session.host_path("/work/tree")) == _committed(repo, second)
+        session.close()
+
+
+def test_a_closed_sessions_directory_holds_its_spares_then_serves_a_later_session(
+        fake_runtime, tmp_path):
+    repo = tmp_path / "reuse"
+    first, second = _two_commits_for_a_spare(repo)
+    with GitObjects(repo) as objects:
+        held = fake_runtime.start_session("gcc:12")
+        held.check_out(objects, {"/work/original": first, "/work/patched": second})
+        os.makedirs(held.host_path("/work/build"))
+        held.close()
+        # the trees stay as spares, the rest of the directory goes, and the
+        # closed session refuses every call
+        assert sorted(os.listdir(held.root)) == ["original", "patched"]
+        with pytest.raises(ContractViolation, match="was closed"):
+            held.path_exists("/work/original")
+
+        taker = fake_runtime.start_session("gcc:12")
+        assert taker.root != held.root and os.listdir(taker.root) == []
+        taker.check_out(objects, {"/work/original": second, "/work/patched": first})
+        assert os.listdir(held.root) == []  # both spares taken
+        taker.close()
+
+        reused = fake_runtime.start_session("gcc:12")
+        assert reused.root == held.root and os.listdir(reused.root) == []
+        assert reused.session_id not in (held.session_id, taker.session_id)
+        reused.close()
+    fake_runtime.close()
+    assert os.listdir(os.path.join(fake_runtime.state_dir, "sessions")) == []
