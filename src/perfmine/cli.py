@@ -349,7 +349,11 @@ def cmd_evaluate(args) -> int:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"patch file is not UTF-8: {patch_file}: {exc}") from exc
     runtime = _make_runtime(args, store_dir)
-    report = evaluate(args.patch_id, diff_text, store_dir, runtime, runs=args.runs)
+    try:
+        report = evaluate(args.patch_id, diff_text, store_dir, runtime, runs=args.runs)
+    finally:
+        # a spare the evaluation did not take goes; the slot stays for the next
+        runtime.close()
     for evidence in report.timing:
         r = evidence.result
         print(
@@ -413,9 +417,13 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         stream=sys.stderr,

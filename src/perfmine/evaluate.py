@@ -1,7 +1,8 @@
 """Scoring a candidate patch against a stored benchmark entry.
 
 The candidate diff is applied to a fresh copy of the original tree
-inside a container opened from the entry's image, built with the
+inside a container opened from the entry's image, once the tree's marker
+shows that the image is the entry's parent commit, built with the
 recorded plan (never repaired: the image is the frozen environment), and
 timed with the same warm-up-discard protocol as mining. The original is
 re-measured in the same session rather than trusted from the manifest,
@@ -17,9 +18,9 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, EvaluationError, RuntimeUnavailableError
+from .errors import ConfigError, EvaluationError, RuntimeUnavailableError, StoreError
 from .orchestrator import DEFAULT_RUNS, MIN_RUNS, RunOutcome, run_tests_repeatedly
-from .runtime import ContainerRuntime, ORIGINAL_DIR, WORK_ROOT
+from .runtime import ContainerRuntime, ORIGINAL_DIR, SHA_MARKER, WORK_ROOT
 from .stats import StatConfig, TimingSeries, judge
 from .store import (
     BenchmarkEntry,
@@ -190,6 +191,13 @@ def _evaluate_in_session(
             ground_truth_files=ground_truth_files,
         )
 
+    try:
+        commit = session.read_file(f"{ORIGINAL_DIR}/{SHA_MARKER}").strip()
+    except FileNotFoundError:
+        commit = "no commit"
+    if commit != entry.commit.parent_sha:
+        raise StoreError(f"image {entry.image} holds {commit}, not the parent "
+                         f"{entry.commit.parent_sha} of {entry.patch_id}")
     if session.path_exists(CANDIDATE_DIR):
         raise EvaluationError(f"{CANDIDATE_DIR} already exists in image {entry.image}")
     session.copy_tree(ORIGINAL_DIR, CANDIDATE_DIR)

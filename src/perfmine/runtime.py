@@ -61,16 +61,31 @@ The local and fake runtimes give each session a directory of its own,
 its ``/work``. When the session closes, the trees it checked out stay
 in that directory as the spares, in place of the spares kept before,
 and the rest of it is deleted; after that the session refuses every
-call but ``close()``. A later ``check_out`` renames a spare into place,
-one of the same commit first, and the tree writer syncs it, so a tree
-that the last session held needs only the files that differ. A
-directory whose spares were all taken is empty, and the next session
-starts in it, so handing trees from session to session makes and
-deletes no directory. Only ``check_out`` takes a spare:
-``start_session`` begins with an empty ``/work``, and ``open_image``
-with the image's tree alone, which is deleted with the session's
-directory when it closes, never kept as a spare. ``close()`` on the
-runtime deletes the spares and the empty directory.
+call but ``close()``. A later ``check_out``, ``open_image`` or
+``copy_tree`` renames a spare into place, one of the same commit first,
+and syncs it, so a tree that the last session held needs only the files
+that differ. A directory whose spares were all taken is empty, and the
+next session starts in it, so handing trees from session to session
+makes and deletes no directory. ``start_session`` begins with an empty
+``/work``, and ``open_image`` with the image's tree alone. ``close()``
+on the runtime deletes the spares and the empty directory.
+
+The trees of a session opened by ``open_image`` outlive its process
+instead: when it closes, they (``ORIGINAL_DIR`` and ``evaluate``'s
+candidate) stay, the rest of its directory is deleted, and the
+directory is renamed to the one slot, ``sessions/spare``, or deleted if
+the slot is taken. A
+runtime that needs a new session directory and holds no spares claims
+the slot with one ``os.rename`` to the new name (``ENOENT``: there is
+none, or another process took it), renames each real directory in it
+beside the new one as a spare, whose commit its marker names, and
+deletes anything else in it. So each evaluation after the first one on
+a store renames and syncs trees, and makes and deletes no directory.
+Everything that reaches the slot is synced before use, and no write
+follows a symlink, so deleting the slot, or any change to it, costs
+only speed. The mine's own spares are never put in the slot, because a
+patched tree can link blobs that no image names, which the slot would
+keep from the sweep.
 
 A snapshot ends the session: every later call but ``close()`` raises
 ``ContractViolation``. On the fake and local runtimes an image is one
@@ -87,8 +102,8 @@ image was a directory, must be mined again. ``open_image`` checks that
 each record hashes to its id and writes ``ORIGINAL_DIR`` through the
 same ``TreeWriter.write`` as a check-out, so the modes, symlinks,
 submodule directories and refusal of hostile entries are a check-out's;
-a fault in the image raises ``StoreError``. ``copy_tree`` hard-links
-the files of a tree. A file in a session, checked out or linked, is
+a fault in the image raises ``StoreError``. ``copy_tree`` syncs its
+destination to hold hard links to the files of a tree. A file in a session, checked out or linked, is
 therefore changed by replacing it, as ``git apply`` does, never by
 writing into it: a build that writes in place into a source file fails with
 ``EACCES``. Mode bits do not stop a process running as root, so that
@@ -118,6 +133,7 @@ import posixpath
 import re
 import shutil
 import signal
+import stat
 import subprocess
 import tempfile
 import time
@@ -129,7 +145,7 @@ from typing import NamedTuple, Protocol
 
 from .errors import ContractViolation, GitError, RuntimeUnavailableError, StoreError
 from .harvest import GitObjects
-from .trees import SHA_MARKER, TreeObjects, TreeWriter, link_or_copy, remove_entry, write_file
+from .trees import SHA_MARKER, TreeObjects, TreeWriter, link_tree, remove_entry, write_file
 
 WORK_ROOT = "/work"
 ORIGINAL_DIR = f"{WORK_ROOT}/original"  # the one tree an image keeps
@@ -138,6 +154,7 @@ FAKE_TIMING_RE = re.compile(
     r"\s+step_ms=(?P<step>[0-9.]+)(?:\s+fail_run=(?P<fail>\d+))?"
 )
 _IMAGE_TAG_SAFE = re.compile(r"[^A-Za-z0-9_.-]")
+SLOT = "spare"  # sessions/<SLOT>: the trees of the last evaluation, for the next
 
 
 class BuildResult(NamedTuple):
@@ -176,10 +193,11 @@ class ContainerSession(Protocol):
     def copy_tree(self, src: str, dest: str) -> None:
         """Make ``dest`` a copy of the tree at ``src``.
 
-        On the host runtimes ``dest``'s directories are its own but its
-        files are hard links to ``src``'s, which in a session opened from
-        an image are the image's read-only files: change a file by
-        replacing it, as ``git apply`` does. Docker copies the files.
+        On the host runtimes ``dest``, a spare where it does not exist, is
+        synced in place: its directories are its own but its files are
+        hard links to ``src``'s, which in a session opened from an image
+        are the image's read-only files: change a file by replacing it, as
+        ``git apply`` does. Docker copies the files.
         """
         ...
 
@@ -242,8 +260,9 @@ class ContainerRuntime(Protocol):
     def close(self) -> None:
         """Delete what the runtime keeps from one session for the next: spare
         trees, an empty session directory, and each blob store file that it
-        wrote and nothing needs any more. The runtime stays usable; ``mine``
-        calls this once, when it ends."""
+        wrote and nothing needs any more, but not the slot. The runtime
+        stays usable; the ``mine`` and ``evaluate`` commands call this
+        once, when they end."""
         ...
 
 
@@ -286,13 +305,6 @@ def _subprocess_runner(
                 raise
             return RunnerResult(124, "", f"{' '.join(argv)} timed out after {timeout:g} s")
     return RunnerResult(proc.returncode, stdout, stderr)
-
-
-def _link_tree(src: str, dst: str) -> None:
-    """Make ``dst`` a tree of new directories, with ``src``'s symlinks
-    recreated as symlinks and its regular files hard-linked (or copied,
-    where a link cannot be made)."""
-    shutil.copytree(src, dst, symlinks=True, copy_function=link_or_copy)
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +548,7 @@ class _HostFsSession(_ExecSession):
         self.session_id = session_id
         self.ended = ""  # "snapshotted" or "closed" once the runtime has the root back
         self._runtime = runtime
+        self.from_image = False  # opened by open_image: its trees go to the slot when it ends
         self._checked_out: dict[str, str] = {}  # host directory -> commit id
         # host directory -> the tree objects that its last write read, for a snapshot
         self._written: dict[str, TreeObjects] = {}
@@ -564,7 +577,11 @@ class _HostFsSession(_ExecSession):
         self._written.update(self._runtime._trees.write(objects, paths))
 
     def copy_tree(self, src: str, dest: str) -> None:
-        _link_tree(self.host_path(src), self.host_path(dest))
+        source, target = self.host_path(src), self.host_path(dest)
+        commit = self._checked_out.get(source, "")
+        self._runtime._take_spares({target: commit})
+        link_tree(source, target)
+        self._checked_out[target] = commit
 
     def read_file(self, path: str) -> str:
         with open(self.host_path(path), encoding="utf-8") as handle:
@@ -581,14 +598,18 @@ class _HostFsSession(_ExecSession):
 
 class _HostFsRuntimeBase:
     """Images, spare trees and the blob store of the local and fake runtimes:
-    files and directories under ``state_dir``, which one runtime at a time
-    writes."""
+    files and directories under ``state_dir``, which one mine at a time
+    writes. The slot, ``sessions/spare``, is shared by every runtime on the
+    directory: it changes hands only by ``os.rename``."""
 
     def __init__(self, state_dir: str | Path) -> None:
         self.state_dir = Path(state_dir)
         self.blobs_dir = os.path.join(self.state_dir, "blobs")
+        self._slot = os.path.join(self.state_dir, "sessions", SLOT)
         self._trees = TreeWriter(self.blobs_dir)
-        self._spares: list[tuple[str, str]] = []  # (directory, commit id it was checked out at)
+        # (directory, commit id its marker names): in the closed session's
+        # directory, or each beside the session directory that claimed the slot
+        self._spares: list[tuple[str, str]] = []
         self._spare_root: str | None = None  # the closed session's directory that holds them
         self._free_root: str | None = None  # an empty directory for the next session
         self._named: dict[str, set[str]] = {}  # image file -> the store files it names
@@ -597,22 +618,56 @@ class _HostFsRuntimeBase:
     def close(self) -> None:
         """Delete the spare trees and the free session directory, then each
         store file this runtime wrote that nothing links and no image it
-        stored names."""
-        for root in (self._spare_root, self._free_root):
-            if root is not None:
-                shutil.rmtree(root, ignore_errors=True)
-        self._spares, self._spare_root, self._free_root = [], None, None
+        stored names. The slot stays."""
+        self._drop_spares()
+        if self._free_root is not None:
+            shutil.rmtree(self._free_root, ignore_errors=True)
+            self._free_root = None
         self._trees.sweep(set().union(*self._named.values()))
 
+    def _drop_spares(self) -> None:
+        """Delete the spares: their closed session's directory, or each one
+        claimed from the slot."""
+        trees = [tree for tree, _ in self._spares] if self._spare_root is None \
+            else [self._spare_root]
+        for tree in trees:
+            shutil.rmtree(tree, ignore_errors=True)
+        self._spares, self._spare_root = [], None
+
     def _new_session_root(self) -> tuple[str, str]:
-        """An empty directory for a new session, and the session's name."""
+        """An empty directory for a new session, and the session's name: the
+        directory the last session left empty, else the slot, once its
+        trees are the spares, else a new one."""
         self._session_counter += 1
         name = f"s{self._session_counter}-{uuid.uuid4().hex[:8]}"
         root, self._free_root = self._free_root, None
         if root is None:
             root = os.path.join(self.state_dir, "sessions", name)
-            os.makedirs(root)
+            if self._spares or not self._claim_slot(root):
+                os.makedirs(root)
         return root, name
+
+    def _claim_slot(self, root: str) -> bool:
+        """Rename the slot to ``root``, then each tree in it (a real
+        directory) beside ``root`` as a spare, and delete anything else in
+        it; False when there is no slot, or another process took it first."""
+        try:
+            os.rename(self._slot, root)
+        except FileNotFoundError:
+            return False
+        if not stat.S_ISDIR(os.lstat(root).st_mode):  # a symlink or file planted as the slot
+            os.unlink(root)
+            return False
+        with os.scandir(root) as scan:
+            entries = list(scan)
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):
+                spare = f"{root}.{len(self._spares)}"
+                os.rename(entry.path, spare)
+                self._spares.append((spare, _marked_commit(spare)))
+            else:
+                remove_entry(entry)
+        return True
 
     def _free(self, root: str) -> None:
         """Keep the directory ``root``, whose spares were all taken, for the
@@ -643,7 +698,9 @@ class _HostFsRuntimeBase:
         """Keep the trees the session checked out where they are, as the spares
         of the next ``check_out`` in place of the spares kept before, and
         delete the rest of the session's directory; with no tree to keep,
-        delete the whole directory."""
+        delete the whole directory. A session opened from an image renames
+        its directory to the slot instead, or deletes it if the slot is
+        taken."""
         kept = [(tree, sha) for tree, sha in session._checked_out.items()
                 if os.path.isdir(tree) and not os.path.islink(tree)]
         session._checked_out.clear()
@@ -660,8 +717,13 @@ class _HostFsRuntimeBase:
         except BaseException:
             shutil.rmtree(session.root, ignore_errors=True)
             raise
-        if self._spare_root is not None:
-            shutil.rmtree(self._spare_root, ignore_errors=True)
+        if session.from_image:
+            try:
+                os.rename(session.root, self._slot)
+            except OSError:  # the slot is taken
+                shutil.rmtree(session.root, ignore_errors=True)
+            return
+        self._drop_spares()
         self._spares, self._spare_root = kept, session.root
 
     def _image_path(self, tag: str) -> str:
@@ -671,9 +733,9 @@ class _HostFsRuntimeBase:
         return os.path.isfile(self._image_path(tag))
 
     def open_image(self, tag: str) -> _HostFsSession:
-        """A new session whose ``ORIGINAL_DIR`` the tree writer writes from the
-        image's tree objects and the store's blobs, as a check-out would,
-        though from no spare.
+        """A new session whose ``ORIGINAL_DIR`` the tree writer syncs, in a
+        spare as a check-out would, from the image's tree objects and the
+        store's blobs.
 
         An image that fails its check (a record that does not hash to its
         id, a file cut short, a hostile tree entry, a blob the store lacks)
@@ -682,22 +744,28 @@ class _HostFsRuntimeBase:
         if not self.has_image(tag):
             raise RuntimeUnavailableError(
                 f"no stored image tagged {tag} at {self._image_path(tag)}")
-        session = self.start_session(tag)
         try:
             with open(self._image_path(tag), "rb") as handle:
-                data = handle.read()
+                tree = TreeObjects.decode(handle.read())
+        except ValueError as exc:
+            raise StoreError(f"image {tag} is unusable: {exc}") from exc
+        session = self.start_session(tag)
+        session.from_image = True
+        original = session.host_path(ORIGINAL_DIR)
+        try:
+            self._take_spares({original: tree.commit})
             try:
-                tree = TreeObjects.decode(data)
                 # a writer of its own: an image's root tree is bound to its
                 # commit only by the image's first line, so its trees must not
                 # serve a later check-out of that commit
                 session._written = TreeWriter(self.blobs_dir).write(
-                    tree, {session.host_path(ORIGINAL_DIR): tree.commit})
-            except (ValueError, GitError) as exc:
+                    tree, {original: tree.commit})
+            except GitError as exc:
                 raise StoreError(f"image {tag} is unusable: {exc}") from exc
         except BaseException:
             session.close()
             raise
+        session._checked_out[original] = tree.commit
         return session
 
     def snapshot(self, session: _HostFsSession, tag: str) -> str:
@@ -716,6 +784,18 @@ class _HostFsRuntimeBase:
         # both trees become spares, and the rest of /work goes
         self._keep_spares(session)
         return tag
+
+
+def _marked_commit(tree: str) -> str:
+    """The commit that the tree's marker names, or "" if it has no regular marker."""
+    marker = os.path.join(tree, SHA_MARKER)
+    try:
+        if stat.S_ISREG(os.lstat(marker).st_mode):
+            with open(marker, "rb") as handle:
+                return handle.read(80).strip().decode("ascii", "replace")
+    except OSError:
+        pass
+    return ""
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,9 @@ those bytes back only when every record hashes to its id.
 The store is never swept by a write: ``TreeWriter.sweep`` deletes a store
 file that this writer wrote, once nothing else links it and no name that
 the caller keeps names it (``TreeObjects.store_names``).
+
+``link_tree`` syncs a directory in the same way from another directory
+rather than from objects: it links the files it finds there.
 """
 
 from __future__ import annotations
@@ -310,6 +313,56 @@ class TreeWriter:
             write_file(stored, data(), mode)
             self.created.add(name)
             return stored, os.stat(stored).st_ino
+
+
+def link_tree(src: str, dest: str) -> None:
+    """Make the directory ``dest`` hold exactly ``src``'s entries: its regular
+    files as hard links (copies where a link cannot be made), its symlinks
+    as symlinks and its directories as directories of ``dest``'s own.
+
+    An entry that already matches (the same inode, the same link target, a
+    real directory) is kept, one that differs is replaced and one ``src``
+    lacks is deleted. A symlink, in ``src`` or ``dest``, is never followed.
+    """
+    try:
+        fresh = not stat.S_ISDIR(os.lstat(dest).st_mode)
+        if fresh:
+            os.unlink(dest)
+    except FileNotFoundError:
+        fresh = True
+    if fresh:
+        os.mkdir(dest)
+    pending = [(src, dest, fresh)]
+    while pending:
+        source, directory, fresh = pending.pop()
+        present: dict[str, os.DirEntry] = {}
+        if not fresh:
+            with os.scandir(directory) as scan:
+                present = {entry.name: entry for entry in scan}
+        with os.scandir(source) as scan:
+            for entry in scan:
+                have = present.pop(entry.name, None)
+                target = f"{directory}/{entry.name}"
+                if entry.is_dir(follow_symlinks=False):
+                    made = have is None or not have.is_dir(follow_symlinks=False)
+                    if made:
+                        remove_entry(have)
+                        os.mkdir(target)
+                    pending.append((entry.path, target, made))
+                elif entry.is_symlink():
+                    link = os.readlink(entry.path)
+                    if have is not None and have.is_symlink() and os.readlink(have.path) == link:
+                        continue
+                    remove_entry(have)
+                    os.symlink(link, target)
+                else:
+                    if have is not None and have.inode() == entry.inode() \
+                            and have.is_file(follow_symlinks=False):
+                        continue
+                    remove_entry(have)
+                    link_or_copy(entry.path, target)
+        for extra in present.values():
+            remove_entry(extra)
 
 
 def remove_entry(entry: os.DirEntry | None) -> None:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +28,8 @@ from perfmine.cli import (
     EXIT_USAGE,
     main,
 )
-from perfmine.runtime import FakeRuntime
+from perfmine.evaluate import report_path
+from perfmine.runtime import SLOT, FakeRuntime
 from perfmine.store import entry_to_dict, read_entry
 
 
@@ -489,9 +493,11 @@ def test_an_image_record_that_does_not_hash_to_its_id_is_refused_with_one_line(
     assert line.endswith(" does not hash to its id")
 
 
-def test_mine_and_evaluate_leave_no_session_directories(cli_store, tmp_path):
+def test_mine_and_evaluate_leave_only_the_slot(cli_store, tmp_path):
+    # the mine leaves no session; an evaluation, here or in an earlier test,
+    # leaves its two trees in the slot and nothing else
     sessions = cli_store.out_dir / "fake-runtime" / "sessions"
-    assert list(sessions.iterdir()) == []
+    assert set(os.listdir(sessions)) <= {SLOT}
     empty = tmp_path / "empty.patch"
     empty.write_text("", encoding="utf-8")
     code, _ = run_cli(
@@ -501,7 +507,80 @@ def test_mine_and_evaluate_leave_no_session_directories(cli_store, tmp_path):
         "--fake-runtime",
     )
     assert code == EXIT_FUNCTIONAL_ONLY
-    assert list(sessions.iterdir()) == []
+    assert os.listdir(sessions) == [SLOT]
+    assert sorted(os.listdir(sessions / SLOT)) == ["candidate", "original"]
+
+
+# installed as sitecustomize in a child process: logs each directory it makes or removes
+_DIRECTORY_LOG = """\
+import os
+import sys
+
+def _log(event, args):
+    if event in ("os.mkdir", "os.rmdir"):
+        path = os.fsdecode(os.fspath(args[0]))
+        if event == "os.rmdir" or not os.path.lexists(path):
+            with open(os.environ["PERFMINE_DIRECTORY_LOG"], "a", encoding="utf-8") as handle:
+                handle.write(f"{event} {path}\\n")
+
+sys.addaudithook(_log)
+"""
+
+
+def test_a_second_evaluation_process_takes_the_slot_and_reports_as_a_fresh_store(
+        cli_store, tmp_path):
+    hook, log = tmp_path / "hook", tmp_path / "directories.log"
+    hook.mkdir()
+    (hook / "sitecustomize.py").write_text(_DIRECTORY_LOG, encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(hook), src]),
+           "PERFMINE_DIRECTORY_LOG": str(log)}
+    empty = tmp_path / "empty.patch"
+    empty.write_text("", encoding="utf-8")
+
+    def evaluate_in_a_process(store: Path, patch: Path) -> int:
+        return subprocess.run(
+            [sys.executable, "-m", "perfmine.cli", "evaluate", "--store", str(store),
+             "--patch-id", cli_store.patch_id, "--patch-file", str(patch), "--fake-runtime"],
+            env=env, capture_output=True, check=False).returncode
+
+    fresh, _ = _copy_with_image(cli_store, tmp_path / "fresh")
+    assert evaluate_in_a_process(fresh, empty) == EXIT_FUNCTIONAL_ONLY
+    store, _ = _copy_with_image(cli_store, tmp_path / "reused")
+    # the first leaves a patched candidate in the slot
+    assert evaluate_in_a_process(store, cli_store.patch_file) == EXIT_OK
+    sessions = store / "fake-runtime" / "sessions"
+    assert os.listdir(sessions) == [SLOT]
+    log.write_text("", encoding="utf-8")
+    assert evaluate_in_a_process(store, empty) == EXIT_FUNCTIONAL_ONLY
+    # no directory made or removed; rmtree would log relative names below its top
+    assert [line for line in log.read_text(encoding="utf-8").splitlines()
+            if "__pycache__" not in line] == []
+    assert os.listdir(sessions) == [SLOT]
+    assert sorted(os.listdir(sessions / SLOT)) == ["candidate", "original"]
+    reports = [json.loads(report_path(s, cli_store.patch_id).read_text(encoding="utf-8"))
+               for s in (fresh, store)]
+    for report in reports:
+        del report["session_id"]
+    assert reports[0] == reports[1]
+
+
+def test_an_image_naming_the_wrong_commit_is_refused_before_any_build(
+        cli_store, tmp_path, capsys):
+    # its records hash to their ids, but its first line names the commit
+    # itself, not its parent
+    store, image = _copy_with_image(cli_store, tmp_path)
+    fixture = cli_store.fixture
+    data = image.read_bytes()
+    assert data.startswith(fixture.perf_parent_sha.encode())
+    image.chmod(0o644)
+    image.write_bytes(fixture.perf_sha.encode() + data[len(fixture.perf_parent_sha):])
+    code, line = _evaluate_gives_one_line(cli_store, store, capsys)
+    assert (code, line) == (
+        EXIT_DATA, f"error: image perfmine/{cli_store.patch_id} holds {fixture.perf_sha}, "
+                   f"not the parent {fixture.perf_parent_sha} of {cli_store.patch_id}")
+    assert not report_path(store, cli_store.patch_id).exists()
+    assert not (store / "fake-runtime" / "sessions" / SLOT / "candidate").exists()
 
 
 def test_evaluate_missing_patch_file_exits_64(cli_store, tmp_path):
@@ -523,6 +602,7 @@ def test_evaluate_refuses_bad_input_with_one_line_before_any_session(
     patch = tmp_path / "candidate.patch"
     patch.write_bytes(patch_bytes)
     sessions = cli_store.out_dir / "fake-runtime" / "sessions"
+    before = sorted(os.listdir(sessions))
     capsys.readouterr()
     code, stdout = run_cli(
         "evaluate", "--store", str(cli_store.out_dir),
@@ -533,7 +613,7 @@ def test_evaluate_refuses_bad_input_with_one_line_before_any_session(
     assert (code, stdout) == (EXIT_USAGE, "")
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ")
-    assert list(sessions.iterdir()) == []
+    assert sorted(os.listdir(sessions)) == before
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_original_and_candidate_share_one_session(mined_store, monkeypatch):
     )
     [(root, name)] = created
     assert report.session_id.endswith(name)
-    assert not os.path.exists(root)  # closed sessions are deleted
+    assert not os.path.exists(root)  # the closed session's directory became the slot
 
 
 def test_runs_override_controls_sample_size(mined_store):

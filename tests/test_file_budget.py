@@ -120,3 +120,23 @@ def test_a_mine_keeps_to_its_file_operation_budget(tmp_path, capsys, audit, comm
     assert len(os.listdir(images)) == built // 2
     assert all(os.path.isfile(os.path.join(images, name)) for name in os.listdir(images))
     assert set(os.listdir(os.path.join(state, "blobs"))) == named
+
+
+def test_a_second_evaluation_makes_and_deletes_no_directory(tmp_path, capsys, audit):
+    # the first evaluation leaves its trees in the slot, and the second syncs
+    # them in place: it renames and links, and creates only its report
+    _, _, state = _mine(tmp_path, 3, audit)
+    out = os.path.dirname(state)
+    patch_id = sorted(os.listdir(os.path.join(out, "entries")))[0].removesuffix(".json")
+    argv = ["evaluate", "--store", out, "--patch-id", patch_id, "--fake-runtime",
+            "--patch-file", os.path.join(out, "patches", f"{patch_id}.patch"), "--runs", "5"]
+    assert cli.main(argv) == 0
+    counter = Counter()
+    audit.append(counter)
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        audit.pop()
+    assert (counter["mkdir"], counter["rmdir"]) == (0, 0)
+    assert counter["create"] == 1  # the report, written under a temporary name
+    assert os.listdir(os.path.join(state, "sessions")) == ["spare"]

@@ -16,7 +16,7 @@ from perfmine import cli, pipeline
 from perfmine.errors import StoreError
 from perfmine.harvest import CommitRecord, GitObjects
 from perfmine.orchestrator import ORIGINAL_DIR, PATCHED_DIR, prepare_environment
-from perfmine.runtime import SHA_MARKER, FakeRuntime
+from perfmine.runtime import SHA_MARKER, SLOT, FakeRuntime
 from perfmine.trees import TreeObjects, object_id
 
 
@@ -61,7 +61,7 @@ def test_a_stored_image_reopens_to_exactly_the_parent_tree(fake_runtime, tmp_pat
         assert os.listdir(reopened.host_path("/work")) == ["original"]
     finally:
         reopened.close()
-    assert _sessions(fake_runtime) == []
+    assert _sessions(fake_runtime) == [SLOT]
 
 
 def _bad_hash(data: bytes) -> bytes:
@@ -210,15 +210,19 @@ def test_after_the_first_built_commit_no_check_out_writes_a_whole_tree(
     assert in_trees and max(in_trees) < prepares[1]
 
 
-def test_an_opened_image_snapshots_to_the_same_file_and_leaves_no_spare(
+def test_an_opened_image_snapshots_to_the_same_file_and_leaves_its_tree_in_the_slot(
         fake_runtime, fixture_repo):
     tag = _fixture_image(fake_runtime, fixture_repo, fixture_repo.perf_sha)
-    spares, before = list(fake_runtime._spares), _sessions(fake_runtime)
+    [original, patched] = fake_runtime._spares
     reopened = fake_runtime.open_image(tag)
+    assert fake_runtime._spares == [patched]  # the spare of the image's commit was taken
     fake_runtime.snapshot(reopened, "perfmine/again")
     reopened.close()
     with open(fake_runtime._image_path(tag), "rb") as first, \
             open(fake_runtime._image_path("perfmine/again"), "rb") as second:
         assert first.read() == second.read()
-    assert _sessions(fake_runtime) == before
-    assert fake_runtime._spares == spares  # an image's tree is never kept as a spare
+    # an image's tree goes to the slot, not back to the runtime's spares
+    assert fake_runtime._spares == [patched]
+    assert os.listdir(fake_runtime._slot) == ["original"]
+    assert sorted(_sessions(fake_runtime)) == sorted([SLOT, os.path.basename(
+        os.path.dirname(patched[0]))])

@@ -6,6 +6,7 @@ import difflib
 import errno
 import hashlib
 import os
+import shutil
 import stat
 
 import pytest
@@ -49,13 +50,16 @@ def _commit_of(where, files: dict[str, str], executable=(), links=None):
 
 
 def _image_of(runtime, where, files: dict[str, str], tag: str = "perfmine/linked") -> str:
-    """Snapshot a session whose original tree is a commit holding ``files``."""
+    """Snapshot a session whose original tree is a commit holding ``files``,
+    then close the runtime, as a mine does when it ends, so the image opens
+    to a tree of new links."""
     repo, sha = _commit_of(where, files)
     session = runtime.start_session("gcc:12")
     with GitObjects(repo) as objects:
         session.check_out(objects, {ORIGINAL_DIR: sha})
     runtime.snapshot(session, tag)
     session.close()
+    runtime.close()
     return tag
 
 
@@ -278,6 +282,8 @@ def test_where_a_file_cannot_be_linked_it_is_copied(mined_store, monkeypatch, co
     monkeypatch.setattr(os, "link", link)
     entry = read_entry(mined_store.store_dir, mined_store.patch_id)
     image_file = _blob_path(mined_store, "src/compute.cpp")
+    # no slot, so the image opens to a tree of new files
+    shutil.rmtree(mined_store.runtime._slot, ignore_errors=True)
     session = mined_store.runtime.open_image(entry.image)
     try:
         copy = session.host_path(f"{ORIGINAL_DIR}/src/compute.cpp")
@@ -316,7 +322,6 @@ def test_an_image_that_fails_to_open_leaves_no_session_behind(tmp_path, monkeypa
 
         monkeypatch.setattr(os, "link", link)
         expected = OSError
-    before = os.listdir(tmp_path / "state" / "sessions")  # the image's spare trees
     with pytest.raises(expected):
         runtime.open_image(tag)
-    assert os.listdir(tmp_path / "state" / "sessions") == before
+    assert os.listdir(tmp_path / "state" / "sessions") == []

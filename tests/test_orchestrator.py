@@ -35,6 +35,7 @@ from perfmine.runtime import (
     FakeRuntime,
     RunnerResult,
     SHA_MARKER,
+    SLOT,
     SuiteRun,
     TestRun,
     scan_fake_timings,
@@ -717,7 +718,9 @@ def test_closing_a_session_deletes_it_but_not_its_snapshot(fake_runtime, fixture
     reopened.close()
     assert not os.path.exists(reopened.root)
     fake_runtime.close()
-    assert list((fake_runtime.state_dir / "sessions").iterdir()) == []
+    # the runtime's spares go; the slot, which the reopened session left, stays
+    assert os.listdir(fake_runtime.state_dir / "sessions") == [SLOT]
+    assert os.listdir(fake_runtime._slot) == ["original"]
     assert fake_runtime.has_image(tag)
 
 
