@@ -126,10 +126,9 @@ def report_path(store_dir: str | Path, patch_id: str) -> Path:
 
 def _write_report(report: EvaluationReport, store_dir: str | Path) -> Path:
     target = report_path(store_dir, report.patch_id)
-    # replaced whole, so an interrupted evaluate leaves the last report as it was
-    _atomic_write(
-        target, json.dumps(report.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    )
+    # replaced whole, so an interrupted evaluate leaves the last report as it
+    # was; one line, since indent makes json.dumps use its pure-Python encoder
+    _atomic_write(target, json.dumps(report.to_dict(), sort_keys=True, ensure_ascii=False) + "\n")
     return target
 
 

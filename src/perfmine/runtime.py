@@ -34,7 +34,13 @@ that fails leaves the stored image as it was.
 
 cmake, ctest (read through ``--output-junit``) and ``git apply`` are
 driven once, in ``_ExecSession``, over the ``exec`` and path mapping of
-each session adapter. A command that outlives ``COMMAND_TIMEOUT_S``
+each session adapter. ``exec``'s ``env`` adds variables to the command's
+environment: the host sessions hand them to the process, and docker
+passes each as ``docker exec -e NAME=VALUE``, so ``git apply`` starts
+with its ``GIT_CEILING_DIRECTORIES`` set and no ``env`` process before
+it. Each command that a runtime starts on the host, a ``docker`` client
+included, runs through ``processes._subprocess_runner``, which waits for
+its exit on a pidfd where the kernel gives one. A command that outlives ``COMMAND_TIMEOUT_S``
 fails like any other, and every process it started on the host is
 killed with it; under docker, where that host process is the ``docker
 exec`` client, the container runs the command under ``timeout -s KILL``
@@ -132,19 +138,18 @@ import os
 import posixpath
 import re
 import shutil
-import signal
 import stat
-import subprocess
 import tempfile
 import time
 import uuid
 import xml.etree.ElementTree as ET
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import NamedTuple, Protocol
 
 from .errors import ContractViolation, GitError, RuntimeUnavailableError, StoreError
 from .harvest import GitObjects
+from .processes import Runner, RunnerResult, _subprocess_runner
 from .trees import SHA_MARKER, TreeObjects, TreeWriter, link_tree, remove_entry, write_file
 
 WORK_ROOT = "/work"
@@ -266,45 +271,7 @@ class ContainerRuntime(Protocol):
         ...
 
 
-# ---------------------------------------------------------------------------
-# Processes and links, shared by every runtime
-
-
-class RunnerResult(NamedTuple):
-    returncode: int
-    stdout: str
-    stderr: str
-
-
-Runner = Callable[..., RunnerResult]
-
 COMMAND_TIMEOUT_S = 3600.0  # a build, a suite run or a patch that takes longer fails
-
-
-def _subprocess_runner(
-    argv: Sequence[str], input_text: str | None = None, timeout: float = COMMAND_TIMEOUT_S
-) -> RunnerResult:
-    """Run one command in a process group of its own.
-
-    A command still running after ``timeout`` fails with code 124. Then,
-    or when the caller is interrupted (Ctrl-C reaches only the caller's
-    group), the whole group is killed, so a hung ctest takes its test
-    processes with it.
-    """
-    with subprocess.Popen(
-        list(argv), stdin=None if input_text is None else subprocess.PIPE,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, encoding="utf-8", errors="replace",
-        start_new_session=True,
-    ) as proc:
-        try:
-            stdout, stderr = proc.communicate(input_text, timeout=timeout)
-        except BaseException as exc:
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(proc.pid, signal.SIGKILL)
-            if not isinstance(exc, subprocess.TimeoutExpired):
-                raise
-            return RunnerResult(124, "", f"{' '.join(argv)} timed out after {timeout:g} s")
-    return RunnerResult(proc.returncode, stdout, stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +284,9 @@ _JUNIT_NAME = "perfmine-junit.xml"
 class _ExecSession:
     """Builds, lists and runs tests, and applies patches, through two primitives.
 
-    An adapter supplies ``exec(argv, input_text=None)``, which runs one
-    command where the session's files are and returns a ``RunnerResult``,
+    An adapter supplies ``exec(argv, input_text=None, env=None)``, which
+    runs one command where the session's files are, with the variables of
+    ``env`` added to its environment, and returns a ``RunnerResult``,
     and ``exec_path(path)``, which maps a ``/work`` path to the path that
     command sees. It also supplies ``read_file``. A suite run reads the
     JUnit report of ``ctest --output-junit`` (ctest 3.21 or newer).
@@ -359,11 +327,8 @@ class _ExecSession:
 
     def apply_patch(self, tree_dir: str, diff_text: str) -> BuildResult:
         tree = self.exec_path(tree_dir).rstrip("/")
-        result = self.exec(
-            ["env", f"GIT_CEILING_DIRECTORIES={posixpath.dirname(tree)}", "git", "-C", tree,
-             "apply", "--whitespace=nowarn", "-"],
-            diff_text,
-        )
+        result = self.exec(["git", "-C", tree, "apply", "--whitespace=nowarn", "-"], diff_text,
+                           env={"GIT_CEILING_DIRECTORIES": posixpath.dirname(tree)})
         return BuildResult(result.returncode == 0, result.stdout + result.stderr)
 
 
@@ -470,12 +435,15 @@ class DockerSession(_ExecSession):
         self._runtime = runtime
         self.session_id = container_id
 
-    def exec(self, argv: Sequence[str], input_text: str | None = None) -> RunnerResult:
+    def exec(self, argv: Sequence[str], input_text: str | None = None,
+             env: Mapping[str, str] | None = None) -> RunnerResult:
         # killing the docker exec client on the host would leave the command
         # running in the container, so the container kills it at the same limit
         full = [self._runtime.docker_bin, "exec"]
         if input_text is not None:
             full.append("-i")
+        for name, value in (env or {}).items():
+            full += ["-e", f"{name}={value}"]
         full += [self.session_id, "timeout", "-s", "KILL", f"{COMMAND_TIMEOUT_S:g}", *argv]
         return self._runtime._run(full, input_text, COMMAND_TIMEOUT_S)
 
@@ -565,8 +533,9 @@ class _HostFsSession(_ExecSession):
 
     exec_path = host_path
 
-    def exec(self, argv: Sequence[str], input_text: str | None = None) -> RunnerResult:
-        return _subprocess_runner(argv, input_text, COMMAND_TIMEOUT_S)
+    def exec(self, argv: Sequence[str], input_text: str | None = None,
+             env: Mapping[str, str] | None = None) -> RunnerResult:
+        return _subprocess_runner(argv, input_text, COMMAND_TIMEOUT_S, env)
 
     def check_out(self, objects: GitObjects, trees: Mapping[str, str]) -> None:
         paths = {self.host_path(d): sha for d, sha in trees.items()}

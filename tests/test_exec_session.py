@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+import perfmine.processes as processes_module
 import perfmine.runtime as runtime_module
 from perfmine.orchestrator import run_tests_repeatedly
 from perfmine.runtime import (
@@ -164,6 +165,81 @@ def test_both_adapters_issue_the_same_commands_and_read_the_same_report(
     session.close()
 
 
+def _pidfd_works() -> bool:
+    try:
+        os.close(os.pidfd_open(os.getpid()))
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
+@pytest.fixture(params=["pidfd", "polled"])
+def exit_wait(request, monkeypatch):
+    """Run the test once as the kernel gives it, and once where no pidfd can be
+    opened, so the runner polls for the exit."""
+    if request.param == "pidfd":
+        if not _pidfd_works():
+            pytest.skip("no pidfd on this platform")
+        yield request.param
+        return
+    refused = []
+
+    def no_pidfd(pid, flags=0):
+        refused.append(pid)
+        raise OSError(38, "Function not implemented")
+
+    monkeypatch.setattr(processes_module.os, "pidfd_open", no_pidfd)
+    yield request.param
+    assert refused, "the runner never asked for a pidfd"
+
+
+@pytest.mark.skipif(not _pidfd_works(), reason="no pidfd on this platform")
+def test_the_runner_reaps_an_exited_command_without_sleeping(monkeypatch):
+    # git closes its output before it exits, so a poll right after EOF misses
+    # it and polling would sleep
+    def no_sleep(seconds):
+        raise AssertionError(f"slept {seconds} s")
+
+    monkeypatch.setattr(time, "sleep", no_sleep)
+    for _ in range(10):
+        result = _subprocess_runner(["git", "--version"], None, 30.0)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.startswith("git version")
+
+
+WRITE_BOTH = ("import sys\n"
+              "sys.stdout.buffer.write(b'a\\r\\nb\\rc\\r\\r\\nd\\xff\\xe2\\x82e\\n\\r' * 3)\n"
+              "sys.stderr.buffer.write(b'\\xc3\\xa9\\r\\nx\\r\\xe2\\x82')\n")
+
+
+def test_the_runner_decodes_as_a_text_mode_popen(exit_wait):
+    reference = subprocess.run([sys.executable, "-c", WRITE_BOTH], capture_output=True,
+                               encoding="utf-8", errors="replace")
+    result = _subprocess_runner([sys.executable, "-c", WRITE_BOTH], None, 30.0)
+    assert (result.stdout, result.stderr) == (reference.stdout, reference.stderr)
+    assert result.stdout.startswith("a\nb\nc\n\nd\ufffd\ufffde\n\n")
+    assert result.stderr == "\u00e9\nx\n\ufffd"
+
+
+MIB = ("\u00e9" + "x" * 61 + "\n") * 16384  # 1 MiB in UTF-8
+
+
+def test_a_mebibyte_goes_through_cat_unchanged(exit_wait):
+    result = _subprocess_runner(["cat"], MIB, 30.0)
+    assert (result.returncode, result.stdout == MIB, result.stderr) == (0, True, "")
+
+
+def test_a_command_that_reads_no_input_still_succeeds(exit_wait):
+    assert _subprocess_runner(["true"], MIB, 30.0) == RunnerResult(0, "", "")
+
+
+def test_the_runner_adds_env_to_the_environment(monkeypatch):
+    monkeypatch.setenv("PERFMINE_KEPT", "kept")
+    result = _subprocess_runner(["sh", "-c", 'echo "$PERFMINE_ADDED $PERFMINE_KEPT"'], None,
+                                30.0, {"PERFMINE_ADDED": "added"})
+    assert result.stdout == "added kept\n"
+
+
 def test_a_command_that_outlives_its_limit_fails_instead_of_raising():
     started = time.monotonic()
     result = _subprocess_runner([sys.executable, "-c", "import time; time.sleep(10)"],
@@ -200,6 +276,19 @@ def test_a_timed_out_command_takes_its_whole_process_group_with_it(tmp_path):
     assert not _still_running(int(pid_file.read_text()))
 
 
+@pytest.mark.parametrize("script", [
+    'sleep 20 & echo $! > "$1"',  # the child exits; its child keeps the pipes open
+    'exec >&- 2>&-; echo $$ > "$1"; exec sleep 20',  # the pipes end; the child lives on
+], ids=["grandchild-holds-pipes", "child-closes-pipes"])
+def test_a_command_is_timed_out_whichever_of_pipes_and_exit_lasts(tmp_path, exit_wait, script):
+    pid_file = tmp_path / "pid"
+    started = time.monotonic()
+    result = _subprocess_runner(["sh", "-c", script, "sh", str(pid_file)], None, 0.5)
+    assert 0.5 <= time.monotonic() - started < 5
+    assert result.returncode == 124
+    assert not _still_running(int(pid_file.read_text()))
+
+
 def test_an_interrupted_command_takes_its_whole_process_group_with_it(tmp_path):
     pid_file = tmp_path / "grandchild.pid"
 
@@ -215,6 +304,15 @@ def test_an_interrupted_command_takes_its_whole_process_group_with_it(tmp_path):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert not _still_running(int(pid_file.read_text()))
+
+
+@pytest.mark.parametrize("exit_wait", ["polled"], indirect=True)
+def test_without_a_pidfd_commands_still_time_out_and_take_their_group(tmp_path, exit_wait):
+    test_a_command_that_outlives_its_limit_fails_instead_of_raising()
+    for case in ("timed-out", "interrupted"):
+        (tmp_path / case).mkdir()
+    test_a_timed_out_command_takes_its_whole_process_group_with_it(tmp_path / "timed-out")
+    test_an_interrupted_command_takes_its_whole_process_group_with_it(tmp_path / "interrupted")
 
 
 def test_a_hung_ctest_fails_its_version_on_the_host(tmp_path, stub_toolchain, monkeypatch):

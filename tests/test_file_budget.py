@@ -54,6 +54,7 @@ def _count(event: str, args: tuple) -> None:
             counter["create"] += 1
     elif event == "subprocess.Popen":
         counter["process"] += 1
+        counter["process", args[0]] += 1  # by executable: argv[0] unless one was given
 
 
 @pytest.fixture(scope="module")
@@ -140,3 +141,24 @@ def test_a_second_evaluation_makes_and_deletes_no_directory(tmp_path, capsys, au
     assert (counter["mkdir"], counter["rmdir"]) == (0, 0)
     assert counter["create"] == 1  # the report, written under a temporary name
     assert os.listdir(os.path.join(state, "sessions")) == ["spare"]
+
+
+def test_an_evaluation_starts_git_apply_alone(tmp_path, audit):
+    # a non-empty candidate costs one process, git itself with the ceiling in
+    # its environment; an empty one is not applied, so it costs none
+    _, _, state = _mine(tmp_path, 3, audit)
+    out = os.path.dirname(state)
+    patch_id = sorted(os.listdir(os.path.join(out, "entries")))[0].removesuffix(".json")
+    empty = tmp_path / "empty.patch"
+    empty.write_text("")
+    for patch_file, rc, processes in (
+            (os.path.join(out, "patches", f"{patch_id}.patch"), cli.EXIT_OK, 1),
+            (str(empty), cli.EXIT_FUNCTIONAL_ONLY, 0)):
+        counter = Counter()
+        audit.append(counter)
+        try:
+            assert cli.main(["evaluate", "--store", out, "--patch-id", patch_id,
+                             "--fake-runtime", "--patch-file", patch_file, "--runs", "5"]) == rc
+        finally:
+            audit.pop()
+        assert counter["process"] == counter["process", "git"] == processes

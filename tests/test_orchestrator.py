@@ -881,9 +881,9 @@ def test_docker_apply_stops_the_repository_search_at_the_tree():
     session, calls = _recording_docker()
     assert session.apply_patch("/work/candidate", "--- a/x\n+++ b/x\n").ok
     [argv] = calls  # the diff goes in on stdin, with no file written first
-    assert argv[:8] == ["docker", "exec", "-i", "cid", "timeout", "-s", "KILL", "3600"]
-    assert argv[8:] == ["env", "GIT_CEILING_DIRECTORIES=/work", "git", "-C", "/work/candidate",
-                        "apply", "--whitespace=nowarn", "-"]
+    assert argv[:10] == ["docker", "exec", "-i", "-e", "GIT_CEILING_DIRECTORIES=/work", "cid",
+                         "timeout", "-s", "KILL", "3600"]
+    assert argv[10:] == ["git", "-C", "/work/candidate", "apply", "--whitespace=nowarn", "-"]
 
 
 def test_run_outcome_invariants():

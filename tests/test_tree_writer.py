@@ -187,8 +187,8 @@ def test_trees_ignore_the_operators_line_ending_settings(tmp_path, monkeypatch):
     reopened = runtime.open_image(read_entry(out, patch_id).image)
     try:
         tree = reopened.host_path(ORIGINAL_DIR)
-        check = reopened.exec(["env", f"GIT_CEILING_DIRECTORIES={os.path.dirname(tree)}", "git",
-                               "-C", tree, "apply", "--check", "-"], patch)
+        check = reopened.exec(["git", "-C", tree, "apply", "--check", "-"], patch,
+                              env={"GIT_CEILING_DIRECTORIES": os.path.dirname(tree)})
         assert check.returncode == 0, check.stderr
     finally:
         reopened.close()
