@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, replace
@@ -32,6 +31,7 @@ from .errors import (
     RuntimeUnavailableError,
     TransportError,
 )
+from .trees import write_file
 
 GITHUB_API_BASE = "https://api.github.com"
 TOKEN_ENV_VAR = "GITHUB_TOKEN"
@@ -202,16 +202,7 @@ class GitHubApi:
         path = self._cache_path(url)
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump({"url": url, "body": payload}, handle)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_file(path, json.dumps({"url": url, "body": payload}).encode(), 0o600)
 
 def _retry_after_seconds(lower_headers: Mapping[str, str]) -> float | None:
     value = lower_headers.get("retry-after")

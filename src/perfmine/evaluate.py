@@ -25,10 +25,10 @@ from .stats import StatConfig, TimingSeries, judge
 from .store import (
     BenchmarkEntry,
     TimingEvidence,
-    _atomic_write,
     timing_to_dict,
     read_entry,
 )
+from .trees import write_file
 
 CANDIDATE_DIR = f"{WORK_ROOT}/candidate"
 VERDICT_IMPROVES = "improves"
@@ -128,7 +128,8 @@ def _write_report(report: EvaluationReport, store_dir: str | Path) -> Path:
     target = report_path(store_dir, report.patch_id)
     # replaced whole, so an interrupted evaluate leaves the last report as it
     # was; one line, since indent makes json.dumps use its pure-Python encoder
-    _atomic_write(target, json.dumps(report.to_dict(), sort_keys=True, ensure_ascii=False) + "\n")
+    write_file(target, (json.dumps(report.to_dict(), sort_keys=True, ensure_ascii=False)
+                        + "\n").encode())
     return target
 
 

@@ -59,6 +59,7 @@ from .store import (
     make_patch_id,
     write_entry,
 )
+from .trees import write_file
 
 log = logging.getLogger("perfmine")
 
@@ -321,7 +322,4 @@ def _persist_logs(out_dir: Path, patch_id: str, build_logs: dict):
         if text and not text.endswith("\n"):
             sections.append("\n")
     # str paths, as in runtime._HostFsSession: a Path would intern the patch id
-    logs = os.path.join(out_dir, "logs")
-    os.makedirs(logs, exist_ok=True)
-    with open(os.path.join(logs, f"{patch_id}.log"), "w", encoding="utf-8") as handle:
-        handle.write("".join(sections))
+    write_file(os.path.join(out_dir, "logs", f"{patch_id}.log"), "".join(sections).encode())

@@ -33,20 +33,24 @@ image of the same tag only once the new one is complete, so a snapshot
 that fails leaves the stored image as it was.
 
 cmake, ctest (read through ``--output-junit``) and ``git apply`` are
-driven once, in ``_ExecSession``, over the ``exec`` and path mapping of
-each session adapter. ``exec``'s ``env`` adds variables to the command's
-environment: the host sessions hand them to the process, and docker
-passes each as ``docker exec -e NAME=VALUE``, so ``git apply`` starts
-with its ``GIT_CEILING_DIRECTORIES`` set and no ``env`` process before
-it. Each command that a runtime starts on the host, a ``docker`` client
-included, runs through ``processes._subprocess_runner``, which waits for
-its exit on a pidfd where the kernel gives one. A command that outlives ``COMMAND_TIMEOUT_S``
-fails like any other, and every process it started on the host is
-killed with it; under docker, where that host process is the ``docker
-exec`` client, the container runs the command under ``timeout -s KILL``
-with the same limit, so it is killed there too. Only ``start_session``
-takes a base image and cpu and memory limits, which docker alone
-applies; a session opened from an image runs without limits.
+driven once, in ``_ExecSession``, over the ``exec``, ``remove`` and
+path mapping of each session adapter. ``remove`` deletes a build
+directory or a stale JUnit report: the host sessions delete it
+themselves, so they start cmake and ctest alone, and docker runs ``rm
+-rf``. ``exec``'s ``env`` adds variables to the command's environment:
+the host sessions hand them to the process, and docker passes each as
+``docker exec -e NAME=VALUE``, so ``git apply`` starts with its
+``GIT_CEILING_DIRECTORIES`` and git config variables set and no ``env``
+process before it. Each command that a runtime starts on the host, a
+``docker`` client included, runs through ``processes._subprocess_runner``,
+which waits for its exit on a pidfd where the kernel gives one. A command
+that outlives ``COMMAND_TIMEOUT_S`` fails like any other, and every
+process it started on the host is killed with it; under docker, where
+that host process is the ``docker exec`` client, the container runs the
+command under ``timeout -s KILL`` with the same limit, so it is killed
+there too. Only ``start_session`` takes a base image and cpu and memory
+limits, which docker alone applies; a session opened from an image runs
+without limits.
 Implementations:
 
 * ``DockerCliRuntime`` drives a real daemon through the ``docker``
@@ -108,13 +112,15 @@ image was a directory, must be mined again. ``open_image`` checks that
 each record hashes to its id and writes ``ORIGINAL_DIR`` through the
 same ``TreeWriter.write`` as a check-out, so the modes, symlinks,
 submodule directories and refusal of hostile entries are a check-out's;
-a fault in the image raises ``StoreError``. ``copy_tree`` syncs its
-destination to hold hard links to the files of a tree. A file in a session, checked out or linked, is
-therefore changed by replacing it, as ``git apply`` does, never by
-writing into it: a build that writes in place into a source file fails with
-``EACCES``. Mode bits do not stop a process running as root, so that
-guard holds only for unprivileged runs; under root an in-place write
-changes every tree and image that shares the blob.
+a fault in the image raises ``StoreError``. ``copy_tree`` writes its
+destination through the writer that wrote its source, from the tree
+objects it read, so ``evaluate``'s candidate is the image's tree by
+construction. Every file in a session is therefore a store file, changed
+by replacing it, as ``git apply`` does, never by writing into it: a
+build that writes in place into a source file fails with ``EACCES``.
+Mode bits do not stop a process running as root, so that guard holds
+only for unprivileged runs; under root an in-place write changes every
+tree and image that shares the blob.
 
 Fake timing declarations are comment lines inside any source file:
 
@@ -150,7 +156,7 @@ from typing import NamedTuple, Protocol
 from .errors import ContractViolation, GitError, RuntimeUnavailableError, StoreError
 from .harvest import GitObjects
 from .processes import Runner, RunnerResult, _subprocess_runner
-from .trees import SHA_MARKER, TreeObjects, TreeWriter, link_tree, remove_entry, write_file
+from .trees import SHA_MARKER, TreeObjects, TreeWriter, remove_entry, write_file
 
 WORK_ROOT = "/work"
 ORIGINAL_DIR = f"{WORK_ROOT}/original"  # the one tree an image keeps
@@ -198,11 +204,14 @@ class ContainerSession(Protocol):
     def copy_tree(self, src: str, dest: str) -> None:
         """Make ``dest`` a copy of the tree at ``src``.
 
-        On the host runtimes ``dest``, a spare where it does not exist, is
-        synced in place: its directories are its own but its files are
-        hard links to ``src``'s, which in a session opened from an image
-        are the image's read-only files: change a file by replacing it, as
-        ``git apply`` does. Docker copies the files.
+        On the host runtimes ``src`` must be a tree that ``check_out`` or
+        ``open_image`` wrote, and ``dest``, a spare where it does not exist,
+        is synced in place by the writer that wrote ``src``, from the tree
+        objects it read: so ``dest`` is that commit's tree, with its marker,
+        whatever the session wrote into ``src`` since. Its directories are
+        its own, but its files are the blob store's read-only files, as
+        ``src``'s are: change a file by replacing it, as ``git apply``
+        does. Docker copies the files of ``src`` as they are.
         """
         ...
 
@@ -288,15 +297,20 @@ class _ExecSession:
     runs one command where the session's files are, with the variables of
     ``env`` added to its environment, and returns a ``RunnerResult``,
     and ``exec_path(path)``, which maps a ``/work`` path to the path that
-    command sees. It also supplies ``read_file``. A suite run reads the
-    JUnit report of ``ctest --output-junit`` (ctest 3.21 or newer).
+    command sees. It also supplies ``read_file``, and ``remove(path)``,
+    which deletes a file or directory, if there is one, without following
+    a symlink. A suite run reads the JUnit report of ``ctest
+    --output-junit`` (ctest 3.21 or newer). ``git apply`` reads no git
+    config: the tree has no repository, and the operator's global and
+    system settings (``apply.ignoreWhitespace``, ``core.autocrlf``) would
+    change which candidates apply and the bytes they write.
     """
 
     def configure_and_build(
         self, source_dir: str, build_dir: str, configure_args: Sequence[str]
     ) -> BuildResult:
+        self.remove(build_dir)
         src, build = self.exec_path(source_dir), self.exec_path(build_dir)
-        self.exec(["rm", "-rf", build])
         configure = self.exec(["cmake", "-S", src, "-B", build, *configure_args])
         if configure.returncode != 0:
             return BuildResult(False, configure.stdout + configure.stderr)
@@ -314,8 +328,7 @@ class _ExecSession:
 
     def run_suite(self, build_dir: str) -> SuiteRun:
         report = posixpath.join(build_dir, _JUNIT_NAME)
-        # a run that writes no report must not read the one before it
-        self.exec(["rm", "-f", self.exec_path(report)])
+        self.remove(report)  # a run that writes no report must not read the one before it
         started = time.monotonic()
         self.exec(["ctest", "--test-dir", self.exec_path(build_dir),
                    "--output-junit", self.exec_path(report)])
@@ -328,7 +341,8 @@ class _ExecSession:
     def apply_patch(self, tree_dir: str, diff_text: str) -> BuildResult:
         tree = self.exec_path(tree_dir).rstrip("/")
         result = self.exec(["git", "-C", tree, "apply", "--whitespace=nowarn", "-"], diff_text,
-                           env={"GIT_CEILING_DIRECTORIES": posixpath.dirname(tree)})
+                           env={"GIT_CEILING_DIRECTORIES": posixpath.dirname(tree),
+                                "GIT_CONFIG_NOSYSTEM": "1", "GIT_CONFIG_GLOBAL": "/dev/null"})
         return BuildResult(result.returncode == 0, result.stdout + result.stderr)
 
 
@@ -450,6 +464,9 @@ class DockerSession(_ExecSession):
     def exec_path(self, path: str) -> str:
         return path
 
+    def remove(self, path: str) -> None:
+        self.exec(["rm", "-rf", path])
+
     def check_out(self, objects: GitObjects, trees: Mapping[str, str]) -> None:
         # the clone is on the host, where the container cannot see it: write
         # the trees there, then copy them all in with one docker cp; the blob
@@ -518,8 +535,9 @@ class _HostFsSession(_ExecSession):
         self._runtime = runtime
         self.from_image = False  # opened by open_image: its trees go to the slot when it ends
         self._checked_out: dict[str, str] = {}  # host directory -> commit id
-        # host directory -> the tree objects that its last write read, for a snapshot
-        self._written: dict[str, TreeObjects] = {}
+        # host directory -> the writer of its last write and the tree objects
+        # that write read, for a copy and a snapshot
+        self._written: dict[str, tuple[TreeWriter, TreeObjects]] = {}
 
     def host_path(self, path: str) -> str:
         if self.ended:
@@ -537,20 +555,38 @@ class _HostFsSession(_ExecSession):
              env: Mapping[str, str] | None = None) -> RunnerResult:
         return _subprocess_runner(argv, input_text, COMMAND_TIMEOUT_S, env)
 
+    def remove(self, path: str) -> None:
+        target = self.host_path(path)
+        try:
+            if stat.S_ISDIR(os.lstat(target).st_mode):
+                shutil.rmtree(target)
+            else:
+                os.unlink(target)
+        except FileNotFoundError:
+            pass
+
     def check_out(self, objects: GitObjects, trees: Mapping[str, str]) -> None:
-        paths = {self.host_path(d): sha for d, sha in trees.items()}
-        self._checked_out.update(paths)
+        self._write(self._runtime._trees, objects,
+                    {self.host_path(d): sha for d, sha in trees.items()})
+
+    def copy_tree(self, src: str, dest: str) -> None:
+        written = self._written.get(self.host_path(src))
+        if written is None:
+            raise ContractViolation(f"session {self.session_id} wrote no tree at {src} to copy")
+        writer, tree = written
+        self._write(writer, tree, {self.host_path(dest): tree.commit})
+
+    def _write(self, writer: TreeWriter, objects: GitObjects | TreeObjects,
+               paths: Mapping[str, str]) -> None:
+        """Write each ``host directory: commit id`` with ``writer``, in a spare
+        where the directory does not exist; a tree is kept when the session
+        ends only if its write succeeded."""
         for path in paths:
             self._written.pop(path, None)
         self._runtime._take_spares(paths)
-        self._written.update(self._runtime._trees.write(objects, paths))
-
-    def copy_tree(self, src: str, dest: str) -> None:
-        source, target = self.host_path(src), self.host_path(dest)
-        commit = self._checked_out.get(source, "")
-        self._runtime._take_spares({target: commit})
-        link_tree(source, target)
-        self._checked_out[target] = commit
+        self._written.update((path, (writer, tree))
+                             for path, tree in writer.write(objects, paths).items())
+        self._checked_out.update(paths)
 
     def read_file(self, path: str) -> str:
         with open(self.host_path(path), encoding="utf-8") as handle:
@@ -720,31 +756,27 @@ class _HostFsRuntimeBase:
             raise StoreError(f"image {tag} is unusable: {exc}") from exc
         session = self.start_session(tag)
         session.from_image = True
-        original = session.host_path(ORIGINAL_DIR)
         try:
-            self._take_spares({original: tree.commit})
             try:
                 # a writer of its own: an image's root tree is bound to its
                 # commit only by the image's first line, so its trees must not
                 # serve a later check-out of that commit
-                session._written = TreeWriter(self.blobs_dir).write(
-                    tree, {original: tree.commit})
+                session._write(TreeWriter(self.blobs_dir), tree,
+                               {session.host_path(ORIGINAL_DIR): tree.commit})
             except GitError as exc:
                 raise StoreError(f"image {tag} is unusable: {exc}") from exc
         except BaseException:
             session.close()
             raise
-        session._checked_out[original] = tree.commit
         return session
 
     def snapshot(self, session: _HostFsSession, tag: str) -> str:
         original = session.host_path(ORIGINAL_DIR)  # refuses a session already snapshotted
-        tree = session._written.get(original)
-        if tree is None:
+        if original not in session._written:
             raise ContractViolation(
                 f"session {session.session_id} has no checked-out {ORIGINAL_DIR} to snapshot")
+        _, tree = session._written[original]
         image = self._image_path(tag)
-        os.makedirs(os.path.dirname(image), exist_ok=True)
         if os.path.isdir(image):  # an image of the earlier layout, a directory
             shutil.rmtree(image)
         write_file(image, tree.encode(), 0o444)

@@ -5,13 +5,13 @@ Layout under a store directory:
     entries/<patch_id>.json    the manifest, as ``entry_to_dict`` writes it
     patches/<patch_id>.patch   the ground-truth unified diff
 
-Writes are atomic (write to a temp file, then rename), manifests are
-dumped with sorted keys and UTF-8 so regenerated stores diff cleanly,
-and ``entry_to_dict`` is the one definition of a manifest: one is
-accepted only when re-serialising the parsed entry gives back exactly
-the stored JSON, the same keys and the same derived values (digests,
-``has_significant_test``, ``patch_file``, the fixed decisions), each of
-the same JSON type. A faulty manifest is rejected with a ``SchemaError``
+Writes are atomic (``trees.write_file``: a temporary file, then a
+rename), manifests are dumped with sorted keys and UTF-8 so regenerated
+stores diff cleanly, and ``entry_to_dict`` is the one definition of a
+manifest: one is accepted only when re-serialising the parsed entry
+gives back exactly the stored JSON, the same keys and the same derived
+values (digests, ``has_significant_test``, ``patch_file``, the fixed
+decisions), each of the same JSON type. A faulty manifest is rejected with a ``SchemaError``
 that names where it differs, never repaired. The prompt fingerprints are
 the ones recorded at classification.
 """
@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from pathlib import Path
@@ -32,6 +30,7 @@ from .errors import ReviewError, SchemaError, StoreError
 from .harvest import CommitRecord, FileChange
 from .orchestrator import BuildPlan
 from .stats import SignificanceResult, StatConfig, TimingSeries
+from .trees import write_file
 
 SCHEMA_VERSION = 1
 SUITE_INVOCATION = "whole_suite"
@@ -382,19 +381,6 @@ def patch_path(store_dir: str | Path, patch_id: str) -> Path:
     return Path(store_dir) / PATCHES_SUBDIR / f"{patch_id}.patch"
 
 
-def _atomic_write(path: Path, content: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_entry(
     entry: BenchmarkEntry, store_dir: str | Path, *, diff_text: str | None = None
 ) -> Path:
@@ -408,11 +394,11 @@ def write_entry(
     target = entry_path(store_dir, entry.patch_id)
     patch_target = patch_path(store_dir, entry.patch_id)
     if diff_text is not None:
-        _atomic_write(patch_target, diff_text)
+        write_file(patch_target, diff_text.encode())
     elif not patch_target.is_file():
         raise StoreError(f"no diff_text given and {patch_target} does not exist")
     payload = json.dumps(entry_to_dict(entry), indent=2, sort_keys=True, ensure_ascii=False)
-    _atomic_write(target, payload + "\n")
+    write_file(target, (payload + "\n").encode())
     return target
 
 

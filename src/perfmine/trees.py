@@ -14,10 +14,11 @@ path.
 A write makes each destination directory hold exactly the commit's tree,
 whatever it held before: each directory is scanned once, an entry that
 already matches is kept, one that differs is replaced and one the tree
-lacks is deleted, never following a symlink. A new empty directory is
-the case with nothing to keep, so a spare tree of a nearby commit needs
-only the files that differ. The tree objects read by one write are kept
-for the next, and nothing more.
+lacks is deleted, never following a symlink. A destination that is a
+symlink or a file is replaced by a directory, so no write goes through
+it. A new empty directory is the case with nothing to keep, so a spare
+tree of a nearby commit needs only the files that differ. The tree
+objects read by one write are kept for the next, and nothing more.
 
 Every regular file is a hard link into a blob store: a directory of
 read-only files (0444, or 0555 when executable, less the umask), one per
@@ -26,9 +27,9 @@ is the store file itself, the same inode. A tree's ``SHA_MARKER`` is a
 store file too, ``<sha>.marker``, which no blob id can be; one that
 already names the tree's commit is kept while the tree is synced, and
 a write that fails removes every tree's marker. A blob's bytes
-are read only when the store lacks it. A store file is written under a
-temporary name and renamed, so none is ever seen incomplete. Where a
-link cannot be made the file is copied.
+are read only when the store lacks it. A store file is written by
+``write_file``, under a temporary name and renamed, so none is ever seen
+incomplete. Where a link cannot be made the file is copied.
 
 A write returns, for each destination, the ``TreeObjects`` it read to
 write that tree: its root tree, each subtree and each symlink's target,
@@ -40,9 +41,6 @@ those bytes back only when every record hashes to its id.
 The store is never swept by a write: ``TreeWriter.sweep`` deletes a store
 file that this writer wrote, once nothing else links it and no name that
 the caller keeps names it (``TreeObjects.store_names``).
-
-``link_tree`` syncs a directory in the same way from another directory
-rather than from objects: it links the files it finds there.
 """
 
 from __future__ import annotations
@@ -171,25 +169,27 @@ class TreeWriter:
         """Make each ``host directory: commit id`` hold exactly that commit's tree,
         and return the ``TreeObjects`` read to write each.
 
-        A tree's ``SHA_MARKER`` is removed first, before anything can fail,
-        unless it is already the store's marker of the commit the tree is
-        written at; the others are linked last. If the write fails, every
-        tree's marker is removed, so a marker is there only when every tree
-        is whole.
+        A destination that is a symlink or a file is replaced by a new
+        directory, never followed. A tree's ``SHA_MARKER`` is removed first,
+        before anything can fail, unless it is already the store's marker of
+        the commit the tree is written at; the others are linked last. If the
+        write fails, every tree's marker is removed, so a marker is there only
+        when every tree is whole.
         """
-        # the trees just made, so empty, and those whose marker already names their commit
-        made, kept = set(), set()
+        kept = set()  # the trees whose marker already names their commit
         for dest, sha in trees.items():
             try:
+                directory = stat.S_ISDIR(os.lstat(dest).st_mode)
+            except FileNotFoundError:
                 os.makedirs(dest)
-                made.add(dest)
                 continue
-            except FileExistsError:
-                pass
+            if not directory:
+                os.unlink(dest)
+                os.mkdir(dest)
+                continue
             marker = os.path.join(dest, SHA_MARKER)
             with contextlib.suppress(FileNotFoundError):
-                if os.lstat(marker).st_ino == os.stat(
-                        os.path.join(self.directory, f"{sha}.marker")).st_ino:
+                if os.lstat(marker).st_ino == os.stat(self._prefix + f"{sha}.marker").st_ino:
                     kept.add(dest)
             if dest not in kept:
                 with contextlib.suppress(FileNotFoundError):
@@ -199,7 +199,7 @@ class TreeWriter:
                 if not _FULL_ID.fullmatch(sha):
                     raise GitError(f"cannot check out {sha!r}: not a full commit id")
             last, self._trees = self._trees, {}
-            written = {dest: self._sync(objects, sha, dest, dest in made, dest in kept, last)
+            written = {dest: self._sync(objects, sha, dest, dest in kept, last)
                        for dest, sha in trees.items()}
         except BaseException:
             for dest in kept:
@@ -226,20 +226,17 @@ class TreeWriter:
                 os.unlink(path)
             self.created.discard(name)
 
-    def _sync(self, objects: GitObjects | TreeObjects, sha: str, top: str, empty: bool,
-              marked: bool, last: Mapping[str, _Tree]) -> TreeObjects:
+    def _sync(self, objects: GitObjects | TreeObjects, sha: str, top: str, marked: bool,
+              last: Mapping[str, _Tree]) -> TreeObjects:
         read: dict[str, tuple[str, bytes]] = {}  # the root tree first
-        # (tree to read, or None for an empty one; directory; its path in the
-        # tree; whether the directory was just made, so holds nothing)
-        pending: list[tuple[str | None, str, str, bool]] = [(f"{sha}^{{tree}}", top, "", empty)]
+        # (tree to read, or None for an empty one; directory; its path in the tree)
+        pending: list[tuple[str | None, str, str]] = [(f"{sha}^{{tree}}", top, "")]
         while pending:
-            name, directory, where, fresh = pending.pop()
-            present: dict[str, os.DirEntry] = {}
-            if not fresh:
-                with os.scandir(directory) as scan:
-                    present = {entry.name: entry for entry in scan}
-                if marked and not where:
-                    present.pop(SHA_MARKER, None)  # it already names this commit
+            name, directory, where = pending.pop()
+            with os.scandir(directory) as scan:
+                present = {entry.name: entry for entry in scan}
+            if marked and not where:
+                present.pop(SHA_MARKER, None)  # it already names this commit
             entries: _Entries = []
             if name:
                 oid, data, entries = self._tree(objects, name, len(sha), last)
@@ -253,14 +250,8 @@ class TreeWriter:
                 target = f"{directory}/{entry}"
                 have = present.pop(entry, None)
                 if stat.S_ISREG(mode):  # the most entries, so the first test
-                    store_name = _store_name(mode, oid)
-                    if have is None:  # link the store file, if it has one yet
-                        try:
-                            link_or_copy(self._prefix + store_name, target)
-                            continue
-                        except FileNotFoundError:
-                            pass
-                    stored, inode = self._stored(store_name, lambda: _read_blob(objects, oid),
+                    stored, inode = self._stored(_store_name(mode, oid),
+                                                 lambda: _read_blob(objects, oid),
                                                  0o555 if mode & 0o100 else 0o444)
                     if have is not None and have.inode() == inode \
                             and have.is_file(follow_symlinks=False):
@@ -268,12 +259,11 @@ class TreeWriter:
                     remove_entry(have)
                     link_or_copy(stored, target)
                 elif mode in (_DIRECTORY, _GITLINK):
-                    made = have is None or not have.is_dir(follow_symlinks=False)
-                    if made:
+                    if have is None or not have.is_dir(follow_symlinks=False):
                         remove_entry(have)
                         os.mkdir(target)
                     # a submodule's directory is left empty
-                    pending.append((oid if mode == _DIRECTORY else None, target, path + "/", made))
+                    pending.append((oid if mode == _DIRECTORY else None, target, path + "/"))
                 elif mode == _SYMLINK:
                     link = _read_blob(objects, oid)
                     read[oid] = ("blob", link)
@@ -309,60 +299,9 @@ class TreeWriter:
         try:
             return stored, os.stat(stored).st_ino
         except FileNotFoundError:
-            os.makedirs(self.directory, exist_ok=True)
             write_file(stored, data(), mode)
             self.created.add(name)
             return stored, os.stat(stored).st_ino
-
-
-def link_tree(src: str, dest: str) -> None:
-    """Make the directory ``dest`` hold exactly ``src``'s entries: its regular
-    files as hard links (copies where a link cannot be made), its symlinks
-    as symlinks and its directories as directories of ``dest``'s own.
-
-    An entry that already matches (the same inode, the same link target, a
-    real directory) is kept, one that differs is replaced and one ``src``
-    lacks is deleted. A symlink, in ``src`` or ``dest``, is never followed.
-    """
-    try:
-        fresh = not stat.S_ISDIR(os.lstat(dest).st_mode)
-        if fresh:
-            os.unlink(dest)
-    except FileNotFoundError:
-        fresh = True
-    if fresh:
-        os.mkdir(dest)
-    pending = [(src, dest, fresh)]
-    while pending:
-        source, directory, fresh = pending.pop()
-        present: dict[str, os.DirEntry] = {}
-        if not fresh:
-            with os.scandir(directory) as scan:
-                present = {entry.name: entry for entry in scan}
-        with os.scandir(source) as scan:
-            for entry in scan:
-                have = present.pop(entry.name, None)
-                target = f"{directory}/{entry.name}"
-                if entry.is_dir(follow_symlinks=False):
-                    made = have is None or not have.is_dir(follow_symlinks=False)
-                    if made:
-                        remove_entry(have)
-                        os.mkdir(target)
-                    pending.append((entry.path, target, made))
-                elif entry.is_symlink():
-                    link = os.readlink(entry.path)
-                    if have is not None and have.is_symlink() and os.readlink(have.path) == link:
-                        continue
-                    remove_entry(have)
-                    os.symlink(link, target)
-                else:
-                    if have is not None and have.inode() == entry.inode() \
-                            and have.is_file(follow_symlinks=False):
-                        continue
-                    remove_entry(have)
-                    link_or_copy(entry.path, target)
-        for extra in present.values():
-            remove_entry(extra)
 
 
 def remove_entry(entry: os.DirEntry | None) -> None:
@@ -375,10 +314,12 @@ def remove_entry(entry: os.DirEntry | None) -> None:
         os.unlink(entry.path)
 
 
-def write_file(path: str, data: bytes, mode: int) -> None:
-    """Write ``path`` under a temporary name and rename it into place, so it
-    is never seen incomplete; it is created with ``mode``, less the umask."""
-    temporary = f"{path}.{uuid.uuid4().hex[:8]}.tmp"
+def write_file(path: str | os.PathLike[str], data: bytes, mode: int = 0o666) -> None:
+    """Write ``path`` under the temporary name ``<path>.<8 hex digits>.tmp``
+    and rename it into place, so it is never seen incomplete; it is created
+    with ``mode``, less the umask, and its directory is made if missing."""
+    temporary = f"{os.fspath(path)}.{uuid.uuid4().hex[:8]}.tmp"
+    os.makedirs(os.path.dirname(temporary), exist_ok=True)
     fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
     try:
         with open(fd, "wb") as handle:

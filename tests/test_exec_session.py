@@ -165,6 +165,33 @@ def test_both_adapters_issue_the_same_commands_and_read_the_same_report(
     session.close()
 
 
+def test_a_host_session_starts_cmake_and_ctest_alone(tmp_path, stub_toolchain, monkeypatch):
+    # the old build directory and report are deleted by the session, and a
+    # symlink planted as the build directory is removed, not followed
+    started = []
+
+    def runner(argv, *args, **kwargs):
+        started.append(os.path.basename(argv[0]))
+        return _subprocess_runner(argv, *args, **kwargs)
+
+    monkeypatch.setattr(runtime_module, "_subprocess_runner", runner)
+    session, work = _local_session(tmp_path)
+    _plant(work, f"{SOURCE}/CMakeLists.txt", "project(stub)\n")
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "kept").write_text("kept\n")
+    os.symlink(outside, work + BUILD.removeprefix("/work"))
+    assert session.configure_and_build(SOURCE, BUILD, ()).ok
+    assert os.listdir(outside) == ["kept"]
+    _plant(work, f"{BUILD}/stale", "")
+    assert session.configure_and_build(SOURCE, BUILD, ()).ok
+    assert not session.path_exists(f"{BUILD}/stale")
+    for _ in range(2):
+        assert session.run_suite(BUILD).results == EXPECTED_RESULTS
+    assert started == ["cmake", "cmake", "cmake", "cmake", "ctest", "ctest"]
+    session.close()
+
+
 def _pidfd_works() -> bool:
     try:
         os.close(os.pidfd_open(os.getpid()))

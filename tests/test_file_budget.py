@@ -4,6 +4,9 @@ Counted with ``sys.addaudithook`` over ``perfmine mine`` on the fake
 runtime, gate included, for 3 and for 30 built commits. Half the commits
 speed the one test up and are stored; the others edit a helper and are
 built, measured and dropped, so both ways a session ends are counted.
+The same hook checks that a mine, and an evaluation, create each file
+under the store under a ``*.tmp`` name and rename it into place, so no
+store file is ever seen incomplete.
 """
 
 from __future__ import annotations
@@ -23,9 +26,7 @@ from perfmine import cli
 # full trees over fewer commits, so it gets more room. A rename (about 20 us
 # here) is what hands a tree from one session to the next in place of a
 # mkdir or rmdir per directory (20-350 us), so renames may exceed the other
-# counts. A file of a new directory is linked before the store is asked
-# whether it has the blob, so a blob the store lacks costs a failed link.
-# An image is one file of tree objects, so a stored commit leaves
+# counts. An image is one file of tree objects, so a stored commit leaves
 # both its trees as spares and the next check-out syncs both in place: a
 # removed and a linked file per file that differs, where a whole tree took
 # a mkdir per directory and a link per file.
@@ -48,10 +49,14 @@ def _count(event: str, args: tuple) -> None:
             counter["mkdir"] += 1
     elif event in ("os.rmdir", "os.remove", "os.link", "os.rename"):
         counter[event[3:]] += 1  # os.unlink is os.remove, os.replace os.rename
+        if event == "os.rename":
+            counter["renamed", os.path.abspath(args[0]), os.path.abspath(args[1])] += 1
     elif event == "open":
         path, _, flags = args
-        if flags & os.O_CREAT and isinstance(path, (str, bytes)) and not os.path.lexists(path):
+        # a path, not a descriptor, so a file named by a Path is counted too
+        if flags & os.O_CREAT and not isinstance(path, int) and not os.path.lexists(path):
             counter["create"] += 1
+            counter["created", os.path.abspath(os.fsdecode(path))] += 1
     elif event == "subprocess.Popen":
         counter["process"] += 1
         counter["process", args[0]] += 1  # by executable: argv[0] unless one was given
@@ -62,6 +67,22 @@ def audit():
     # an audit hook cannot be removed, so one hook counts while _counters holds a counter
     sys.addaudithook(_count)
     return _counters
+
+
+def _assert_written_through_a_rename(counter: Counter, store, places: set[str]) -> None:
+    """Each file created under ``store`` was created under a ``*.tmp`` name and
+    renamed to a name beside it; ``places`` are the directories, relative to
+    the store, that files were created in."""
+    store = os.path.abspath(store)
+    renamed = {key[1]: key[2] for key in counter if key[0] == "renamed"}
+    created = [key[1] for key in counter
+               if key[0] == "created" and key[1].startswith(os.path.join(store, ""))]
+    assert {os.path.relpath(os.path.dirname(path), store) for path in created} == places
+    for path in created:
+        assert path.endswith(".tmp"), f"{path} was created in place"
+        into = renamed.get(path, "")
+        assert os.path.dirname(into) == os.path.dirname(path) and not into.endswith(".tmp"), \
+            f"{path} was not renamed into place"
 
 
 def _history(path, commits: int):
@@ -99,6 +120,9 @@ def _mine(tmp_path, commits: int, audit) -> tuple[Counter, int, str]:
     finally:
         audit.pop()
     assert rc == 0
+    _assert_written_through_a_rename(counter, out, {
+        "entries", "patches", "logs", os.path.join("fake-runtime", "images"),
+        os.path.join("fake-runtime", "blobs")})
     return counter, commits, str(out / "fake-runtime")
 
 
@@ -140,6 +164,7 @@ def test_a_second_evaluation_makes_and_deletes_no_directory(tmp_path, capsys, au
         audit.pop()
     assert (counter["mkdir"], counter["rmdir"]) == (0, 0)
     assert counter["create"] == 1  # the report, written under a temporary name
+    _assert_written_through_a_rename(counter, out, {"."})
     assert os.listdir(os.path.join(state, "sessions")) == ["spare"]
 
 

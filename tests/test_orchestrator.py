@@ -881,9 +881,10 @@ def test_docker_apply_stops_the_repository_search_at_the_tree():
     session, calls = _recording_docker()
     assert session.apply_patch("/work/candidate", "--- a/x\n+++ b/x\n").ok
     [argv] = calls  # the diff goes in on stdin, with no file written first
-    assert argv[:10] == ["docker", "exec", "-i", "-e", "GIT_CEILING_DIRECTORIES=/work", "cid",
+    assert argv[:14] == ["docker", "exec", "-i", "-e", "GIT_CEILING_DIRECTORIES=/work",
+                         "-e", "GIT_CONFIG_NOSYSTEM=1", "-e", "GIT_CONFIG_GLOBAL=/dev/null", "cid",
                          "timeout", "-s", "KILL", "3600"]
-    assert argv[10:] == ["git", "-C", "/work/candidate", "apply", "--whitespace=nowarn", "-"]
+    assert argv[14:] == ["git", "-C", "/work/candidate", "apply", "--whitespace=nowarn", "-"]
 
 
 def test_run_outcome_invariants():

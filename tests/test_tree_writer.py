@@ -194,6 +194,44 @@ def test_trees_ignore_the_operators_line_ending_settings(tmp_path, monkeypatch):
         reopened.close()
 
 
+_RETURN_ONE = "int f() {\n    return 1;\n}\n"
+_REINDENTED = """\
+--- a/a.cpp
++++ b/a.cpp
+@@ -1,3 +1,3 @@
+ int f() {
+-  return 1;
++  return 2;
+ }
+"""
+
+
+@pytest.mark.parametrize("config", ["[apply]\n\tignoreWhitespace = change\n",
+                                    "[core]\n\tautocrlf = true\n"],
+                         ids=["ignore-whitespace", "autocrlf"])
+def test_a_patch_applies_as_with_no_git_config(fake_runtime, tmp_path, monkeypatch, config):
+    # the operator's ~/.gitconfig would apply a candidate whose context differs
+    # from the tree only in indentation, or write the patched file with CRLF
+    home = tmp_path / "home"
+    home.mkdir()
+    (home / ".gitconfig").write_text(config)
+    monkeypatch.setenv("HOME", str(home))
+    for name in ("GIT_CONFIG_GLOBAL", "GIT_CONFIG_NOSYSTEM", "XDG_CONFIG_HOME"):
+        monkeypatch.delenv(name, raising=False)
+    session = fake_runtime.start_session("gcc:12")
+    try:
+        path = session.host_path("/work/tree/a.cpp")
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(_RETURN_ONE)
+        assert not session.apply_patch("/work/tree", _REINDENTED).ok
+        assert session.apply_patch("/work/tree", _REINDENTED.replace("  return", "    return")).ok
+        with open(path, "rb") as handle:
+            assert handle.read() == _RETURN_ONE.replace("1", "2").encode()
+    finally:
+        session.close()
+
+
 def _hash_object(repo, kind: str, body: bytes) -> str:
     return subprocess.run(
         ["git", "-C", str(repo), "hash-object", "-t", kind, "--literally", "-w", "--stdin"],
@@ -329,7 +367,8 @@ def test_a_failed_blob_write_leaves_no_blob_behind(fake_runtime, fixture_repo, m
     with GitObjects(fixture_repo.path) as objects:
         with pytest.raises(expected):
             prepare_environment(commit, fake_runtime, objects=objects)
-        assert os.listdir(fake_runtime.blobs_dir) == []
+        # the store's directory is made with its first file, so may not exist
+        assert not fixtures.files_under(fake_runtime.blobs_dir)
         assert not any(fixtures.files_under(os.path.join(fake_runtime.state_dir, "sessions")))
         monkeypatch.undo()
         session = prepare_environment(commit, fake_runtime, objects=objects)
@@ -443,6 +482,32 @@ def test_a_check_out_syncs_a_spare_tree_with_planted_junk_to_exactly_its_commit(
     fake_runtime.close()
     assert os.listdir(os.path.join(state, "sessions")) == []
     assert os.listdir(fake_runtime.blobs_dir) == []
+
+
+@pytest.mark.parametrize("planted", ["symlink", "file"])
+def test_a_check_out_replaces_a_symlink_or_file_at_its_destination(fake_runtime, tmp_path,
+                                                                   planted):
+    repo = tmp_path / "dest"
+    first, _ = _two_commits_for_a_spare(repo)
+    outside = tmp_path / "outside"
+    (outside / "src").mkdir(parents=True)
+    (outside / "src" / "a.cpp").write_text("not a tree file\n")
+    before = _snapshot(str(outside))
+    session = fake_runtime.start_session("gcc:12")
+    tree = session.host_path(ORIGINAL_DIR)
+    if planted == "symlink":
+        os.symlink(outside, tree)
+    else:
+        with open(tree, "w", encoding="utf-8") as handle:
+            handle.write("not a tree\n")
+    with GitObjects(repo) as objects:
+        session.check_out(objects, {ORIGINAL_DIR: first})
+    assert _snapshot(str(outside)) == before
+    assert not os.path.lexists(outside / SHA_MARKER)
+    assert stat.S_ISDIR(os.lstat(tree).st_mode)
+    assert _snapshot(tree) == _committed(repo, first)
+    assert session.read_file(f"{ORIGINAL_DIR}/{SHA_MARKER}") == first + "\n"
+    session.close()
 
 
 def test_a_spare_of_the_same_commit_keeps_its_marker_unless_the_write_fails(fake_runtime,
