@@ -534,7 +534,6 @@ class _HostFsSession(_ExecSession):
         self.ended = ""  # "snapshotted" or "closed" once the runtime has the root back
         self._runtime = runtime
         self.from_image = False  # opened by open_image: its trees go to the slot when it ends
-        self._checked_out: dict[str, str] = {}  # host directory -> commit id
         # host directory -> the writer of its last write and the tree objects
         # that write read, for a copy and a snapshot
         self._written: dict[str, tuple[TreeWriter, TreeObjects]] = {}
@@ -586,7 +585,6 @@ class _HostFsSession(_ExecSession):
         self._runtime._take_spares(paths)
         self._written.update((path, (writer, tree))
                              for path, tree in writer.write(objects, paths).items())
-        self._checked_out.update(paths)
 
     def read_file(self, path: str) -> str:
         with open(self.host_path(path), encoding="utf-8") as handle:
@@ -706,9 +704,9 @@ class _HostFsRuntimeBase:
         delete the whole directory. A session opened from an image renames
         its directory to the slot instead, or deletes it if the slot is
         taken."""
-        kept = [(tree, sha) for tree, sha in session._checked_out.items()
-                if os.path.isdir(tree) and not os.path.islink(tree)]
-        session._checked_out.clear()
+        kept = [(path, tree.commit) for path, (_, tree) in session._written.items()
+                if os.path.isdir(path) and not os.path.islink(path)]
+        session._written.clear()
         if not kept:
             shutil.rmtree(session.root, ignore_errors=True)
             return

@@ -319,7 +319,7 @@ def write_file(path: str | os.PathLike[str], data: bytes, mode: int = 0o666) -> 
     and rename it into place, so it is never seen incomplete; it is created
     with ``mode``, less the umask, and its directory is made if missing."""
     temporary = f"{os.fspath(path)}.{uuid.uuid4().hex[:8]}.tmp"
-    os.makedirs(os.path.dirname(temporary), exist_ok=True)
+    os.makedirs(os.path.dirname(temporary) or os.curdir, exist_ok=True)  # "" for a bare name
     fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
     try:
         with open(fd, "wb") as handle:

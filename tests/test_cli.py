@@ -369,6 +369,23 @@ def test_evaluate_ground_truth_exits_0(cli_store):
     assert (cli_store.out_dir / f"{cli_store.patch_id}.eval.json").is_file()
 
 
+def test_evaluate_writes_its_report_into_a_store_named_as_the_current_directory(
+        cli_store, monkeypatch):
+    # the report's path is then a bare file name, whose directory is ""
+    report = cli_store.out_dir / f"{cli_store.patch_id}.eval.json"
+    report.unlink(missing_ok=True)
+    monkeypatch.chdir(cli_store.out_dir)
+    code, stdout = run_cli(
+        "evaluate", "--store", ".",
+        "--patch-id", cli_store.patch_id,
+        "--patch-file", str(cli_store.patch_file),
+        "--fake-runtime",
+    )
+    assert code == EXIT_OK
+    assert "verdict: improves" in stdout
+    assert json.loads(report.read_text(encoding="utf-8"))["verdict"] == "improves"
+
+
 def test_evaluate_empty_patch_exits_10(cli_store, tmp_path):
     empty = tmp_path / "empty.patch"
     empty.write_text("", encoding="utf-8")
