@@ -281,13 +281,13 @@ def gate_repository(
 
     ``root_cmake`` is the text of the head's root ``CMakeLists.txt``, None
     when the head has none; without one ``tester`` is not called. With one,
-    ``tester``, called with that text, configures the project, enumerates
-    its registered tests, and runs them once; an exception it raises is
-    recorded as a failing head rather than propagated, because a
-    repository that cannot build is simply not a candidate. The exceptions
-    are an unreachable runtime and a broken call contract: they say
-    nothing about the repository, and every later repository would fail
-    the same way.
+    ``tester``, called with that text, builds the project and runs its
+    tests once; an exception it raises is recorded as a failing head
+    rather than propagated, because a repository that cannot build is
+    simply not a candidate. The exceptions are an unavailable runtime (one
+    that cannot start a session, or a command such as cmake) and a broken
+    call contract: they say nothing about the repository, and every later
+    repository would fail the same way.
     """
     if root_cmake is None:
         return replace(repo, has_root_cmake=False, has_cmake_tests=False,

@@ -194,12 +194,7 @@ def apply_structural_filter(commit: CommitRecord, config: HarvestConfig) -> Filt
 
 
 def run_git(repo: Path | str, *args: str) -> str:
-    """Git's stdout decoded as UTF-8, with no newline translation.
-
-    A non-zero exit raises GitError. Text mode would turn every ``\r\n``
-    into ``\n``, and the diff of a commit that edits a CRLF file would then
-    no longer apply to its parent.
-    """
+    """Git's stdout decoded as UTF-8; a non-zero exit raises GitError."""
     cmd = ["git", "-C", str(repo), *args]
     proc = subprocess.run(cmd, capture_output=True)
     if proc.returncode != 0:

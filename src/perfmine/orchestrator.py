@@ -28,7 +28,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from .backends import TEMPERATURE, ChatBackend
-from .errors import BackendError, ContractViolation, RuntimeUnavailableError
+from .errors import BackendError, ContractViolation
 from .harvest import CommitRecord, GitObjects
 from .runtime import (
     BuildResult,
@@ -110,7 +110,6 @@ class TestRuns(NamedTuple):
 @dataclass(frozen=True)
 class RunOutcome:
     version: str
-    build_ok: bool
     tests: tuple[TestRuns, ...]
     runs_requested: int
     runs_recorded: int
@@ -131,14 +130,13 @@ class RunOutcome:
 
     @property
     def qualified(self) -> bool:
-        """Consistently successful: built, at least one test, zero failures.
+        """Consistently successful: at least one test, zero failures.
 
         A warm-up failure disqualifies even though its timing is discarded:
         the suite did not succeed on every execution.
         """
         return (
-            self.build_ok
-            and bool(self.tests)
+            bool(self.tests)
             and not self.warmup_failed
             and all(all(test.passed) for test in self.tests)
         )
@@ -181,15 +179,13 @@ def prepare_environment(
     both written from the clone that ``objects`` reads, and return it.
 
     The parent check runs before any container work: a root commit has no
-    "original" version to compare against.
+    "original" version to compare against. Nothing asks whether the runtime
+    is available: ``start_session`` raises ``RuntimeUnavailableError`` when
+    it is not.
     """
     if not commit.parent_sha:
         raise ContractViolation(
             f"commit {commit.sha} has no parent; nothing to use as the original version"
-        )
-    if not runtime.available():
-        raise RuntimeUnavailableError(
-            f"container runtime unreachable at {runtime.describe_endpoint()}"
         )
     session = runtime.start_session(base_image, cpus=cpus, memory=memory)
     try:
@@ -332,7 +328,6 @@ def run_tests_repeatedly(
         tests, suite_times = (), []
     return RunOutcome(
         version=version,
-        build_ok=True,
         tests=tests,
         runs_requested=runs,
         runs_recorded=recorded,

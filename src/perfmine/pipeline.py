@@ -128,6 +128,8 @@ def gate_with_runtime(
     The head is the committed ``repo.head_sha``: its root ``CMakeLists.txt``
     and its tree are read through ``objects``, the reader of the clone that
     the mine goes on to use, and nothing of the clone's worktree is read.
+    The head is built, and its suite run once: the tests that run reports
+    are its tests, so a head whose run reports none has none.
     """
     if not repo.head_sha:
         raise ContractViolation(f"{repo.full_name}: the gate needs the head's commit id")
@@ -141,12 +143,9 @@ def gate_with_runtime(
             build = session.configure_and_build(head_dir, f"{head_dir}-build", ())
             if not build.ok:
                 return HeadCheck(has_tests=False, tests_pass=False)
-            tests = session.list_tests(f"{head_dir}-build")
-            if not tests:
-                return HeadCheck(has_tests=False, tests_pass=False)
             suite = session.run_suite(f"{head_dir}-build")
-            passed = bool(suite.results) and all(r.passed for r in suite.results)
-            return HeadCheck(has_tests=True, tests_pass=passed)
+            has_tests = bool(suite.results)
+            return HeadCheck(has_tests, has_tests and all(r.passed for r in suite.results))
         finally:
             session.close()
 

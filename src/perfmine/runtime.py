@@ -51,6 +51,13 @@ command under ``timeout -s KILL`` with the same limit, so it is killed
 there too. Only ``start_session`` takes a base image and cpu and memory
 limits, which docker alone applies; a session opened from an image runs
 without limits.
+
+A runtime is unavailable where it fails, and says so there with
+``RuntimeUnavailableError``: docker when ``docker run`` cannot be started
+or fails, the local runtime when a command's executable (cmake, ctest,
+git) cannot be found, and the fake runtime, made unreachable, when a
+session starts. Nothing asks beforehand.
+
 Implementations:
 
 * ``DockerCliRuntime`` drives a real daemon through the ``docker``
@@ -139,7 +146,6 @@ time themselves consistently.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import posixpath
 import re
@@ -231,8 +237,6 @@ class ContainerSession(Protocol):
         """
         ...
 
-    def list_tests(self, build_dir: str) -> list[str]: ...
-
     def run_suite(self, build_dir: str) -> SuiteRun: ...
 
     def install_packages(self, packages: Sequence[str]) -> BuildResult: ...
@@ -243,13 +247,12 @@ class ContainerSession(Protocol):
 
 
 class ContainerRuntime(Protocol):
-    def available(self) -> bool: ...
-
-    def describe_endpoint(self) -> str: ...
-
     def start_session(
         self, base_image: str, *, cpus: float | None = None, memory: str | None = None
-    ) -> ContainerSession: ...
+    ) -> ContainerSession:
+        """A new session with an empty ``/work``; ``RuntimeUnavailableError``
+        when the runtime cannot start one."""
+        ...
 
     def open_image(self, tag: str) -> ContainerSession: ...
 
@@ -291,7 +294,7 @@ _JUNIT_NAME = "perfmine-junit.xml"
 
 
 class _ExecSession:
-    """Builds, lists and runs tests, and applies patches, through two primitives.
+    """Builds and runs tests, and applies patches, through two primitives.
 
     An adapter supplies ``exec(argv, input_text=None, env=None)``, which
     runs one command where the session's files are, with the variables of
@@ -318,14 +321,6 @@ class _ExecSession:
         log = configure.stdout + configure.stderr + compile_step.stdout + compile_step.stderr
         return BuildResult(compile_step.returncode == 0, log)
 
-    def list_tests(self, build_dir: str) -> list[str]:
-        result = self.exec(
-            ["ctest", "--test-dir", self.exec_path(build_dir), "--show-only=json-v1"]
-        )
-        if result.returncode != 0:
-            return []
-        return _test_names_from_ctest_json(result.stdout)
-
     def run_suite(self, build_dir: str) -> SuiteRun:
         report = posixpath.join(build_dir, _JUNIT_NAME)
         self.remove(report)  # a run that writes no report must not read the one before it
@@ -344,14 +339,6 @@ class _ExecSession:
                            env={"GIT_CEILING_DIRECTORIES": posixpath.dirname(tree),
                                 "GIT_CONFIG_NOSYSTEM": "1", "GIT_CONFIG_GLOBAL": "/dev/null"})
         return BuildResult(result.returncode == 0, result.stdout + result.stderr)
-
-
-def _test_names_from_ctest_json(payload: str) -> list[str]:
-    try:
-        doc = json.loads(payload)
-    except ValueError:
-        return []
-    return [t.get("name", "") for t in doc.get("tests", []) if t.get("name")]
 
 
 def _parse_junit(xml_text: str) -> tuple[TestRun, ...]:
@@ -381,10 +368,8 @@ class DockerCliRuntime:
         self._run = runner if runner is not None else _subprocess_runner
         self.docker_bin = docker_bin
 
-    def describe_endpoint(self) -> str:
-        return os.environ.get("DOCKER_HOST", "unix:///var/run/docker.sock")
-
     def available(self) -> bool:
+        """Whether ``docker info`` succeeds: a probe for callers outside the seam."""
         try:
             return self._run([self.docker_bin, "info"], None, 30.0).returncode == 0
         except OSError:
@@ -408,7 +393,8 @@ class DockerCliRuntime:
         if result.returncode != 0:
             raise RuntimeUnavailableError(
                 f"could not start container from {base_image} via "
-                f"{self.describe_endpoint()}: {result.stderr.strip()}"
+                f"{os.environ.get('DOCKER_HOST', 'unix:///var/run/docker.sock')}: "
+                f"{result.stderr.strip()}"
             )
         container_id = result.stdout.strip()
         session = DockerSession(self, container_id)
@@ -552,7 +538,10 @@ class _HostFsSession(_ExecSession):
 
     def exec(self, argv: Sequence[str], input_text: str | None = None,
              env: Mapping[str, str] | None = None) -> RunnerResult:
-        return _subprocess_runner(argv, input_text, COMMAND_TIMEOUT_S, env)
+        try:
+            return _subprocess_runner(argv, input_text, COMMAND_TIMEOUT_S, env)
+        except FileNotFoundError as exc:
+            raise RuntimeUnavailableError(f"cannot start {argv[0]} on this host: {exc}") from exc
 
     def remove(self, path: str) -> None:
         target = self.host_path(path)
@@ -809,12 +798,6 @@ class LocalProcessRuntime(_HostFsRuntimeBase):
     installation.
     """
 
-    def describe_endpoint(self) -> str:
-        return "local host (no container daemon)"
-
-    def available(self) -> bool:
-        return shutil.which("cmake") is not None and shutil.which("ctest") is not None
-
     def start_session(
         self, base_image: str, *, cpus: float | None = None, memory: str | None = None
     ) -> "LocalSession":
@@ -904,19 +887,11 @@ class FakeRuntime(_HostFsRuntimeBase):
         self.build_failures = build_failures or {}
         self.reachable = reachable
 
-    def describe_endpoint(self) -> str:
-        return f"fake runtime state at {self.state_dir}"
-
-    def available(self) -> bool:
-        return self.reachable
-
     def start_session(
         self, base_image: str, *, cpus: float | None = None, memory: str | None = None
     ) -> "FakeSession":
         if not self.reachable:
-            raise RuntimeUnavailableError(
-                f"container runtime unreachable at {self.describe_endpoint()}"
-            )
+            raise RuntimeUnavailableError(f"fake runtime state at {self.state_dir} is unreachable")
         root, name = self._new_session_root()
         return FakeSession(self, root, f"fake-{name}")
 
@@ -939,10 +914,6 @@ class FakeSession(_HostFsSession):
             return pending.pop(0)
         self._builds[build_dir] = (source_dir, scan_fake_timings(self.host_path(source_dir)))
         return BuildResult(True, f"fake build of {source_dir} ok")
-
-    def list_tests(self, build_dir: str) -> list[str]:
-        _, decls = self._builds.get(build_dir, ("", []))
-        return [d.name for d in decls]
 
     def run_suite(self, build_dir: str) -> SuiteRun:
         if build_dir not in self._builds:

@@ -264,6 +264,33 @@ def test_mine_with_unreachable_runtime_exits_69(fixture_repo, tmp_path, monkeypa
     assert "funnel:" not in stdout
 
 
+def _path_with_git_alone(tmp_path: Path, monkeypatch) -> None:
+    """Make ``PATH`` one directory that holds ``git`` and no cmake or ctest."""
+    bin_dir = tmp_path / "git-only"
+    bin_dir.mkdir()
+    os.symlink(shutil.which("git"), bin_dir / "git")
+    monkeypatch.setenv("PATH", str(bin_dir))
+
+
+def test_mine_on_the_local_runtime_without_cmake_exits_69(
+        fixture_repo, tmp_path, monkeypatch, capsys):
+    script = tmp_path / "stub.json"
+    script.write_text(json.dumps({fixture_repo.perf_sha: "Yes"}), encoding="utf-8")
+    _path_with_git_alone(tmp_path, monkeypatch)
+    code, stdout = run_cli(
+        "mine",
+        "--local-repo", str(fixture_repo.path),
+        "--out", str(tmp_path / "store"),
+        "--runtime", "local",
+        "--stub-backends", str(script),
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_UNAVAILABLE
+    assert err.startswith("error: cannot start cmake ")
+    assert err.count("\n") == 1
+    assert "funnel:" not in stdout
+
+
 def test_mine_without_token_fails_auth_after_config_echo(tmp_path, monkeypatch):
     monkeypatch.delenv("GITHUB_TOKEN", raising=False)
     monkeypatch.chdir(tmp_path)
@@ -444,6 +471,25 @@ def test_evaluate_without_image_exits_69(cli_store, tmp_path):
         "--fake-runtime",
     )
     assert code == EXIT_UNAVAILABLE
+
+
+def test_evaluate_on_the_local_runtime_without_cmake_exits_69(
+        cli_store, tmp_path, monkeypatch, capsys):
+    store, _ = _copy_with_image(cli_store, tmp_path)
+    os.rename(store / "fake-runtime", store / "local-runtime")
+    _path_with_git_alone(tmp_path, monkeypatch)
+    code, stdout = run_cli(
+        "evaluate", "--store", str(store),
+        "--patch-id", cli_store.patch_id,
+        "--patch-file", str(cli_store.patch_file),
+        "--runtime", "local",
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_UNAVAILABLE
+    assert err.startswith("error: cannot start cmake ")
+    assert err.count("\n") == 1
+    assert "verdict:" not in stdout
+    assert not report_path(store, cli_store.patch_id).exists()
 
 
 def _copy_with_image(cli_store: CliStore, tmp_path: Path) -> tuple[Path, Path]:

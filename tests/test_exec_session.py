@@ -18,9 +18,14 @@ import time
 
 import pytest
 
+from conftest import head_of
+
 import perfmine.processes as processes_module
 import perfmine.runtime as runtime_module
+from perfmine.discovery import HeadTestsState
+from perfmine.harvest import GitObjects
 from perfmine.orchestrator import run_tests_repeatedly
+from perfmine.pipeline import gate_with_runtime, local_descriptor
 from perfmine.runtime import (
     DockerCliRuntime,
     LocalProcessRuntime,
@@ -56,14 +61,11 @@ if os.path.basename(sys.argv[0]) == "cmake":
         os.makedirs(args[args.index("-B") + 1], exist_ok=True)
     sys.exit(0)
 build = args[args.index("--test-dir") + 1]
-if "--show-only=json-v1" in args:
-    print(json.dumps({{"tests": [{{"name": "my test"}}, {{"name": "broken"}}]}}))
-    sys.exit(0)
 if os.path.exists(os.path.join(build, "hang")):
     time.sleep(10)
 if not os.path.exists(os.path.join(build, "crash")):
     with open(args[args.index("--output-junit") + 1], "w") as report:
-        report.write({junit!r})
+        report.write(os.environ.get("STUB_JUNIT", {junit!r}))
 print({stdout!r})
 sys.exit(8)
 """
@@ -72,7 +74,6 @@ SOURCE, BUILD = "/work/src", "/work/src-build"
 EXPECTED_ARGV = [
     ["cmake", "-S", SOURCE, "-B", BUILD, "-DFAST=ON"],
     ["cmake", "--build", BUILD, "--parallel"],
-    ["ctest", "--test-dir", BUILD, "--show-only=json-v1"],
     ["ctest", "--test-dir", BUILD, "--output-junit", f"{BUILD}/perfmine-junit.xml"],
 ]
 EXPECTED_RESULTS = (TestRun("my test", True, 250.0), TestRun("broken", False, 500.0))
@@ -80,7 +81,9 @@ EXPECTED_RESULTS = (TestRun("my test", True, 250.0), TestRun("broken", False, 50
 
 @pytest.fixture()
 def stub_toolchain(tmp_path, monkeypatch):
-    """Put stub cmake and ctest first on PATH; returns their argv log."""
+    """Put stub cmake and ctest first on PATH; returns their argv log.
+
+    ctest writes ``JUNIT``, or the report in ``STUB_JUNIT`` where that is set."""
     bin_dir, log = tmp_path / "bin", tmp_path / "toolchain.log"
     bin_dir.mkdir()
     for name in ("cmake", "ctest"):
@@ -154,7 +157,6 @@ def test_both_adapters_issue_the_same_commands_and_read_the_same_report(
     session, work = adapter(tmp_path)
     _plant(work, f"{SOURCE}/CMakeLists.txt", "project(stub)\n")
     assert session.configure_and_build(SOURCE, BUILD, ("-DFAST=ON",)).ok
-    assert session.list_tests(BUILD) == ["my test", "broken"]
     suite = session.run_suite(BUILD)
     assert suite.results == EXPECTED_RESULTS
     assert _logged_argv(stub_toolchain, work) == EXPECTED_ARGV
@@ -165,16 +167,22 @@ def test_both_adapters_issue_the_same_commands_and_read_the_same_report(
     session.close()
 
 
-def test_a_host_session_starts_cmake_and_ctest_alone(tmp_path, stub_toolchain, monkeypatch):
-    # the old build directory and report are deleted by the session, and a
-    # symlink planted as the build directory is removed, not followed
-    started = []
+@pytest.fixture()
+def started(monkeypatch) -> list[str]:
+    """The name of each executable that a host session starts, in order."""
+    names = []
 
     def runner(argv, *args, **kwargs):
-        started.append(os.path.basename(argv[0]))
+        names.append(os.path.basename(argv[0]))
         return _subprocess_runner(argv, *args, **kwargs)
 
     monkeypatch.setattr(runtime_module, "_subprocess_runner", runner)
+    return names
+
+
+def test_a_host_session_starts_cmake_and_ctest_alone(tmp_path, stub_toolchain, started):
+    # the old build directory and report are deleted by the session, and a
+    # symlink planted as the build directory is removed, not followed
     session, work = _local_session(tmp_path)
     _plant(work, f"{SOURCE}/CMakeLists.txt", "project(stub)\n")
     outside = tmp_path / "outside"
@@ -190,6 +198,44 @@ def test_a_host_session_starts_cmake_and_ctest_alone(tmp_path, stub_toolchain, m
         assert session.run_suite(BUILD).results == EXPECTED_RESULTS
     assert started == ["cmake", "cmake", "cmake", "cmake", "ctest", "ctest"]
     session.close()
+
+
+ONE_PASSING = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<testsuite name="stub" tests="1" failures="0" time="0.25">
+  <testcase name="my test" classname="my test" time="0.25" status="run"><system-out/></testcase>
+</testsuite>
+"""
+NO_TESTCASE = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<testsuite name="stub" tests="0" failures="0" time="0"/>
+"""
+
+
+def _gate_locally(tmp_path, fixture_repo, monkeypatch, junit: str):
+    """Gate the fixture's head on the local runtime, with ctest reporting ``junit``."""
+    monkeypatch.setenv("STUB_JUNIT", junit)
+    runtime = LocalProcessRuntime(tmp_path / "state")
+    repo = local_descriptor(head_of(fixture_repo.path), "local", "fixturerepo")
+    with GitObjects(fixture_repo.path) as objects:
+        gated = gate_with_runtime(repo, runtime, objects=objects)
+    runtime.close()
+    return gated
+
+
+def test_a_local_gate_builds_the_head_and_runs_its_suite_once(
+        tmp_path, fixture_repo, stub_toolchain, started, monkeypatch):
+    gated = _gate_locally(tmp_path, fixture_repo, monkeypatch, ONE_PASSING)
+    assert (gated.passes_gate, gated.has_cmake_tests) == (True, True)
+    assert started == ["cmake", "cmake", "ctest"]
+
+
+def test_a_suite_that_reports_no_test_leaves_the_repository_gated_out(
+        tmp_path, fixture_repo, stub_toolchain, started, monkeypatch):
+    gated = _gate_locally(tmp_path, fixture_repo, monkeypatch, NO_TESTCASE)
+    assert (gated.passes_gate, gated.has_cmake_tests) == (False, False)
+    assert gated.head_tests_pass is HeadTestsState.UNTESTED
+    assert started == ["cmake", "cmake", "ctest"]
 
 
 def _pidfd_works() -> bool:

@@ -210,7 +210,7 @@ def test_prepare_environment_rejects_parentless_commit(fixture_repo, tmp_path):
     )
 
     class ExplodingRuntime:
-        def available(self):
+        def start_session(self, *args, **kwargs):
             raise AssertionError("runtime touched for a parentless commit")
 
     with pytest.raises(ContractViolation), GitObjects(fixture_repo.path) as objects:
@@ -443,7 +443,7 @@ def _outcome_by_tuples(session, runs: int) -> RunOutcome:
     tests = tuple(per_test.values())
     if any(len(test.passed) != recorded for test in tests):
         tests, suite_times = (), []
-    return RunOutcome(version="original", build_ok=True, tests=tests, runs_requested=runs,
+    return RunOutcome(version="original", tests=tests, runs_requested=runs,
                       runs_recorded=recorded, suite_wall_times_ms=tuple(suite_times),
                       warmup_failed=warmup_failed)
 
@@ -498,7 +498,6 @@ def test_warmup_failure_disqualifies(fake_runtime, tmp_path):
 def qualified_outcome(version="original"):
     return RunOutcome(
         version=version,
-        build_ok=True,
         tests=(TestRuns("t", (True, True), (10.0, 11.0)),),
         runs_requested=3,
         runs_recorded=2,
@@ -508,7 +507,6 @@ def qualified_outcome(version="original"):
 def disqualified_outcome():
     return RunOutcome(
         version="patched",
-        build_ok=True,
         tests=(TestRuns("t", (True, False), (10.0, 11.0)),),
         runs_requested=3,
         runs_recorded=2,
@@ -696,8 +694,7 @@ def test_fake_suite_runs_what_was_built(fake_runtime, fixture_repo):
     _write(session.host_path(f"{ORIGINAL_DIR}/src/compute.cpp"),
            source.replace("base_ms=150", "base_ms=900"))
     [before] = session.run_suite(build_dir).results
-    assert before.wall_time_ms == pytest.approx(150.0)
-    assert session.list_tests(build_dir) == ["unit_main"]
+    assert (before.name, before.wall_time_ms) == ("unit_main", pytest.approx(150.0))
     session.configure_and_build(ORIGINAL_DIR, build_dir, ())
     [after] = session.run_suite(build_dir).results
     assert after.wall_time_ms == pytest.approx(900.01)  # second invocation of this tree
@@ -889,17 +886,17 @@ def test_docker_apply_stops_the_repository_search_at_the_tree():
 
 def test_run_outcome_invariants():
     with pytest.raises(ValueError):
-        RunOutcome(version="weird", build_ok=True, tests=(),
+        RunOutcome(version="weird", tests=(),
                    runs_requested=2, runs_recorded=1)
     with pytest.raises(ValueError):
         RunOutcome(
-            version="original", build_ok=True,
+            version="original",
             tests=(TestRuns("t", (True,), (0.0,)),),  # nonpositive wall time
             runs_requested=2, runs_recorded=1,
         )
     with pytest.raises(ValueError):
         RunOutcome(
-            version="original", build_ok=True,
+            version="original",
             tests=(TestRuns("t", (True, True), (1.0, 2.0)),),  # 2 records, 1 recorded run
             runs_requested=2, runs_recorded=1,
         )
